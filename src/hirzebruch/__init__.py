@@ -27,7 +27,6 @@ from .counting import (
     indexed_points,
     l_prime,
     morse_index_closed,
-    morse_index_from_character,
     n_prime,
     poincare_polynomial,
     rank2_series_closed,
@@ -91,7 +90,6 @@ __all__ = [
     "l_prime",
     "main_ordering",
     "morse_index_closed",
-    "morse_index_from_character",
     "n_character",
     "n_prime",
     "poincare_polynomial",

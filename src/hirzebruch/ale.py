@@ -21,13 +21,14 @@ serves as an independent oracle for the p = 2, k = 0 spaces.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
 from .laurent import Character, OrderingSpec, TPolynomial, ale_ordering
 from .localization import InvariantError, n_character
-from .partitions import ColoredDiagram, enumerate_partitions
+from .partitions import ColoredDiagram, compositions, enumerate_partitions
 
 
 @dataclass(frozen=True)
@@ -83,28 +84,13 @@ class ColoredFixedPoint:
         return cls(tuple(ColoredDiagram.from_json(item) for item in data["tableaux"]))
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
-
-
 def _colored_tuples(sizes: tuple[int, ...]) -> Iterator[tuple[ColoredDiagram, ...]]:
-    if not sizes:
-        yield ()
-        return
-    for diagram in enumerate_partitions(sizes[0]):
-        for eps in (0, 1):
-            head = ColoredDiagram(diagram, eps)
-            for tail in _colored_tuples(sizes[1:]):
-                yield (head,) + tail
+    return itertools.product(
+        *(
+            [ColoredDiagram(d, eps) for d in enumerate_partitions(size) for eps in (0, 1)]
+            for size in sizes
+        )
+    )
 
 
 def enumerate_colored_fixed_points(r: int, n) -> Iterator[ColoredFixedPoint]:
@@ -119,7 +105,7 @@ def enumerate_colored_fixed_points(r: int, n) -> Iterator[ColoredFixedPoint]:
     boxes = 2 * n
     if boxes.denominator != 1 or boxes < 0:
         return
-    for sizes in _compositions(int(boxes), r):
+    for sizes in compositions(int(boxes), r):
         for tableaux in _colored_tuples(sizes):
             fp = ColoredFixedPoint(tableaux)
             if fp.is_valid() and fp.instanton_number() == n:

@@ -20,7 +20,6 @@ import re
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import __version__
@@ -30,7 +29,6 @@ from .counting import (
     enumerate_fixed_points,
     hilbert_series_r1,
     indexed_points,
-    morse_index_from_character,
     poincare_polynomial,
     rank2_series_closed,
     rank2_series_direct,
@@ -109,11 +107,13 @@ class Cache:
         return os.path.join(self.root, f"{digest}.json")
 
     def get(self, request: dict):
-        path = self._path(request)
-        if not os.path.exists(path):
+        """The stored result, or None when the entry is absent or unreadable."""
+        try:
+            with open(self._path(request), encoding="utf-8") as handle:
+                entry = json.load(handle)
+        except (FileNotFoundError, ValueError):
             return None
-        with open(path, encoding="utf-8") as handle:
-            return json.load(handle)["result"]
+        return entry.get("result") if isinstance(entry, dict) else None
 
     def put(self, request: dict, payload) -> None:
         path = self._path(request)
@@ -139,14 +139,6 @@ def _cached(cache: Cache | None, request: dict, compute):
     if cache is not None:
         cache.put(request, payload)
     return payload
-
-
-def _pmap(fn, items, jobs: int) -> list:
-    items = list(items)
-    if jobs > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
 
 
 def _ordering(name: str, rank: int):
@@ -193,11 +185,15 @@ def _cmd_fixed_points(args, cache):
     return request, payload, text
 
 
-def _load_fixed_point_records(source: str):
+def _load_fixed_point_records(source: str) -> list:
     if source == "-":
-        return json.load(sys.stdin)
-    with open(source, encoding="utf-8") as handle:
-        return json.load(handle)
+        records = json.load(sys.stdin)
+    else:
+        with open(source, encoding="utf-8") as handle:
+            records = json.load(handle)
+    if not isinstance(records, list):
+        raise ValueError(f"fixed-point records must be a JSON list, got {records!r}")
+    return records
 
 
 def _cmd_tangent(args, cache):
@@ -230,7 +226,7 @@ def _cmd_tangent(args, cache):
                 "fixed_point": point.to_json(),
                 "character": x.to_json(),
                 "dimension": x.dimension(),
-                "index": morse_index_from_character(x, ordering),
+                "index": x.negative_count(ordering),
             }
         x = tangent_character(params, point)
         return {
@@ -239,7 +235,7 @@ def _cmd_tangent(args, cache):
             "dimension": x.dimension(),
         }
 
-    payload = _pmap(one, points, args.jobs)
+    payload = [one(point) for point in points]
     text = "\n".join(_compact(record) for record in payload)
     return request, payload, text
 
@@ -296,7 +292,7 @@ def _cmd_ale(args, cache):
                 "index": x.negative_count(ordering),
             }
 
-        points = _pmap(one, enumerate_colored_fixed_points(args.r, args.n), args.jobs)
+        points = [one(fp) for fp in enumerate_colored_fixed_points(args.r, args.n)]
         poly = TPolynomial.zero()
         for record in points:
             poly = poly + TPolynomial.t_power(2 * record["index"])
@@ -382,10 +378,13 @@ def _cmd_sweep(args, cache):
         "k": args.k,
         "n": [str(x) for x in args.n],
     }
-    cells = [
-        (p, r, k, n) for p in args.p for r in args.r for k in args.k for n in args.n
+    rows = [
+        _sweep_cell(args.mode, cache, p, r, k, n)
+        for p in args.p
+        for r in args.r
+        for k in args.k
+        for n in args.n
     ]
-    rows = _pmap(lambda cell: _sweep_cell(args.mode, cache, *cell), cells, args.jobs)
     return request, rows, _sweep_text(args.mode, rows)
 
 
@@ -393,9 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("text", "json"), default="text", help="output format"
-    )
-    common.add_argument(
-        "--jobs", type=int, default=1, help="worker threads (never changes output)"
     )
     common.add_argument(
         "--cache-dir",

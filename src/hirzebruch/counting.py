@@ -21,13 +21,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .laurent import OrderingSpec, QSeries, TPolynomial, Character
+from .laurent import QSeries, TPolynomial
 from .localization import (
     FixedPointDatum,
     ModuliParams,
     ReducedFixedPointDatum,
 )
-from .partitions import PartitionDiagram, enumerate_partitions
+from .partitions import PartitionDiagram, compositions, enumerate_partitions
 
 
 def check_nonempty(params: ModuliParams) -> bool:
@@ -54,39 +54,11 @@ def _k_strings(params: ModuliParams) -> Iterator[tuple[tuple[int, ...], int]]:
     center = Fraction(params.k, params.r)
     lo = math.ceil(center - radius)
     hi = math.floor(center + radius)
-    if params.r == 1:
-        candidates = [(params.k,)]
-    else:
-        candidates = _int_tuples(params.r, lo, hi)
-    for ks in candidates:
-        if sum(ks) != params.k:
-            continue
+    for ks in compositions(params.k, params.r, lo, hi):
         excess = params.n - params.pair_weight(ks)
         if excess < 0 or excess.denominator != 1:
             continue
         yield ks, int(excess)
-
-
-def _int_tuples(length: int, lo: int, hi: int) -> Iterator[tuple[int, ...]]:
-    if length == 0:
-        yield ()
-        return
-    for head in range(lo, hi + 1):
-        for tail in _int_tuples(length - 1, lo, hi):
-            yield (head,) + tail
-
-
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
 
 
 def _diagram_tuples(sizes: tuple[int, ...]) -> Iterator[tuple[PartitionDiagram, ...]]:
@@ -101,7 +73,7 @@ def _diagram_tuples(sizes: tuple[int, ...]) -> Iterator[tuple[PartitionDiagram, 
 def enumerate_fixed_points(params: ModuliParams) -> Iterator[FixedPointDatum]:
     """All torus fixed points of the moduli space, in deterministic order."""
     for ks, excess in _k_strings(params):
-        for sizes in _compositions(excess, 2 * params.r):
+        for sizes in compositions(excess, 2 * params.r):
             for diagrams in _diagram_tuples(sizes):
                 yield FixedPointDatum(ks, diagrams[: params.r], diagrams[params.r :])
 
@@ -111,7 +83,7 @@ def enumerate_reduced_fixed_points(
 ) -> Iterator[ReducedFixedPointDatum]:
     """All fixed-locus labels of the reduced action, in deterministic order."""
     for ks, excess in _k_strings(params):
-        for sizes in _compositions(excess, params.r):
+        for sizes in compositions(excess, params.r):
             for diagrams in _diagram_tuples(sizes):
                 yield ReducedFixedPointDatum(ks, diagrams)
 
@@ -154,11 +126,6 @@ def morse_index_closed(params: ModuliParams, rfp: ReducedFixedPointDatum) -> int
                 - n_prime(rfp.ys[a], rfp.ys[b], diff)
             )
     return total
-
-
-def morse_index_from_character(x: Character, ordering: OrderingSpec) -> int:
-    """Morse index as the count of negative-weight tangent directions."""
-    return x.negative_count(ordering)
 
 
 def component_factor(y: PartitionDiagram) -> TPolynomial:
@@ -253,23 +220,21 @@ def rank2_series_closed(p: int, order: int) -> QSeries:
     return series * bracket
 
 
-def rank2_series_direct(p: int, order: int) -> QSeries:
-    """Generating series of rank-2, k=0 Poincare polynomials, term by term."""
+def _series_direct(p: int, r: int, order: int) -> QSeries:
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
     series = QSeries.zero(order)
     for n in range(order + 1):
-        poly = poincare_polynomial(ModuliParams(p, 2, 0, Fraction(n)))
+        poly = poincare_polynomial(ModuliParams(p, r, 0, Fraction(n)))
         series = series + QSeries.term(order, n, poly)
     return series
+
+
+def rank2_series_direct(p: int, order: int) -> QSeries:
+    """Generating series of rank-2, k=0 Poincare polynomials, term by term."""
+    return _series_direct(p, 2, order)
 
 
 def hilbert_series_r1(p: int, order: int) -> QSeries:
     """Generating series of rank-1 (Hilbert scheme) Poincare polynomials."""
-    if order < 0:
-        raise ValueError(f"order must be nonnegative, got {order}")
-    series = QSeries.zero(order)
-    for n in range(order + 1):
-        poly = poincare_polynomial(ModuliParams(p, 1, 0, Fraction(n)))
-        series = series + QSeries.term(order, n, poly)
-    return series
+    return _series_direct(p, 1, order)

@@ -82,13 +82,44 @@ def _as_diagrams(items) -> tuple[PartitionDiagram, ...]:
     return tuple(out)
 
 
+class _Datum:
+    """What both fixed-point records share: a k-string, diagrams and JSON keys."""
+
+    _keys: tuple[str, ...]
+
+    def validate(self, params: ModuliParams) -> None:
+        if len(self.ks) != params.r:
+            raise InvariantError(f"expected {params.r} summands, got {len(self.ks)}")
+        if sum(self.ks) != params.k:
+            raise InvariantError(f"k-string {self.ks} does not sum to k={params.k}")
+        n = self.box_count() + params.pair_weight(self.ks)
+        if n != params.n:
+            raise InvariantError(
+                f"box-count constraint violated: counted {n}, expected {params.n}"
+            )
+
+    @classmethod
+    def from_json(cls, data):
+        if not isinstance(data, dict) or any(key not in data for key in cls._keys):
+            raise ValueError(
+                f"a fixed-point record must be an object with keys"
+                f" {', '.join(cls._keys)}, got {data!r}"
+            )
+        try:
+            return cls(*(data[key] for key in cls._keys))
+        except TypeError as exc:
+            raise ValueError(f"malformed fixed-point record {data!r}: {exc}") from None
+
+
 @dataclass(frozen=True)
-class FixedPointDatum:
+class FixedPointDatum(_Datum):
     """A torus fixed point: k-string plus one diagram pair per summand."""
 
     ks: tuple[int, ...]
     y1: tuple[PartitionDiagram, ...]
     y2: tuple[PartitionDiagram, ...]
+
+    _keys = ("k", "Y1", "Y2")
 
     def __post_init__(self):
         object.__setattr__(self, "ks", tuple(int(x) for x in self.ks))
@@ -100,17 +131,6 @@ class FixedPointDatum:
     def box_count(self) -> int:
         return sum(y.size for y in self.y1) + sum(y.size for y in self.y2)
 
-    def validate(self, params: ModuliParams) -> None:
-        if len(self.ks) != params.r:
-            raise InvariantError(f"expected {params.r} summands, got {len(self.ks)}")
-        if sum(self.ks) != params.k:
-            raise InvariantError(f"k-string {self.ks} does not sum to k={params.k}")
-        n = self.box_count() + params.pair_weight(self.ks)
-        if n != params.n:
-            raise InvariantError(
-                f"box-count constraint violated: counted {n}, expected {params.n}"
-            )
-
     def to_json(self) -> dict:
         return {
             "k": list(self.ks),
@@ -118,21 +138,15 @@ class FixedPointDatum:
             "Y2": [y.to_json() for y in self.y2],
         }
 
-    @classmethod
-    def from_json(cls, data) -> "FixedPointDatum":
-        return cls(
-            tuple(data["k"]),
-            tuple(PartitionDiagram(rows) for rows in data["Y1"]),
-            tuple(PartitionDiagram(rows) for rows in data["Y2"]),
-        )
-
 
 @dataclass(frozen=True)
-class ReducedFixedPointDatum:
+class ReducedFixedPointDatum(_Datum):
     """A fixed-locus label for the reduced action: k-string plus one diagram each."""
 
     ks: tuple[int, ...]
     ys: tuple[PartitionDiagram, ...]
+
+    _keys = ("k", "Y")
 
     def __post_init__(self):
         object.__setattr__(self, "ks", tuple(int(x) for x in self.ks))
@@ -143,23 +157,8 @@ class ReducedFixedPointDatum:
     def box_count(self) -> int:
         return sum(y.size for y in self.ys)
 
-    def validate(self, params: ModuliParams) -> None:
-        if len(self.ks) != params.r:
-            raise InvariantError(f"expected {params.r} summands, got {len(self.ks)}")
-        if sum(self.ks) != params.k:
-            raise InvariantError(f"k-string {self.ks} does not sum to k={params.k}")
-        n = self.box_count() + params.pair_weight(self.ks)
-        if n != params.n:
-            raise InvariantError(
-                f"box-count constraint violated: counted {n}, expected {params.n}"
-            )
-
     def to_json(self) -> dict:
         return {"k": list(self.ks), "Y": [y.to_json() for y in self.ys]}
-
-    @classmethod
-    def from_json(cls, data) -> "ReducedFixedPointDatum":
-        return cls(tuple(data["k"]), tuple(PartitionDiagram(rows) for rows in data["Y"]))
 
 
 def patch1_matrix(p: int) -> Matrix2:

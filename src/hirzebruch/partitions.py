@@ -1,4 +1,4 @@
-"""Young diagrams, arm/leg statistics and checkerboard 2-colorings.
+"""Young diagrams, arm/leg statistics, checkerboard 2-colorings, compositions.
 
 A diagram is stored as its weakly decreasing tuple of row lengths.  Boxes
 are addressed by 1-based coordinates (c, r): c is the column counted from
@@ -130,6 +130,33 @@ def enumerate_partitions(n: int) -> list[PartitionDiagram]:
     if n < 0:
         raise ValueError(f"cannot partition a negative number, got {n}")
     return [PartitionDiagram(rows) for rows in _partition_rows(n, n)]
+
+
+def compositions(
+    total: int, parts: int, lo: int = 0, hi: int | None = None
+) -> Iterator[tuple[int, ...]]:
+    """Tuples of `parts` integers in lo..hi summing to total, ascending lexicographically.
+
+    hi=None bounds each entry only by what the others leave of the total.
+    Only heads from which the remaining entries can still reach the total
+    are tried, so no tuple is built and then thrown away.
+    """
+    if parts < 0:
+        raise ValueError(f"number of parts must be nonnegative, got {parts}")
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    if hi is None:
+        hi = total - (parts - 1) * lo
+    if parts == 1:
+        if lo <= total <= hi:
+            yield (total,)
+        return
+    rest = parts - 1
+    for head in range(max(lo, total - rest * hi), min(hi, total - rest * lo) + 1):
+        for tail in compositions(total - head, rest, lo, hi):
+            yield (head,) + tail
 
 
 def relative_arm(measuring: PartitionDiagram, box: Box) -> int:

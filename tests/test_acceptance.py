@@ -19,7 +19,6 @@ from hirzebruch.counting import (
     enumerate_reduced_fixed_points,
     hilbert_series_r1,
     morse_index_closed,
-    morse_index_from_character,
     poincare_polynomial,
     rank2_series_closed,
     rank2_series_direct,
@@ -230,9 +229,7 @@ def test_10_index_cross_validation():
             params = ModuliParams(p, 2, 0, n)
             for rfp in enumerate_reduced_fixed_points(params):
                 x = reduced_tangent_character(params, rfp)
-                ok = ok and morse_index_from_character(x, ordering) == (
-                    morse_index_closed(params, rfp)
-                )
+                ok = ok and x.negative_count(ordering) == morse_index_closed(params, rfp)
                 checked += 1
     _report(10, "closed Morse index equals the character count",
             ok and checked > 0, f"{checked} reduced fixed points")

@@ -10,7 +10,7 @@ from hirzebruch.ale import (
     enumerate_colored_fixed_points,
 )
 from hirzebruch.laurent import Character, OrderingSpec, TPolynomial
-from hirzebruch.partitions import ColoredDiagram, PartitionDiagram
+from hirzebruch.partitions import ColoredDiagram, PartitionDiagram, enumerate_partitions
 
 
 def cfp(*pairs):
@@ -55,6 +55,48 @@ def test_empty_sectors():
     for r, n in ((2, Fraction(1, 4)), (2, -1), (1, Fraction(1, 2)), (2, Fraction(3, 4))):
         assert points(r, n) == []
         assert ale_poincare(r, n) == TPolynomial.zero()
+
+
+def _compositions(total, parts):
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for tail in _compositions(total - head, parts - 1):
+            yield (head,) + tail
+
+
+def _colored_tuples(sizes):
+    if not sizes:
+        yield ()
+        return
+    for diagram in enumerate_partitions(sizes[0]):
+        for eps in (0, 1):
+            head = ColoredDiagram(diagram, eps)
+            for tail in _colored_tuples(sizes[1:]):
+                yield (head,) + tail
+
+
+def recursive_colored_points(r, n):
+    """The enumeration as it was before the shared generators, as an order oracle."""
+    out = []
+    for sizes in _compositions(int(2 * n), r):
+        for tableaux in _colored_tuples(sizes):
+            fp = ColoredFixedPoint(tableaux)
+            if fp.is_valid() and fp.instanton_number() == n:
+                out.append(fp)
+    return out
+
+
+def test_enumeration_order_matches_recursive_oracle():
+    for r in range(1, 5):
+        for boxes in range(9):
+            n = Fraction(boxes, 2)
+            assert points(r, n) == recursive_colored_points(r, n), (r, n)
 
 
 def test_enumeration_rejects_bad_rank():

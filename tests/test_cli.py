@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import hirzebruch
 from hirzebruch import __version__
 from hirzebruch.cli import CACHE_ENV_VAR, main
 
@@ -167,6 +168,39 @@ def test_inconsistent_fixed_point_record_exits_3(capsys, tmp_path):
     assert "invariant violation" in err
 
 
+def _hirzebruch(*argv, stdin=""):
+    """Run the command line in a fresh interpreter on this checkout's package."""
+    env = dict(os.environ)
+    env.pop(CACHE_ENV_VAR, None)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(hirzebruch.__file__))
+    return subprocess.run(
+        [sys.executable, *argv], input=stdin, capture_output=True, text=True, env=env
+    )
+
+
+@pytest.mark.parametrize(
+    "records", ['[{"k": [0, 0], "Y1": [[], [1]]}]', "[5]", '[{"k": 5, "Y": []}]', "5"]
+)
+def test_malformed_fixed_point_record_exits_2(records):
+    for reduced in ((), ("--reduced",)):
+        done = _hirzebruch(
+            "-m", "hirzebruch", "tangent", "--p", "2", "--r", "2", "--k", "0",
+            "--n", "1", *reduced, "--fixed-points", "-", stdin=records,
+        )
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: ")
+        assert "Traceback" not in done.stderr
+
+
+def test_cli_import_loads_no_thread_pool():
+    done = _hirzebruch(
+        "-c", "import sys, hirzebruch.cli; print('concurrent.futures' in sys.modules)"
+    )
+    assert done.returncode == 0
+    assert done.stdout == "False\n"
+
+
 def test_missing_fixed_point_file_exits_2(capsys, tmp_path):
     code, _, err = run(
         capsys, "tangent", "--p", "2", "--r", "1", "--k", "0", "--n", "1",
@@ -272,19 +306,6 @@ def test_sweep_mixed_rationals(capsys):
     assert rows[0]["poincare"] == [[0, 1], [2, 1]]
 
 
-def test_jobs_do_not_change_output(capsys):
-    args = ("tangent", "--p", "2", "--r", "2", "--k", "0", "--n", "2")
-    _, serial, _ = run(capsys, *args)
-    _, parallel, _ = run(capsys, *args, "--jobs", "4")
-    assert serial == parallel
-
-    sweep = ("sweep", "--mode", "check", "--p", "1..2", "--r", "1..2",
-             "--k", "0", "--n", "0..2")
-    _, serial, _ = run(capsys, *sweep)
-    _, parallel, _ = run(capsys, *sweep, "--jobs", "3")
-    assert serial == parallel
-
-
 def test_cache_round_trip(capsys, tmp_path):
     cache = tmp_path / "cache"
     args = ("poincare", "--p", "2", "--r", "2", "--k", "0", "--n", "1",
@@ -301,6 +322,21 @@ def test_cache_round_trip(capsys, tmp_path):
     files[0].write_text(json.dumps(stored, sort_keys=True))
     _, poisoned, _ = run(capsys, *args)
     assert poisoned == "7\n"
+
+
+@pytest.mark.parametrize("damage", ["truncate", "{}", "[1]", '{"request": {}}', "null"])
+def test_unreadable_cache_entry_is_recomputed(capsys, tmp_path, damage):
+    cache = tmp_path / "cache"
+    args = ("poincare", "--p", "2", "--r", "2", "--k", "0", "--n", "2",
+            "--format", "json", "--cache-dir", str(cache))
+    code, first, _ = run(capsys, *args)
+    assert code == 0
+    [entry] = cache.glob("*.json")
+    intact = entry.read_bytes()
+    entry.write_bytes(intact[: len(intact) // 2] if damage == "truncate" else damage.encode())
+    code, again, err = run(capsys, *args)
+    assert (code, again, err) == (0, first, "")
+    assert entry.read_bytes() == intact
 
 
 def test_cache_env_var(capsys, tmp_path, monkeypatch):

@@ -1,9 +1,11 @@
+import math
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
 from hirzebruch.counting import (
+    _k_strings,
     check_nonempty,
     component_factor,
     enumerate_fixed_points,
@@ -12,7 +14,6 @@ from hirzebruch.counting import (
     indexed_points,
     l_prime,
     morse_index_closed,
-    morse_index_from_character,
     n_prime,
     poincare_polynomial,
     rank2_series_closed,
@@ -125,6 +126,54 @@ def test_reduced_enumeration_order_frozen():
     ]
 
 
+def _int_tuples(length, lo, hi):
+    if length == 0:
+        yield ()
+        return
+    for head in range(lo, hi + 1):
+        for tail in _int_tuples(length - 1, lo, hi):
+            yield (head,) + tail
+
+
+def box_filter_k_strings(params):
+    """The k-string search as it was before `compositions`: filter a full box."""
+    if params.n < 0:
+        return []
+    radius = math.isqrt(int(2 * params.n // params.p)) + 1
+    center = Fraction(params.k, params.r)
+    lo = math.ceil(center - radius)
+    hi = math.floor(center + radius)
+    if params.r == 1:
+        candidates = [(params.k,)]
+    else:
+        candidates = _int_tuples(params.r, lo, hi)
+    out = []
+    for ks in candidates:
+        if sum(ks) != params.k:
+            continue
+        excess = params.n - params.pair_weight(ks)
+        if excess < 0 or excess.denominator != 1:
+            continue
+        out.append((ks, int(excess)))
+    return out
+
+
+def test_k_strings_match_box_filter_order():
+    nonempty = fractional = 0
+    for p in (1, 2, 3):
+        for r in range(1, 7):
+            for k in (-2, -1, 0, 1):
+                # the least n of the twist class of k, then one more
+                least = Fraction(p * (k % r) * (r - k % r), 2 * r)
+                for n in (least, least + 1, least - Fraction(1, 2), Fraction(-1)):
+                    params = ModuliParams(p, r, k, n)
+                    got = list(_k_strings(params))
+                    assert got == box_filter_k_strings(params), params
+                    nonempty += bool(got)
+                    fractional += bool(got) and n.denominator != 1
+    assert nonempty > 100 and fractional > 50
+
+
 def test_enumerated_points_satisfy_constraints():
     for params in (
         ModuliParams(1, 2, 1, Fraction(5, 4)),
@@ -174,9 +223,7 @@ def test_morse_index_matches_character_count():
             params = ModuliParams(p, 2, 0, n)
             for rfp in enumerate_reduced_fixed_points(params):
                 x = reduced_tangent_character(params, rfp)
-                assert morse_index_from_character(x, ordering) == morse_index_closed(
-                    params, rfp
-                )
+                assert x.negative_count(ordering) == morse_index_closed(params, rfp)
 
 
 def test_component_factor_frozen_values():

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -5,6 +7,7 @@ from hirzebruch.partitions import (
     Box,
     ColoredDiagram,
     PartitionDiagram,
+    compositions,
     enumerate_partitions,
     relative_arm,
     relative_leg,
@@ -81,6 +84,40 @@ def test_enumeration_order_is_decreasing_lex():
 def test_enumeration_rejects_negative():
     with pytest.raises(ValueError):
         enumerate_partitions(-1)
+
+
+def test_compositions_edge_cases():
+    assert list(compositions(0, 0)) == [()]
+    assert list(compositions(3, 0)) == []
+    assert list(compositions(0, 0, 1, 2)) == [()]
+    assert list(compositions(4, 1)) == [(4,)]
+    assert list(compositions(4, 1, 0, 3)) == []
+    assert list(compositions(4, 1, 5)) == []
+    assert list(compositions(-2, 1, -3, 3)) == [(-2,)]
+    assert list(compositions(-1, 2)) == []
+    assert list(compositions(3, 2, 2, 1)) == []
+    assert list(compositions(0, 2, -1, 1)) == [(-1, 1), (0, 0), (1, -1)]
+    # hi=None leaves each entry what the others do not take: (-1, 2) is reachable
+    assert list(compositions(1, 2, -1)) == [(-1, 2), (0, 1), (1, 0), (2, -1)]
+    assert list(compositions(2, 3)) == [
+        (0, 0, 2), (0, 1, 1), (0, 2, 0), (1, 0, 1), (1, 1, 0), (2, 0, 0),
+    ]
+    with pytest.raises(ValueError):
+        list(compositions(0, -1))
+
+
+@given(
+    total=st.integers(-6, 6),
+    parts=st.integers(0, 4),
+    lo=st.integers(-3, 2),
+    width=st.integers(-1, 5),
+)
+def test_compositions_match_filtered_box(total, parts, lo, width):
+    hi = lo + width
+    box = [
+        xs for xs in itertools.product(range(lo, hi + 1), repeat=parts) if sum(xs) == total
+    ]
+    assert list(compositions(total, parts, lo, hi)) == box
 
 
 def test_arm_and_leg_reference_values():
