@@ -90,6 +90,14 @@ def _rational_list(text: str) -> list[Fraction]:
     return out
 
 
+def _request(subcommand: str, **fields) -> dict:
+    """The JSON request of a subcommand, with n (sweep: every n) as exact text."""
+    n = fields.get("n")
+    if n is not None:
+        fields["n"] = [str(x) for x in n] if isinstance(n, list) else str(n)
+    return {"subcommand": subcommand, **fields}
+
+
 def _compact(obj) -> str:
     return json.dumps(obj, sort_keys=True)
 
@@ -150,7 +158,7 @@ def _params(args) -> ModuliParams:
 
 
 def _poincare_payload(cache, p: int, r: int, k: int, n: Fraction):
-    request = {"subcommand": "poincare", "p": p, "r": r, "k": k, "n": str(n)}
+    request = _request("poincare", p=p, r=r, k=k, n=n)
     return request, _cached(
         cache,
         request,
@@ -159,7 +167,7 @@ def _poincare_payload(cache, p: int, r: int, k: int, n: Fraction):
 
 
 def _ale_payload(cache, r: int, n: Fraction, ordering_name: str):
-    request = {"subcommand": "ale", "r": r, "n": str(n), "ordering": ordering_name}
+    request = _request("ale", r=r, n=n, ordering=ordering_name)
     return request, _cached(
         cache,
         request,
@@ -169,14 +177,9 @@ def _ale_payload(cache, r: int, n: Fraction, ordering_name: str):
 
 def _cmd_fixed_points(args, cache):
     params = _params(args)
-    request = {
-        "subcommand": "fixed-points",
-        "p": args.p,
-        "r": args.r,
-        "k": args.k,
-        "n": str(args.n),
-        "reduced": args.reduced,
-    }
+    request = _request(
+        "fixed-points", p=args.p, r=args.r, k=args.k, n=args.n, reduced=args.reduced
+    )
     if args.reduced:
         payload = [point.to_json() for point in indexed_points(params)]
     else:
@@ -186,11 +189,14 @@ def _cmd_fixed_points(args, cache):
 
 
 def _load_fixed_point_records(source: str) -> list:
-    if source == "-":
-        records = json.load(sys.stdin)
-    else:
-        with open(source, encoding="utf-8") as handle:
-            records = json.load(handle)
+    try:
+        if source == "-":
+            records = json.load(sys.stdin)
+        else:
+            with open(source, encoding="utf-8") as handle:
+                records = json.load(handle)
+    except RecursionError:
+        raise ValueError("fixed-point records are nested too deeply to parse") from None
     if not isinstance(records, list):
         raise ValueError(f"fixed-point records must be a JSON list, got {records!r}")
     return records
@@ -198,15 +204,10 @@ def _load_fixed_point_records(source: str) -> list:
 
 def _cmd_tangent(args, cache):
     params = _params(args)
-    request = {
-        "subcommand": "tangent",
-        "p": args.p,
-        "r": args.r,
-        "k": args.k,
-        "n": str(args.n),
-        "reduced": args.reduced,
-        "ordering": args.ordering,
-    }
+    request = _request(
+        "tangent", p=args.p, r=args.r, k=args.k, n=args.n,
+        reduced=args.reduced, ordering=args.ordering,
+    )
     if args.fixed_points:
         records = _load_fixed_point_records(args.fixed_points)
         if args.reduced:
@@ -253,19 +254,14 @@ def _series_text(payload) -> str:
 
 
 def _cmd_series(args, cache):
-    request = {
-        "subcommand": "series",
-        "p": args.p,
-        "max_order": args.max_order,
-        "method": args.method,
-    }
+    request = _request("series", p=args.p, max_order=args.max_order, method=args.method)
     fn = rank2_series_closed if args.method == "closed" else rank2_series_direct
     payload = _cached(cache, request, lambda: fn(args.p, args.max_order).to_json())
     return request, payload, _series_text(payload)
 
 
 def _cmd_hilbert(args, cache):
-    request = {"subcommand": "hilbert", "p": args.p, "max_order": args.max_order}
+    request = _request("hilbert", p=args.p, max_order=args.max_order)
     payload = _cached(
         cache, request, lambda: hilbert_series_r1(args.p, args.max_order).to_json()
     )
@@ -274,13 +270,7 @@ def _cmd_hilbert(args, cache):
 
 def _cmd_ale(args, cache):
     if args.points:
-        request = {
-            "subcommand": "ale",
-            "r": args.r,
-            "n": str(args.n),
-            "ordering": args.ordering,
-            "points": True,
-        }
+        request = _request("ale", r=args.r, n=args.n, ordering=args.ordering, points=True)
         ordering = _ordering(args.ordering, args.r)
 
         def one(fp):
@@ -306,13 +296,7 @@ def _cmd_ale(args, cache):
 
 
 def _cmd_check(args, cache):
-    request = {
-        "subcommand": "check",
-        "p": args.p,
-        "r": args.r,
-        "k": args.k,
-        "n": str(args.n),
-    }
+    request = _request("check", p=args.p, r=args.r, k=args.k, n=args.n)
     payload = _cached(
         cache, request, lambda: {"nonempty": check_nonempty(_params(args))}
     )
@@ -370,14 +354,7 @@ def _sweep_text(mode: str, rows: list[dict]) -> str:
 
 
 def _cmd_sweep(args, cache):
-    request = {
-        "subcommand": "sweep",
-        "mode": args.mode,
-        "p": args.p,
-        "r": args.r,
-        "k": args.k,
-        "n": [str(x) for x in args.n],
-    }
+    request = _request("sweep", mode=args.mode, p=args.p, r=args.r, k=args.k, n=args.n)
     rows = [
         _sweep_cell(args.mode, cache, p, r, k, n)
         for p in args.p

@@ -190,6 +190,8 @@ def rank2_series_closed(p: int, order: int) -> QSeries:
     h >= 0 and h > 0, each weighted by q^(p h^2) and an explicit t-power.
     Truncated exactly at the given q-order.
     """
+    if p < 1:
+        raise ValueError(f"p must be a positive integer, got {p}")
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
     series = QSeries.one(order)

@@ -23,6 +23,19 @@ Exponent = tuple[int, int, tuple[int, ...]]
 Matrix2 = tuple[tuple[int, int], tuple[int, int]]
 
 
+def _integers(values) -> tuple[int, ...]:
+    """`values` as a tuple, or ValueError if one of them is not an int (a bool is not).
+
+    Constructors check structure but convert nothing, so outside data
+    (JSON records, diagram rows, k-strings) passes through here on its way in.
+    """
+    values = tuple(values)
+    for x in values:
+        if type(x) is not int:
+            raise ValueError(f"expected integers, got {x!r}")
+    return values
+
+
 class Character:
     """An exact Laurent polynomial in t1, t2, e1..er with integer coefficients."""
 
@@ -34,22 +47,16 @@ class Character:
         self.rank = rank
         clean: dict[Exponent, int] = {}
         for key, coeff in (terms or {}).items():
-            a, b, es = key
-            es = tuple(int(x) for x in es)
+            _, _, es = key
             if len(es) != rank:
                 raise ValueError(f"expected {rank} framing exponents, got {es}")
-            coeff = int(coeff)
             if coeff:
-                clean[(int(a), int(b), es)] = coeff
+                clean[key] = coeff
         self.terms = clean
 
     @classmethod
     def zero(cls, rank: int) -> "Character":
         return cls(rank)
-
-    @classmethod
-    def one(cls, rank: int) -> "Character":
-        return cls.monomial(rank)
 
     @classmethod
     def monomial(
@@ -188,11 +195,12 @@ class Character:
     def from_json(cls, data, rank: int | None = None) -> "Character":
         terms: dict[Exponent, int] = {}
         for item in data:
-            es = tuple(int(x) for x in item["e"])
+            es = _integers(item["e"])
             if rank is None:
                 rank = len(es)
-            key = (int(item["t1"]), int(item["t2"]), es)
-            terms[key] = terms.get(key, 0) + int(item["coeff"])
+            a, b, coeff = _integers((item["t1"], item["t2"], item["coeff"]))
+            key = (a, b, es)
+            terms[key] = terms.get(key, 0) + coeff
         if rank is None:
             raise ValueError("cannot infer rank of an empty character; pass rank=")
         return cls(rank, terms)
@@ -310,7 +318,6 @@ class TPolynomial:
     def __init__(self, coeffs: Mapping[int, int] | None = None):
         clean: dict[int, int] = {}
         for deg, coeff in (coeffs or {}).items():
-            deg, coeff = int(deg), int(coeff)
             if deg < 0:
                 raise ValueError(f"exponent must be nonnegative, got {deg}")
             if coeff:
@@ -375,8 +382,9 @@ class TPolynomial:
     @classmethod
     def from_pairs(cls, pairs) -> "TPolynomial":
         coeffs: dict[int, int] = {}
-        for deg, coeff in pairs:
-            coeffs[int(deg)] = coeffs.get(int(deg), 0) + int(coeff)
+        for pair in pairs:
+            deg, coeff = _integers(pair)
+            coeffs[deg] = coeffs.get(deg, 0) + coeff
         return cls(coeffs)
 
     def text(self) -> str:

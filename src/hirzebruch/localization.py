@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .laurent import Character, Matrix2
+from .laurent import Character, Matrix2, _integers
 from .partitions import PartitionDiagram, relative_arm, relative_leg
 
 
@@ -122,7 +122,7 @@ class FixedPointDatum(_Datum):
     _keys = ("k", "Y1", "Y2")
 
     def __post_init__(self):
-        object.__setattr__(self, "ks", tuple(int(x) for x in self.ks))
+        object.__setattr__(self, "ks", _integers(self.ks))
         object.__setattr__(self, "y1", _as_diagrams(self.y1))
         object.__setattr__(self, "y2", _as_diagrams(self.y2))
         if not (len(self.ks) == len(self.y1) == len(self.y2)):
@@ -149,7 +149,7 @@ class ReducedFixedPointDatum(_Datum):
     _keys = ("k", "Y")
 
     def __post_init__(self):
-        object.__setattr__(self, "ks", tuple(int(x) for x in self.ks))
+        object.__setattr__(self, "ks", _integers(self.ks))
         object.__setattr__(self, "ys", _as_diagrams(self.ys))
         if len(self.ks) != len(self.ys):
             raise ValueError("ks and ys must have one entry per summand")

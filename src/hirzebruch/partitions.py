@@ -22,6 +22,8 @@ from collections import Counter
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
+from .laurent import _integers
+
 
 class Box(NamedTuple):
     """1-based box coordinates: column c, position r within the column."""
@@ -36,7 +38,7 @@ class PartitionDiagram:
     __slots__ = ("rows",)
 
     def __init__(self, rows: Iterator[int] | tuple[int, ...] = ()):
-        rows = tuple(int(x) for x in rows)
+        rows = _integers(rows)
         for x in rows:
             if x <= 0:
                 raise ValueError(f"row lengths must be positive, got {x}")
@@ -208,7 +210,8 @@ class ColoredDiagram:
 
     @classmethod
     def from_json(cls, data) -> "ColoredDiagram":
-        return cls(PartitionDiagram(data["rows"]), int(data["eps"]))
+        (eps,) = _integers([data["eps"]])
+        return cls(PartitionDiagram(data["rows"]), eps)
 
     def __eq__(self, other) -> bool:
         return (

@@ -1,10 +1,13 @@
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hirzebruch
 from hirzebruch import __version__
@@ -174,12 +177,23 @@ def _hirzebruch(*argv, stdin=""):
     env.pop(CACHE_ENV_VAR, None)
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(hirzebruch.__file__))
     return subprocess.run(
-        [sys.executable, *argv], input=stdin, capture_output=True, text=True, env=env
+        [sys.executable, *argv], input=stdin, capture_output=True, text=True, env=env,
+        timeout=60,
     )
 
 
 @pytest.mark.parametrize(
-    "records", ['[{"k": [0, 0], "Y1": [[], [1]]}]', "[5]", '[{"k": 5, "Y": []}]', "5"]
+    "records",
+    [
+        '[{"k": [0, 0], "Y1": [[], [1]]}]',
+        "[5]",
+        '[{"k": 5, "Y": []}]',
+        "5",
+        # non-integer numbers were truncated by int() and answered with exit 0
+        '[{"k": [0.9, -0.9], "Y1": [[], [1.7]], "Y2": [[], []]}]',
+        '[{"k": "00", "Y": [[], [1]]}]',
+        '[{"k": [0, 0], "Y1": [[], [true]], "Y2": [[], []], "Y": [[], [true]]}]',
+    ],
 )
 def test_malformed_fixed_point_record_exits_2(records):
     for reduced in ((), ("--reduced",)):
@@ -191,6 +205,29 @@ def test_malformed_fixed_point_record_exits_2(records):
         assert done.stdout == ""
         assert done.stderr.startswith("error: ")
         assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, message",
+    [
+        # p=0 never ended the bracket loop; p=-1 blamed a q-exponent
+        (["series", "--p", "0", "--max-order", "2"], "", "p must be a positive integer"),
+        (["series", "--p", "-1", "--max-order", "2"], "", "p must be a positive integer"),
+        (
+            ["tangent", "--p", "2", "--r", "2", "--k", "0", "--n", "1",
+             "--fixed-points", "-"],
+            "[" * 100000 + "]" * 100000,
+            "nested too deeply",
+        ),
+    ],
+    ids=["series-p0", "series-p-1", "deep-records"],
+)
+def test_hang_and_recursion_inputs_exit_2(argv, stdin, message):
+    done = _hirzebruch("-m", "hirzebruch", *argv, stdin=stdin)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert message in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_cli_import_loads_no_thread_pool():
@@ -377,3 +414,213 @@ def test_module_entry_point_subprocess():
         capture_output=True, text=True, env=env,
     )
     assert bad.returncode == 2
+
+
+# One request per subcommand; the digest of their JSON output is pinned to
+# the version, because cache keys hash only the version: a change of any
+# output byte must come with a version bump, or old cache entries go stale.
+# After an intended change, bump the version here, in __init__.py and in
+# pyproject.toml, and pin the new digest.
+PINNED_REQUESTS = [
+    ["fixed-points", "--p", "1", "--r", "2", "--k", "1", "--n", "9/4", "--reduced"],
+    ["tangent", "--p", "3", "--r", "2", "--k", "1", "--n", "7/4"],
+    ["poincare", "--p", "1", "--r", "3", "--k", "0", "--n", "2"],
+    ["series", "--p", "1", "--max-order", "3"],
+    ["hilbert", "--p", "2", "--max-order", "4"],
+    ["ale", "--r", "2", "--n", "3/2", "--points"],
+    ["check", "--p", "3", "--r", "4", "--k", "2", "--n", "7/2"],
+    ["sweep", "--mode", "crosscheck", "--p", "1,2", "--r", "2", "--k", "0", "--n", "0..2"],
+]
+PINNED_OUTPUT = (
+    "0.1.0",
+    "4fa6ac91f6d74bdf108f8ee1836d1ed01f0ebe2dfecdd91d390df4262ef7334e",
+)
+
+
+def test_output_digest_is_pinned_to_the_version(capsys):
+    digest = hashlib.sha256()
+    for argv in PINNED_REQUESTS:
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        digest.update(out.encode())
+    assert (__version__, digest.hexdigest()) == PINNED_OUTPUT
+
+
+def test_package_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as handle:
+        assert tomllib.load(handle)["project"]["version"] == __version__
+
+
+@pytest.mark.parametrize(
+    "argv, request_",
+    [
+        (
+            ["fixed-points", "--p", "2", "--r", "2", "--k", "0", "--n", "1"],
+            {"subcommand": "fixed-points", "p": 2, "r": 2, "k": 0, "n": "1",
+             "reduced": False},
+        ),
+        (
+            ["tangent", "--p", "2", "--r", "2", "--k", "0", "--n", "1", "--reduced"],
+            {"subcommand": "tangent", "p": 2, "r": 2, "k": 0, "n": "1",
+             "reduced": True, "ordering": "main"},
+        ),
+        (
+            ["poincare", "--p", "2", "--r", "2", "--k", "1", "--n", "3/2"],
+            {"subcommand": "poincare", "p": 2, "r": 2, "k": 1, "n": "3/2"},
+        ),
+        (
+            ["series", "--p", "1", "--max-order", "2", "--method", "direct"],
+            {"subcommand": "series", "p": 1, "max_order": 2, "method": "direct"},
+        ),
+        (
+            ["hilbert", "--p", "1", "--max-order", "2"],
+            {"subcommand": "hilbert", "p": 1, "max_order": 2},
+        ),
+        (
+            ["ale", "--r", "2", "--n", "1/2"],
+            {"subcommand": "ale", "r": 2, "n": "1/2", "ordering": "ale"},
+        ),
+        (
+            ["ale", "--r", "2", "--n", "1", "--ordering", "main", "--points"],
+            {"subcommand": "ale", "r": 2, "n": "1", "ordering": "main", "points": True},
+        ),
+        (
+            ["check", "--p", "2", "--r", "2", "--k", "1", "--n", "1/2"],
+            {"subcommand": "check", "p": 2, "r": 2, "k": 1, "n": "1/2"},
+        ),
+        (
+            ["sweep", "--mode", "check", "--p", "1,2", "--r", "2", "--k", "0",
+             "--n", "0,1/2"],
+            {"subcommand": "sweep", "mode": "check", "p": [1, 2], "r": [2], "k": [0],
+             "n": ["0", "1/2"]},
+        ),
+    ],
+)
+def test_json_request_is_frozen(capsys, argv, request_):
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["request"] == request_
+
+
+_SUBCOMMANDS = [
+    "fixed-points", "tangent", "poincare", "series", "hilbert", "ale", "check", "sweep",
+]
+_INTEGERS = ["-1", "0", "1", "2", "3"]
+_RATIONALS = _INTEGERS + ["-1/2", "1/2", "3/2", "7/4", "5/2"]
+_JUNK = ["--bogus", "x", "", "-", "1.5", "1/0", "--p", "--n", "--reduced", "--format"]
+
+
+@st.composite
+def _argvs(draw):
+    """Bounded command lines: p, r <= 3, n <= 3, max-order <= 4, plus junk tokens."""
+    sub = draw(st.sampled_from(_SUBCOMMANDS))
+    flags = {
+        "fixed-points": ["p", "r", "k", "n", "reduced"],
+        "tangent": ["p", "r", "k", "n", "reduced", "ordering"],
+        "poincare": ["p", "r", "k", "n"],
+        "series": ["p", "max-order", "method"],
+        "hilbert": ["p", "max-order"],
+        "ale": ["r", "n", "ordering", "points"],
+        "check": ["p", "r", "k", "n"],
+        "sweep": ["mode", "p", "r", "k", "n"],
+    }[sub]
+    values = {
+        "p": _INTEGERS, "r": _INTEGERS, "k": _INTEGERS + ["-2"], "n": _RATIONALS,
+        "max-order": _INTEGERS + ["4"], "method": ["closed", "direct"],
+        "ordering": ["main", "ale"], "mode": ["poincare", "check", "crosscheck"],
+    }
+    argv = [sub]
+    for flag in flags:
+        if not draw(st.integers(0, 9)):
+            continue  # a missing flag is an argparse error, or a default
+        if flag in ("reduced", "points"):
+            argv.append(f"--{flag}")
+        elif sub == "sweep" and flag != "mode":
+            items = draw(st.lists(st.sampled_from(values[flag]), min_size=1, max_size=2))
+            if flag != "n" and draw(st.booleans()):
+                items = [f"{min(items, key=int)}..{max(items, key=int)}"]
+            argv += [f"--{flag}", ",".join(items)]
+        else:
+            argv += [f"--{flag}", draw(st.sampled_from(values[flag]))]
+    if draw(st.booleans()):
+        argv += ["--format", "json"]
+    if not draw(st.integers(0, 3)):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(_JUNK)))
+    return argv
+
+
+_SMALL = st.one_of(
+    st.integers(-1, 2), st.sampled_from([0.5, 1.0, True, False, None, "1", "00"])
+)
+_DIAGRAM = st.lists(st.integers(1, 2), max_size=2).map(lambda rows: sorted(rows, reverse=True))
+# well-typed records reach the invariant checks and the characters; the
+# others mix wrong types into the same shape, or are any JSON at all
+_RECORDS = st.one_of(
+    st.lists(
+        st.integers(1, 3).flatmap(
+            lambda r: st.fixed_dictionaries(
+                {"k": st.lists(st.integers(-1, 1), min_size=r, max_size=r)}
+                | {key: st.lists(_DIAGRAM, min_size=r, max_size=r) for key in ("Y", "Y1", "Y2")}
+            )
+        ),
+        max_size=2,
+    ),
+    st.lists(
+        st.fixed_dictionaries(
+            {key: st.one_of(_SMALL, st.lists(st.one_of(_SMALL, st.lists(_SMALL))))
+             for key in ("k", "Y", "Y1", "Y2")}
+        ),
+        max_size=2,
+    ),
+    st.recursive(
+        st.one_of(st.none(), st.booleans(), st.integers(-2, 3), st.floats(), st.text(max_size=3)),
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=2), inner, max_size=3)
+        ),
+        max_leaves=10,
+    ),
+)
+
+
+def _main_in_process(argv, stdin=""):
+    """(exit code, stdout, stderr) of cli.main, with argparse's SystemExit as a code."""
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin, sys.stdout, sys.stderr
+    sys.stdin, sys.stdout, sys.stderr = io.StringIO(stdin), out, err
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    finally:
+        sys.stdin, sys.stdout, sys.stderr = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_exit_contract(argv, stdin=""):
+    with mock.patch.dict(os.environ):
+        os.environ.pop(CACHE_ENV_VAR, None)
+        code, out, _ = _main_in_process(argv, stdin)
+    assert code in (0, 2, 3), (argv, code)
+    if code != 0:
+        assert out == "", (argv, code)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_argvs())
+def test_fuzzed_command_lines_keep_the_exit_contract(argv):
+    _assert_exit_contract(argv)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["1", "2", "3"]),
+    st.sampled_from(["0", "1", "-1"]),
+    st.sampled_from(["1", "3/2", "2"]),
+    st.booleans(),
+    _RECORDS,
+)
+def test_fuzzed_fixed_point_records_keep_the_exit_contract(r, k, n, reduced, records):
+    argv = ["tangent", "--p", "2", "--r", r, "--k", k, "--n", n, "--fixed-points", "-"]
+    _assert_exit_contract(argv + ["--reduced"] * reduced, json.dumps(records))

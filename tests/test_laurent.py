@@ -43,6 +43,13 @@ def test_zero_terms_are_pruned():
     assert x.dimension() == 0
 
 
+def test_framing_length_must_match_the_rank():
+    with pytest.raises(ValueError):
+        Character(1, {(0, 0, (1, 2)): 1})
+    with pytest.raises(ValueError):
+        Character(2, {(0, 0, (1,)): 1})
+
+
 def test_mixed_rank_arithmetic_is_rejected():
     with pytest.raises(ValueError):
         mono(0, 0, (1,)) + mono(0, 0, (1, 0))
@@ -183,6 +190,20 @@ def test_character_json_round_trip():
         Character.from_json([])
 
 
+@pytest.mark.parametrize(
+    "item",
+    [
+        {"coeff": 1.5, "t1": 0, "t2": 0, "e": [0]},
+        {"coeff": 1, "t1": 1.0, "t2": 0, "e": [0]},
+        {"coeff": 1, "t1": 0, "t2": True, "e": [0]},
+        {"coeff": 1, "t1": 0, "t2": 0, "e": ["0"]},
+    ],
+)
+def test_character_from_json_rejects_non_integers(item):
+    with pytest.raises(ValueError):
+        Character.from_json([item])
+
+
 def test_tpolynomial_text_formatting():
     assert TPolynomial.zero().text() == "0"
     assert TPolynomial.one().text() == "1"
@@ -209,6 +230,12 @@ def test_tpolynomial_rejects_bad_degrees():
 def test_tpolynomial_pairs_round_trip():
     f = TPolynomial({0: 1, 6: 2})
     assert TPolynomial.from_pairs(f.to_pairs()) == f
+
+
+@pytest.mark.parametrize("pairs", [[[0, 1.5]], [[2.0, 1]], [[0, False]], [["1", 1]]])
+def test_tpolynomial_from_pairs_rejects_non_integers(pairs):
+    with pytest.raises(ValueError):
+        TPolynomial.from_pairs(pairs)
 
 
 def test_qseries_truncation():

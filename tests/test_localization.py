@@ -258,3 +258,11 @@ def test_fixed_point_json_round_trip():
     rfp = ReducedFixedPointDatum((0,), ([3],))
     assert ReducedFixedPointDatum.from_json(rfp.to_json()) == rfp
     assert rfp.to_json() == {"k": [0], "Y": [[3]]}
+
+
+@pytest.mark.parametrize("ks", [(0.5, -0.5), (True, False), "00", (0, 1.0)])
+def test_non_integer_k_strings_are_rejected(ks):
+    with pytest.raises(ValueError):
+        FixedPointDatum(ks, ((), ()), ((), ()))
+    with pytest.raises(ValueError):
+        ReducedFixedPointDatum(ks, ((), ()))

@@ -45,6 +45,20 @@ def test_rows_must_be_positive_and_decreasing():
         PartitionDiagram([1, 2])
 
 
+@pytest.mark.parametrize("rows", [[1.5], [True], [2.0, 1], ["1"]])
+def test_non_integer_rows_are_rejected(rows):
+    with pytest.raises(ValueError):
+        PartitionDiagram(rows)
+
+
+def test_colored_diagram_from_json_rejects_a_non_integer_color():
+    with pytest.raises(ValueError):
+        ColoredDiagram.from_json({"rows": [1], "eps": 0.5})
+    with pytest.raises(ValueError):
+        ColoredDiagram.from_json({"rows": [1], "eps": True})
+    assert ColoredDiagram.from_json({"rows": [1], "eps": 1}).eps == 1
+
+
 def test_basic_shape_queries():
     y = PartitionDiagram([3, 1, 1])
     assert y.size == 5
