@@ -15,8 +15,9 @@ flat-space character: each summand-pair block keeps only the monomials
 t1^a t2^b e... whose weight a + b + sum_i c_i*eps_i is even.  Morse
 indexes are counted against the ordering t2 >> e1 > .. > er >> t1.
 
-This route shares no formulas with the Hirzebruch-surface counting and
-serves as an independent oracle for the p = 2, k = 0 spaces.
+This route shares only the flat pair formula (`localization._patch_exponents`)
+with the Hirzebruch-surface counting, and serves as an independent oracle
+for the p = 2, k = 0 spaces.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .laurent import Character, OrderingSpec, TPolynomial, ale_ordering
-from .localization import InvariantError, n_character
+from .localization import InvariantError, _framing_ratio, _patch_exponents
 from .partitions import ColoredDiagram, compositions, enumerate_partitions
 
 
@@ -116,20 +117,22 @@ def ale_tangent_character(fp: ColoredFixedPoint) -> Character:
     """Torus character of the tangent space at an ALE fixed point.
 
     Sum over ordered summand pairs of the Z/2-invariant part of the
-    flat-space pair character.  Raises InvariantError unless the
+    flat-space pair character: a pair term t1^x t2^y e_b/e_a is kept
+    when x + y + eps_b - eps_a is even.  Raises InvariantError unless the
     dimension equals 2*r*n - N0*N1/2, the quiver-variety dimension of
     the point's stratum; the correction vanishes whenever all corner
     labels agree (in particular for every r <= 2 sector).
     """
     r = fp.rank
     eps = fp.eps()
-    total = Character.zero(r)
-    for a in range(1, r + 1):
-        for b in range(1, r + 1):
-            block = n_character(
-                fp.tableaux[a - 1].diagram, fp.tableaux[b - 1].diagram, a, b, r
-            )
-            total = total + block.invariant_part(eps)
+    terms: dict = {}
+    for a in range(r):
+        for b in range(r):
+            es, parity = _framing_ratio(r, b + 1, a + 1), eps[b] - eps[a]
+            for x, y in _patch_exponents(fp.tableaux[a].diagram, fp.tableaux[b].diagram):
+                if (x + y + parity) % 2 == 0:
+                    terms[x, y, es] = terms.get((x, y, es), 0) + 1
+    total = Character(r, terms)
     n1 = fp.corner_color_count()
     expected = 2 * r * fp.instanton_number() - Fraction((r - n1) * n1, 2)
     if expected.denominator != 1 or total.dimension() != int(expected):

@@ -102,8 +102,16 @@ def _compact(obj) -> str:
     return json.dumps(obj, sort_keys=True)
 
 
+def _digest(result) -> str:
+    return hashlib.sha256(_compact(result).encode()).hexdigest()
+
+
 class Cache:
-    """Content-addressed result store keyed by (version, request)."""
+    """Content-addressed result store keyed by (version, request).
+
+    Each entry also holds the sha256 of its result's canonical JSON, so a
+    damaged entry is never served: it is a miss, recomputed and rewritten.
+    """
 
     def __init__(self, root: str):
         self.root = root
@@ -115,18 +123,27 @@ class Cache:
         return os.path.join(self.root, f"{digest}.json")
 
     def get(self, request: dict):
-        """The stored result, or None when the entry is absent or unreadable."""
+        """The stored result, or None when the entry is absent, unreadable or
+        does not match its digest."""
         try:
             with open(self._path(request), encoding="utf-8") as handle:
                 entry = json.load(handle)
         except (FileNotFoundError, ValueError):
             return None
-        return entry.get("result") if isinstance(entry, dict) else None
+        if not isinstance(entry, dict):
+            return None
+        result = entry.get("result")
+        return result if entry.get("digest") == _digest(result) else None
 
     def put(self, request: dict, payload) -> None:
         path = self._path(request)
         blob = json.dumps(
-            {"version": __version__, "request": request, "result": payload},
+            {
+                "version": __version__,
+                "request": request,
+                "result": payload,
+                "digest": _digest(payload),
+            },
             sort_keys=True,
         )
         # unique temp name so concurrent writers never share a partial file
@@ -184,8 +201,11 @@ def _cmd_fixed_points(args, cache):
         payload = [point.to_json() for point in indexed_points(params)]
     else:
         payload = [fp.to_json() for fp in enumerate_fixed_points(params)]
-    text = "\n".join(_compact(record) for record in payload)
-    return request, payload, text
+    return request, payload
+
+
+def _records_text(args, records) -> str:
+    return "\n".join(_compact(record) for record in records)
 
 
 def _load_fixed_point_records(source: str) -> list:
@@ -236,17 +256,18 @@ def _cmd_tangent(args, cache):
             "dimension": x.dimension(),
         }
 
-    payload = [one(point) for point in points]
-    text = "\n".join(_compact(record) for record in payload)
-    return request, payload, text
+    return request, [one(point) for point in points]
 
 
 def _cmd_poincare(args, cache):
-    request, payload = _poincare_payload(cache, args.p, args.r, args.k, args.n)
-    return request, payload, TPolynomial.from_pairs(payload).text()
+    return _poincare_payload(cache, args.p, args.r, args.k, args.n)
 
 
-def _series_text(payload) -> str:
+def _poly_text(args, pairs) -> str:
+    return TPolynomial.from_pairs(pairs).text()
+
+
+def _series_text(args, payload) -> str:
     return "\n".join(
         f"q^{item['q']}: {TPolynomial.from_pairs(item['poly']).text()}"
         for item in payload
@@ -256,16 +277,14 @@ def _series_text(payload) -> str:
 def _cmd_series(args, cache):
     request = _request("series", p=args.p, max_order=args.max_order, method=args.method)
     fn = rank2_series_closed if args.method == "closed" else rank2_series_direct
-    payload = _cached(cache, request, lambda: fn(args.p, args.max_order).to_json())
-    return request, payload, _series_text(payload)
+    return request, _cached(cache, request, lambda: fn(args.p, args.max_order).to_json())
 
 
 def _cmd_hilbert(args, cache):
     request = _request("hilbert", p=args.p, max_order=args.max_order)
-    payload = _cached(
+    return request, _cached(
         cache, request, lambda: hilbert_series_r1(args.p, args.max_order).to_json()
     )
-    return request, payload, _series_text(payload)
 
 
 def _cmd_ale(args, cache):
@@ -286,21 +305,26 @@ def _cmd_ale(args, cache):
         poly = TPolynomial.zero()
         for record in points:
             poly = poly + TPolynomial.t_power(2 * record["index"])
-        payload = {"poly": poly.to_pairs(), "points": points}
-        text = "\n".join(
-            [poly.text()] + [_compact(record) for record in points]
-        )
-        return request, payload, text
-    request, payload = _ale_payload(cache, args.r, args.n, args.ordering)
-    return request, payload, TPolynomial.from_pairs(payload).text()
+        return request, {"poly": poly.to_pairs(), "points": points}
+    return _ale_payload(cache, args.r, args.n, args.ordering)
+
+
+def _ale_text(args, payload) -> str:
+    if not args.points:
+        return _poly_text(args, payload)
+    records = [_compact(record) for record in payload["points"]]
+    return "\n".join([_poly_text(args, payload["poly"])] + records)
 
 
 def _cmd_check(args, cache):
     request = _request("check", p=args.p, r=args.r, k=args.k, n=args.n)
-    payload = _cached(
+    return request, _cached(
         cache, request, lambda: {"nonempty": check_nonempty(_params(args))}
     )
-    return request, payload, json.dumps(payload, sort_keys=True)
+
+
+def _check_text(args, payload) -> str:
+    return _compact(payload)
 
 
 def _sweep_cell(mode: str, cache, p: int, r: int, k: int, n: Fraction) -> dict:
@@ -328,12 +352,12 @@ def _sweep_cell(mode: str, cache, p: int, r: int, k: int, n: Fraction) -> dict:
     return row
 
 
-def _sweep_text(mode: str, rows: list[dict]) -> str:
+def _sweep_text(args, rows: list[dict]) -> str:
     columns = {
         "poincare": ["p", "r", "k", "n", "poincare"],
         "check": ["p", "r", "k", "n", "nonempty"],
         "crosscheck": ["p", "r", "k", "n", "poincare", "ale", "match"],
-    }[mode]
+    }[args.mode]
     lines = ["\t".join(columns)]
     for row in rows:
         cells = []
@@ -362,7 +386,7 @@ def _cmd_sweep(args, cache):
         for k in args.k
         for n in args.n
     ]
-    return request, rows, _sweep_text(args.mode, rows)
+    return request, rows
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -404,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="list reduced fixed loci with Morse index and component factor",
     )
-    fp.set_defaults(handler=_cmd_fixed_points)
+    fp.set_defaults(handler=_cmd_fixed_points, render=_records_text)
 
     tg = sub.add_parser(
         "tangent", parents=[common], help="tangent characters at fixed points"
@@ -420,13 +444,13 @@ def build_parser() -> argparse.ArgumentParser:
     tg.add_argument(
         "--ordering", choices=("main", "ale"), default="main", help="index ordering"
     )
-    tg.set_defaults(handler=_cmd_tangent)
+    tg.set_defaults(handler=_cmd_tangent, render=_records_text)
 
     pc = sub.add_parser(
         "poincare", parents=[common], help="Poincare polynomial of a moduli space"
     )
     moduli_flags(pc)
-    pc.set_defaults(handler=_cmd_poincare)
+    pc.set_defaults(handler=_cmd_poincare, render=_poly_text)
 
     se = sub.add_parser(
         "series", parents=[common], help="rank-2, k=0 generating series"
@@ -439,14 +463,14 @@ def build_parser() -> argparse.ArgumentParser:
         default="closed",
         help="closed product/bracket form or term-by-term summation",
     )
-    se.set_defaults(handler=_cmd_series)
+    se.set_defaults(handler=_cmd_series, render=_series_text)
 
     hb = sub.add_parser(
         "hilbert", parents=[common], help="rank-1 (Hilbert scheme) generating series"
     )
     hb.add_argument("--p", type=int, default=1, help="Hirzebruch surface degree")
     hb.add_argument("--max-order", type=int, default=5, help="q-truncation order")
-    hb.set_defaults(handler=_cmd_hilbert)
+    hb.set_defaults(handler=_cmd_hilbert, render=_series_text)
 
     al = sub.add_parser(
         "ale", parents=[common], help="A1 orbifold Poincare polynomial"
@@ -463,13 +487,13 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also list fixed points with characters and indexes",
     )
-    al.set_defaults(handler=_cmd_ale)
+    al.set_defaults(handler=_cmd_ale, render=_ale_text)
 
     ck = sub.add_parser(
         "check", parents=[common], help="decide whether the moduli space is nonempty"
     )
     moduli_flags(ck)
-    ck.set_defaults(handler=_cmd_check)
+    ck.set_defaults(handler=_cmd_check, render=_check_text)
 
     sw = sub.add_parser("sweep", parents=[common], help="run a parameter grid")
     sw.add_argument(
@@ -484,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument(
         "--n", type=_rational_list, required=True, help="e.g. 0..4 or 0,1/2,1"
     )
-    sw.set_defaults(handler=_cmd_sweep)
+    sw.set_defaults(handler=_cmd_sweep, render=_sweep_text)
 
     return parser
 
@@ -496,18 +520,19 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         cache = Cache(cache_dir) if cache_dir else None
-        request, payload, text = args.handler(args, cache)
+        request, payload = args.handler(args, cache)
+        if args.format == "json":
+            envelope = {"request": request, "result": payload, "version": __version__}
+            output = json.dumps(envelope, sort_keys=True, indent=2)
+        else:
+            output = args.render(args, payload)
     except InvariantError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.format == "json":
-        envelope = {"request": request, "result": payload, "version": __version__}
-        print(json.dumps(envelope, sort_keys=True, indent=2))
-    else:
-        print(text)
+    print(output)
     if args.timing:
         elapsed = int(1000 * (time.monotonic() - started))
         print(f"timing_ms={elapsed}", file=sys.stderr)

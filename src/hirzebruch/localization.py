@@ -26,7 +26,11 @@ summand with
     n = sum_a |Y_a| + (p / 2r) * sum_{a<b} (k_a - k_b)^2
 
 and the tangent character collapses to a character in t1 and the framing
-variables only (`reduced_tangent_character`).
+variables only (`reduced_tangent_character`): the merged full character,
+taken at empty first-patch diagrams and Y2 = Y, with t2 set to t1.
+
+Every patch term comes from one per-box arm/leg formula, `_patch_exponents`
+(Nakajima-Yoshioka, "Instanton counting on blowup. I", math/0306198).
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .laurent import Character, Matrix2, _integers
-from .partitions import PartitionDiagram, relative_arm, relative_leg
+from .partitions import EMPTY, PartitionDiagram, relative_arm, relative_leg
 
 
 class InvariantError(Exception):
@@ -176,11 +180,6 @@ def merge_t_matrix() -> Matrix2:
     return ((1, 1), (0, 0))
 
 
-def reduced_patch_matrix(p: int) -> Matrix2:
-    """Exponent action of t1 -> 1, t2 -> t1^p."""
-    return ((0, p), (0, 0))
-
-
 @lru_cache(maxsize=None)
 def l_character(p: int, d: int) -> Character:
     """Boundary contribution of a summand pair with k-difference d.
@@ -220,6 +219,20 @@ def _framing_ratio(rank: int, beta: int, alpha: int) -> tuple[int, ...]:
     return tuple(es)
 
 
+def _patch_exponents(y_alpha: PartitionDiagram, y_beta: PartitionDiagram):
+    """(t1, t2) exponents of the patch terms of a summand pair, one per box.
+
+    Over the boxes of y_alpha: (-leg_in_y_beta, 1 + arm_in_y_alpha); over
+    the boxes of y_beta: (1 + leg_in_y_alpha, -arm_in_y_beta).  Arms are
+    always measured in the box's own diagram; legs in the other one, and
+    may be negative.
+    """
+    for s in y_alpha.boxes():
+        yield -relative_leg(y_beta, s), 1 + relative_arm(y_alpha, s)
+    for s in y_beta.boxes():
+        yield 1 + relative_leg(y_alpha, s), -relative_arm(y_beta, s)
+
+
 def n_character(
     y_alpha: PartitionDiagram,
     y_beta: PartitionDiagram,
@@ -229,31 +242,17 @@ def n_character(
 ) -> Character:
     """Patchwise contribution of the summand pair (alpha, beta).
 
-    e_beta/e_alpha times the sum, over boxes of y_alpha, of
-    t1^-leg_in_y_beta t2^(1 + arm_in_y_alpha), plus the sum, over boxes
-    of y_beta, of t1^(1 + leg_in_y_alpha) t2^-arm_in_y_beta.  Arms are
-    always measured in the box's own diagram; legs in the other one, and
-    may be negative.  The dimension is |y_alpha| + |y_beta|.
+    e_beta/e_alpha times the sum of t1^x t2^y over the exponents (x, y)
+    of `_patch_exponents(y_alpha, y_beta)`.  The dimension is
+    |y_alpha| + |y_beta|.
     """
     if not (1 <= alpha <= rank and 1 <= beta <= rank):
         raise ValueError(f"summand labels must lie in 1..{rank}, got {alpha}, {beta}")
     es = _framing_ratio(rank, beta, alpha)
     terms: dict = {}
-    for s in y_alpha.boxes():
-        key = (-relative_leg(y_beta, s), 1 + relative_arm(y_alpha, s), es)
-        terms[key] = terms.get(key, 0) + 1
-    for s in y_beta.boxes():
-        key = (1 + relative_leg(y_alpha, s), -relative_arm(y_beta, s), es)
-        terms[key] = terms.get(key, 0) + 1
+    for x, y in _patch_exponents(y_alpha, y_beta):
+        terms[x, y, es] = terms.get((x, y, es), 0) + 1
     return Character(rank, terms)
-
-
-def _check_dimension(params: ModuliParams, x: Character, label: str) -> None:
-    expected = params.expected_dimension()
-    if x.dimension() != expected:
-        raise InvariantError(
-            f"{label} has dimension {x.dimension()}, expected 2*r*n = {expected}"
-        )
 
 
 def tangent_character(params: ModuliParams, fp: FixedPointDatum) -> Character:
@@ -267,28 +266,30 @@ def tangent_character(params: ModuliParams, fp: FixedPointDatum) -> Character:
         t1^(p(k_b - k_a)) * n_character(Y1...)(t1^p, t2/t1)
         t2^(p(k_b - k_a)) * n_character(Y2...)(t1/t2, t2^p)
 
+    The terms are counted into one table and become one Character.
     Raises InvariantError unless the dimension equals 2*r*n.
     """
     fp.validate(params)
-    p, r = params.p, params.r
-    m1, m2 = patch1_matrix(p), patch2_matrix(p)
-    total = Character.zero(r)
-    for a in range(1, r + 1):
-        for b in range(1, r + 1):
-            d = fp.ks[a - 1] - fp.ks[b - 1]
-            shift = p * (fp.ks[b - 1] - fp.ks[a - 1])
-            lpart = Character.monomial(r, 0, 0, _framing_ratio(r, b, a)) * l_character(
-                p, d
-            ).promote(r)
-            n1 = n_character(fp.y1[a - 1], fp.y1[b - 1], a, b, r).substitute(m1)
-            n2 = n_character(fp.y2[a - 1], fp.y2[b - 1], a, b, r).substitute(m2)
-            total = (
-                total
-                + lpart
-                + Character.monomial(r, shift, 0) * n1
-                + Character.monomial(r, 0, shift) * n2
-            )
-    _check_dimension(params, total, "tangent character")
+    p, r, ks = params.p, params.r, fp.ks
+    # (diagrams, substitution, which base variable carries the shift)
+    patches = ((fp.y1, patch1_matrix(p), (1, 0)), (fp.y2, patch2_matrix(p), (0, 1)))
+    terms: dict = {}
+    for a in range(r):
+        for b in range(r):
+            es = _framing_ratio(r, b + 1, a + 1)
+            for (x, y, _), c in l_character(p, ks[a] - ks[b]).terms.items():
+                terms[x, y, es] = terms.get((x, y, es), 0) + c
+            shift = p * (ks[b] - ks[a])
+            for ys, ((m11, m12), (m21, m22)), (s1, s2) in patches:
+                for x, y in _patch_exponents(ys[a], ys[b]):
+                    key = (m11 * x + m12 * y + s1 * shift, m21 * x + m22 * y + s2 * shift, es)
+                    terms[key] = terms.get(key, 0) + 1
+    total = Character(r, terms)
+    expected = params.expected_dimension()
+    if total.dimension() != expected:
+        raise InvariantError(
+            f"tangent character has dimension {total.dimension()}, expected 2*r*n = {expected}"
+        )
     return total
 
 
@@ -297,25 +298,11 @@ def reduced_tangent_character(
 ) -> Character:
     """Character of the tangent space under the reduced one-parameter action.
 
-    Every term lives in t1 and the framing variables only: the boundary
-    blocks are evaluated at t2 = t1 and the patch contributions at
+    The merged full character: `tangent_character` at the k-string ks with
+    empty first-patch diagrams and Y2 = Y, with t2 set to t1.  So the
+    boundary blocks are evaluated at t2 = t1 and the patch contributions at
     (t1, t2) = (1, t1^p), shifted by t1^(p(k_b - k_a)).  Raises
     InvariantError unless the dimension equals 2*r*n.
     """
-    rfp.validate(params)
-    p, r = params.p, params.r
-    merge, reduced = merge_t_matrix(), reduced_patch_matrix(p)
-    total = Character.zero(r)
-    for a in range(1, r + 1):
-        for b in range(1, r + 1):
-            d = rfp.ks[a - 1] - rfp.ks[b - 1]
-            shift = p * (rfp.ks[b - 1] - rfp.ks[a - 1])
-            lpart = Character.monomial(r, 0, 0, _framing_ratio(r, b, a)) * l_character(
-                p, d
-            ).promote(r).substitute(merge)
-            npart = n_character(rfp.ys[a - 1], rfp.ys[b - 1], a, b, r).substitute(reduced)
-            total = total + lpart + Character.monomial(r, shift, 0) * npart
-    if any(key[1] for key in total.terms):
-        raise InvariantError("reduced tangent character contains a t2 exponent")
-    _check_dimension(params, total, "reduced tangent character")
-    return total
+    full = FixedPointDatum(rfp.ks, (EMPTY,) * len(rfp.ys), rfp.ys)
+    return tangent_character(params, full).substitute(merge_t_matrix())

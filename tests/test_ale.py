@@ -10,6 +10,7 @@ from hirzebruch.ale import (
     enumerate_colored_fixed_points,
 )
 from hirzebruch.laurent import Character, OrderingSpec, TPolynomial
+from hirzebruch.localization import n_character
 from hirzebruch.partitions import ColoredDiagram, PartitionDiagram, enumerate_partitions
 
 
@@ -185,6 +186,35 @@ def test_tangent_dimension_tracks_corner_split():
             n1 = fp.corner_color_count()
             expected = 2 * r * n - Fraction((r - n1) * n1, 2)
             assert ale_tangent_character(fp).dimension() == expected
+
+
+def ale_tangent_character_oracle(fp):
+    # the pair-by-pair assembly that the single term count replaced
+    r, eps = fp.rank, fp.eps()
+    total = Character.zero(r)
+    for a in range(1, r + 1):
+        for b in range(1, r + 1):
+            ya, yb = fp.tableaux[a - 1].diagram, fp.tableaux[b - 1].diagram
+            total = total + n_character(ya, yb, a, b, r).invariant_part(eps)
+    return total
+
+
+@pytest.mark.parametrize(
+    "r, n, corner_counts",
+    [
+        (2, 5, {0}),
+        (3, 3, {0}),
+        (4, 2, {0, 4}),
+        # mixed corner colors within a point: eps_b - eps_a is nonzero
+        (3, Fraction(5, 2), {2}),
+        (4, Fraction(3, 2), {2}),
+    ],
+)
+def test_tangent_character_matches_pairwise_oracle(r, n, corner_counts):
+    found = points(r, n)
+    assert {fp.corner_color_count() for fp in found} == corner_counts
+    for fp in found:
+        assert ale_tangent_character(fp) == ale_tangent_character_oracle(fp)
 
 
 def test_colored_point_json_round_trip():

@@ -343,25 +343,40 @@ def test_sweep_mixed_rationals(capsys):
     assert rows[0]["poincare"] == [[0, 1], [2, 1]]
 
 
-def test_cache_round_trip(capsys, tmp_path):
+def _with_result(entry: bytes, result) -> bytes:
+    stored = json.loads(entry)
+    stored["result"] = result
+    return json.dumps(stored, sort_keys=True).encode()
+
+
+def test_cache_round_trip(capsys, tmp_path, monkeypatch):
     cache = tmp_path / "cache"
     args = ("poincare", "--p", "2", "--r", "2", "--k", "0", "--n", "1",
             "--cache-dir", str(cache))
     _, first, _ = run(capsys, *args)
-    files = list(cache.glob("*.json"))
-    assert len(files) == 1
-    _, second, _ = run(capsys, *args)
-    assert second == first
+    [entry] = cache.glob("*.json")
 
-    # the second run must actually read the cache: poison it and re-run
-    stored = json.loads(files[0].read_text())
-    stored["result"] = [[0, 7]]
-    files[0].write_text(json.dumps(stored, sort_keys=True))
-    _, poisoned, _ = run(capsys, *args)
-    assert poisoned == "7\n"
+    # the second run must read the cache: it cannot compute
+    def no_compute(params):
+        raise AssertionError("a cached result was recomputed")
+
+    monkeypatch.setattr(hirzebruch.cli, "poincare_polynomial", no_compute)
+    assert run(capsys, *args) == (0, first, "")
+
+    # an entry whose result was altered is neither served nor kept
+    monkeypatch.undo()
+    intact = entry.read_bytes()
+    for poison in ([[0, 7]], [[0, 7.5]]):
+        entry.write_bytes(_with_result(intact, poison))
+        assert run(capsys, *args) == (0, first, "")
+        assert entry.read_bytes() == intact
 
 
-@pytest.mark.parametrize("damage", ["truncate", "{}", "[1]", '{"request": {}}', "null"])
+@pytest.mark.parametrize(
+    "damage",
+    ["truncate", "{}", "[1]", '{"request": {}}', "null",
+     pytest.param([[0, 7]], id="result-7"), pytest.param([[0, 7.5]], id="result-7.5")],
+)
 def test_unreadable_cache_entry_is_recomputed(capsys, tmp_path, damage):
     cache = tmp_path / "cache"
     args = ("poincare", "--p", "2", "--r", "2", "--k", "0", "--n", "2",
@@ -370,7 +385,12 @@ def test_unreadable_cache_entry_is_recomputed(capsys, tmp_path, damage):
     assert code == 0
     [entry] = cache.glob("*.json")
     intact = entry.read_bytes()
-    entry.write_bytes(intact[: len(intact) // 2] if damage == "truncate" else damage.encode())
+    if damage == "truncate":
+        entry.write_bytes(intact[: len(intact) // 2])
+    elif isinstance(damage, list):
+        entry.write_bytes(_with_result(intact, damage))
+    else:
+        entry.write_bytes(damage.encode())
     code, again, err = run(capsys, *args)
     assert (code, again, err) == (0, first, "")
     assert entry.read_bytes() == intact
@@ -424,6 +444,7 @@ def test_module_entry_point_subprocess():
 PINNED_REQUESTS = [
     ["fixed-points", "--p", "1", "--r", "2", "--k", "1", "--n", "9/4", "--reduced"],
     ["tangent", "--p", "3", "--r", "2", "--k", "1", "--n", "7/4"],
+    ["tangent", "--p", "1", "--r", "3", "--k", "0", "--n", "2", "--reduced"],
     ["poincare", "--p", "1", "--r", "3", "--k", "0", "--n", "2"],
     ["series", "--p", "1", "--max-order", "3"],
     ["hilbert", "--p", "2", "--max-order", "4"],
@@ -433,7 +454,7 @@ PINNED_REQUESTS = [
 ]
 PINNED_OUTPUT = (
     "0.1.0",
-    "4fa6ac91f6d74bdf108f8ee1836d1ed01f0ebe2dfecdd91d390df4262ef7334e",
+    "017235bdececa751769b359275109603c903494b65631f15f616416b748b14eb",
 )
 
 
@@ -444,6 +465,17 @@ def test_output_digest_is_pinned_to_the_version(capsys):
         assert code == 0
         digest.update(out.encode())
     assert (__version__, digest.hexdigest()) == PINNED_OUTPUT
+
+
+def test_json_output_renders_no_text(capsys, monkeypatch):
+    def no_text(args, payload):
+        raise AssertionError("text rendered for --format json")
+
+    for name in ("_records_text", "_poly_text", "_series_text", "_ale_text",
+                 "_check_text", "_sweep_text"):
+        monkeypatch.setattr(hirzebruch.cli, name, no_text)
+    for argv in PINNED_REQUESTS:
+        assert run(capsys, *argv, "--format", "json")[0] == 0
 
 
 def test_package_version_matches_pyproject():

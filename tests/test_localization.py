@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from hirzebruch.counting import enumerate_reduced_fixed_points
+from hirzebruch.counting import enumerate_fixed_points, enumerate_reduced_fixed_points
 from hirzebruch.laurent import Character, main_ordering
 from hirzebruch.localization import (
     FixedPointDatum,
@@ -15,11 +15,15 @@ from hirzebruch.localization import (
     n_character,
     patch1_matrix,
     patch2_matrix,
-    reduced_patch_matrix,
     reduced_tangent_character,
     tangent_character,
 )
-from hirzebruch.partitions import PartitionDiagram, enumerate_partitions
+from hirzebruch.partitions import (
+    PartitionDiagram,
+    enumerate_partitions,
+    relative_arm,
+    relative_leg,
+)
 
 
 def mono(rank, a, b, e=None, coeff=1):
@@ -143,7 +147,6 @@ def test_patch_matrices():
     assert patch1_matrix(2) == ((2, -1), (0, 1))
     assert patch2_matrix(2) == ((1, 0), (-1, 2))
     assert merge_t_matrix() == ((1, 1), (0, 0))
-    assert reduced_patch_matrix(3) == ((0, 3), (0, 0))
 
 
 def test_tangent_character_rank_one_frozen():
@@ -234,6 +237,89 @@ def test_reduced_matches_merged_full():
             full = FixedPointDatum(rfp.ks, empties, rfp.ys)
             merged = tangent_character(params, full).substitute(merge)
             assert merged == reduced_tangent_character(params, rfp)
+
+
+# Oracles: the pair-by-pair ring-algebra assembly that the single term
+# count in localization replaced.  Each builds its characters through
+# Character arithmetic, one pair block at a time.
+
+
+def framing_ratio(rank, beta, alpha):
+    es = [0] * rank
+    if alpha != beta:
+        es[beta - 1] += 1
+        es[alpha - 1] -= 1
+    return tuple(es)
+
+
+def n_character_oracle(y_alpha, y_beta, alpha, beta, rank):
+    es = framing_ratio(rank, beta, alpha)
+    terms = {}
+    for s in y_alpha.boxes():
+        key = (-relative_leg(y_beta, s), 1 + relative_arm(y_alpha, s), es)
+        terms[key] = terms.get(key, 0) + 1
+    for s in y_beta.boxes():
+        key = (1 + relative_leg(y_alpha, s), -relative_arm(y_beta, s), es)
+        terms[key] = terms.get(key, 0) + 1
+    return Character(rank, terms)
+
+
+def tangent_character_oracle(params, fp):
+    p, r = params.p, params.r
+    m1, m2 = patch1_matrix(p), patch2_matrix(p)
+    total = Character.zero(r)
+    for a in range(1, r + 1):
+        for b in range(1, r + 1):
+            d = fp.ks[a - 1] - fp.ks[b - 1]
+            shift = p * (fp.ks[b - 1] - fp.ks[a - 1])
+            lpart = mono(r, 0, 0, framing_ratio(r, b, a)) * l_character(p, d).promote(r)
+            n1 = n_character(fp.y1[a - 1], fp.y1[b - 1], a, b, r).substitute(m1)
+            n2 = n_character(fp.y2[a - 1], fp.y2[b - 1], a, b, r).substitute(m2)
+            total = total + lpart + mono(r, shift, 0) * n1 + mono(r, 0, shift) * n2
+    return total
+
+
+def reduced_tangent_character_oracle(params, rfp):
+    p, r = params.p, params.r
+    reduced = ((0, p), (0, 0))  # t1 -> 1, t2 -> t1^p
+    total = Character.zero(r)
+    for a in range(1, r + 1):
+        for b in range(1, r + 1):
+            d = rfp.ks[a - 1] - rfp.ks[b - 1]
+            shift = p * (rfp.ks[b - 1] - rfp.ks[a - 1])
+            lpart = mono(r, 0, 0, framing_ratio(r, b, a)) * l_character(p, d).promote(
+                r
+            ).substitute(merge_t_matrix())
+            npart = n_character(rfp.ys[a - 1], rfp.ys[b - 1], a, b, r).substitute(reduced)
+            total = total + lpart + mono(r, shift, 0) * npart
+    assert not any(key[1] for key in total.terms)
+    return total
+
+
+@given(diagrams(), diagrams(), st.integers(1, 3), st.integers(1, 3))
+def test_n_character_matches_per_box_oracle(ya, yb, alpha, beta):
+    assert n_character(ya, yb, alpha, beta, 3) == n_character_oracle(ya, yb, alpha, beta, 3)
+
+
+@pytest.mark.parametrize(
+    "p, r, k, n",
+    [(2, 2, 0, 5), (1, 3, 0, 3), (3, 2, 1, Fraction(15, 4)), (2, 4, 1, Fraction(11, 4))],
+)
+def test_tangent_character_matches_pairwise_oracle(p, r, k, n):
+    params = ModuliParams(p, r, k, n)
+    points = list(enumerate_fixed_points(params))
+    assert points
+    for fp in points:
+        assert tangent_character(params, fp) == tangent_character_oracle(params, fp)
+
+
+def test_reduced_tangent_character_matches_pairwise_oracle():
+    params = ModuliParams(1, 4, 0, 2)
+    points = enumerate_reduced_fixed_points(params)
+    assert points
+    for rfp in points:
+        expected = reduced_tangent_character_oracle(params, rfp)
+        assert reduced_tangent_character(params, rfp) == expected
 
 
 def test_validation_failures_raise_invariant_error():
