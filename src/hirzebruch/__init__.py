@@ -50,18 +50,10 @@ from .localization import (
     reduced_tangent_character,
     tangent_character,
 )
-from .partitions import (
-    Box,
-    ColoredDiagram,
-    PartitionDiagram,
-    enumerate_partitions,
-    relative_arm,
-    relative_leg,
-)
+from .partitions import ColoredDiagram, PartitionDiagram, enumerate_partitions
 
 __all__ = [
     "__version__",
-    "Box",
     "Character",
     "ColoredDiagram",
     "ColoredFixedPoint",
@@ -96,7 +88,5 @@ __all__ = [
     "rank2_series_closed",
     "rank2_series_direct",
     "reduced_tangent_character",
-    "relative_arm",
-    "relative_leg",
     "tangent_character",
 ]

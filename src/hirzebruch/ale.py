@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .laurent import Character, OrderingSpec, TPolynomial, ale_ordering
+from .laurent import Character, OrderingSpec, TPolynomial, _rational, ale_ordering
 from .localization import InvariantError, _framing_ratio, _patch_exponents
 from .partitions import ColoredDiagram, compositions, enumerate_partitions
 
@@ -98,11 +98,12 @@ def enumerate_colored_fixed_points(r: int, n) -> Iterator[ColoredFixedPoint]:
     """All rank-r fixed points with instanton number n, deterministic order.
 
     The total box count of a valid tuple is 2n, so a non-integer or
-    negative 2n yields an empty stream.  n may be an exact rational.
+    negative 2n yields an empty stream.  n may be an exact rational; a
+    float or a bool is a ValueError.
     """
-    if r < 1:
-        raise ValueError(f"r must be a positive integer, got {r}")
-    n = Fraction(n)
+    if type(r) is not int or r < 1:
+        raise ValueError(f"r must be a positive integer, got {r!r}")
+    n = _rational(n)
     boxes = 2 * n
     if boxes.denominator != 1 or boxes < 0:
         return

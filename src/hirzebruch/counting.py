@@ -17,6 +17,7 @@ lexicographic order with the rightmost slot varying fastest.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -104,8 +105,8 @@ def n_prime(y_alpha: PartitionDiagram, y_beta: PartitionDiagram, diff: int) -> i
     else columns of y_beta strictly longer than -diff - 1.
     """
     if diff >= 0:
-        return sum(1 for length in y_alpha.column_lengths() if length > diff)
-    return sum(1 for length in y_beta.column_lengths() if length > -diff - 1)
+        return sum(1 for length in y_alpha.cols if length > diff)
+    return sum(1 for length in y_beta.cols if length > -diff - 1)
 
 
 def morse_index_closed(params: ModuliParams, rfp: ReducedFixedPointDatum) -> int:
@@ -114,7 +115,7 @@ def morse_index_closed(params: ModuliParams, rfp: ReducedFixedPointDatum) -> int
     Diagonal terms contribute |Y_a| - (number of columns of Y_a); each
     pair a < b contributes l_prime + |Y_a| + |Y_b| - n_prime.
     """
-    total = sum(y.size - y.num_columns for y in rfp.ys)
+    total = sum(y.size - len(y.cols) for y in rfp.ys)
     r = params.r
     for a in range(r):
         for b in range(a + 1, r):
@@ -135,7 +136,7 @@ def component_factor(y: PartitionDiagram) -> TPolynomial:
     m is the number of columns of that height.
     """
     poly = TPolynomial.one()
-    for mult in y.column_multiplicities().values():
+    for mult in Counter(y.cols).values():
         poly = poly * TPolynomial({2 * j: 1 for j in range(mult + 1)})
     return poly
 

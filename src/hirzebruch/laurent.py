@@ -36,6 +36,17 @@ def _integers(values) -> tuple[int, ...]:
     return values
 
 
+def _rational(value) -> Fraction:
+    """`value` as an exact Fraction: an int, a Fraction or exact text such as "1/2".
+
+    Anything else, a float or a bool included, is a ValueError, never a
+    rounded answer.
+    """
+    if not (type(value) is int or isinstance(value, (Fraction, str))):
+        raise ValueError(f"expected an exact rational, got {value!r}")
+    return Fraction(value)
+
+
 class Character:
     """An exact Laurent polynomial in t1, t2, e1..er with integer coefficients."""
 
@@ -122,52 +133,6 @@ class Character:
             terms[key] = terms.get(key, 0) + coeff
         return Character(self.rank, terms)
 
-    def swap_t(self) -> "Character":
-        return self.substitute(((0, 1), (1, 0)))
-
-    def conjugate(self) -> "Character":
-        """Negate every exponent (dual representation)."""
-        return Character(
-            self.rank,
-            {(-a, -b, tuple(-x for x in es)): c for (a, b, es), c in self.terms.items()},
-        )
-
-    def permute_framing(self, perm: Iterable[int]) -> "Character":
-        """Relabel framing variables: new e_i carries the old e_perm[i-1] exponent."""
-        perm = tuple(perm)
-        if sorted(perm) != list(range(1, self.rank + 1)):
-            raise ValueError(f"not a permutation of 1..{self.rank}: {perm}")
-        return Character(
-            self.rank,
-            {
-                (a, b, tuple(es[j - 1] for j in perm)): c
-                for (a, b, es), c in self.terms.items()
-            },
-        )
-
-    def promote(self, rank: int) -> "Character":
-        """Embed a rank-0 (framing-free) character into rank `rank`."""
-        if self.rank == rank:
-            return self
-        if self.rank != 0:
-            raise ValueError(f"can only promote from rank 0, have rank {self.rank}")
-        zeros = (0,) * rank
-        return Character(rank, {(a, b, zeros): c for (a, b, _), c in self.terms.items()})
-
-    def invariant_part(self, eps: tuple[int, ...]) -> "Character":
-        """Keep terms with (a + b + sum_i c_i*eps_i) even."""
-        eps = tuple(eps)
-        if len(eps) != self.rank:
-            raise ValueError(f"expected {self.rank} parities, got {eps}")
-        return Character(
-            self.rank,
-            {
-                (a, b, es): c
-                for (a, b, es), c in self.terms.items()
-                if (a + b + sum(x * y for x, y in zip(es, eps))) % 2 == 0
-            },
-        )
-
     def negative_count(self, ordering: "OrderingSpec") -> int:
         """Number of terms, with multiplicity, of negative lexicographic weight."""
         total = 0
@@ -177,10 +142,6 @@ class Character:
             if ordering.sign(key) < 0:
                 total += coeff
         return total
-
-    def zero_weight_count(self, ordering: "OrderingSpec") -> int:
-        """Number of terms, with multiplicity, whose every key-exponent vanishes."""
-        return sum(c for key, c in self.terms.items() if ordering.sign(key) == 0)
 
     def sorted_terms(self) -> list[tuple[Exponent, int]]:
         return sorted(self.terms.items())

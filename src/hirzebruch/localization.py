@@ -39,8 +39,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .laurent import Character, Matrix2, _integers
-from .partitions import EMPTY, PartitionDiagram, relative_arm, relative_leg
+from .laurent import Character, Matrix2, _integers, _rational
+from .partitions import EMPTY, PartitionDiagram
 
 
 class InvariantError(Exception):
@@ -57,13 +57,13 @@ class ModuliParams:
     n: Fraction
 
     def __post_init__(self):
-        if not isinstance(self.p, int) or self.p < 1:
-            raise ValueError(f"p must be a positive integer, got {self.p}")
-        if not isinstance(self.r, int) or self.r < 1:
-            raise ValueError(f"r must be a positive integer, got {self.r}")
-        if not isinstance(self.k, int):
-            raise ValueError(f"k must be an integer, got {self.k}")
-        object.__setattr__(self, "n", Fraction(self.n))
+        if type(self.p) is not int or self.p < 1:
+            raise ValueError(f"p must be a positive integer, got {self.p!r}")
+        if type(self.r) is not int or self.r < 1:
+            raise ValueError(f"r must be a positive integer, got {self.r!r}")
+        if type(self.k) is not int:
+            raise ValueError(f"k must be an integer, got {self.k!r}")
+        object.__setattr__(self, "n", _rational(self.n))
 
     def pair_weight(self, ks: tuple[int, ...]) -> Fraction:
         """(p / 2r) * sum over pairs of squared k-differences."""
@@ -225,12 +225,18 @@ def _patch_exponents(y_alpha: PartitionDiagram, y_beta: PartitionDiagram):
     Over the boxes of y_alpha: (-leg_in_y_beta, 1 + arm_in_y_alpha); over
     the boxes of y_beta: (1 + leg_in_y_alpha, -arm_in_y_beta).  Arms are
     always measured in the box's own diagram; legs in the other one, and
-    may be negative.
+    may be negative (see `partitions`).  Boxes go row by row from the
+    corner, each row from left to right.
     """
-    for s in y_alpha.boxes():
-        yield -relative_leg(y_beta, s), 1 + relative_arm(y_alpha, s)
-    for s in y_beta.boxes():
-        yield 1 + relative_leg(y_alpha, s), -relative_arm(y_beta, s)
+    rows_a, cols_a, rows_b, cols_b = y_alpha.rows, y_alpha.cols, y_beta.rows, y_beta.cols
+    for i, length in enumerate(rows_a):
+        other = rows_b[i] if i < len(rows_b) else 0
+        for j in range(length):
+            yield j + 1 - other, cols_a[j] - i
+    for i, length in enumerate(rows_b):
+        other = rows_a[i] if i < len(rows_a) else 0
+        for j in range(length):
+            yield other - j, i + 1 - cols_b[j]
 
 
 def n_character(

@@ -1,97 +1,55 @@
-"""Young diagrams, arm/leg statistics, checkerboard 2-colorings, compositions.
+"""Young diagrams, checkerboard 2-colorings, compositions.
 
-A diagram is stored as its weakly decreasing tuple of row lengths.  Boxes
-are addressed by 1-based coordinates (c, r): c is the column counted from
-the left, r is the position within that column counted from the corner row
-upward.  Box (c, r) belongs to the diagram iff r <= column_length(c).
+A diagram is its weakly decreasing tuple of row lengths `rows` together
+with their conjugate `cols`, the column heights, computed once when the
+diagram is built.  Rows and columns are indexed from 0 at the corner.
 
-The arm of a box counts the boxes above it in its column; the leg counts
-the boxes to its right in its row:
+Take the box in row i and column j of a diagram X and measure it against
+a diagram Y, whose rows and columns beyond its edge count as length zero.
+Its arm counts the boxes of Y above it in column j, its leg the boxes of Y
+to its right in row i:
 
-    arm(Y, s) = column_length(Y, s.c) - s.r
-    leg(Y, s) = row_length(Y, s.r) - s.c
+    arm_Y = Y.cols[j] - i - 1
+    leg_Y = Y.rows[i] - j - 1
 
-Both statistics extend to boxes measured against a *different* diagram, in
-which case they may be negative; rows and columns beyond the diagram are
-treated as length zero.
+Against X itself both are nonnegative; against another diagram they may
+be negative.  `localization._patch_exponents` implements this formula.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .laurent import _integers
 
 
-class Box(NamedTuple):
-    """1-based box coordinates: column c, position r within the column."""
-
-    c: int
-    r: int
-
-
 class PartitionDiagram:
-    """A Young diagram given by weakly decreasing positive row lengths."""
+    """A Young diagram: weakly decreasing positive row lengths and their conjugate."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "cols")
 
     def __init__(self, rows: Iterator[int] | tuple[int, ...] = ()):
         rows = _integers(rows)
-        for x in rows:
+        # walk up from the shortest row; row h - 1 adds its extra columns of height h
+        cols: list[int] = []
+        for height in range(len(rows), 0, -1):
+            x = rows[height - 1]
             if x <= 0:
                 raise ValueError(f"row lengths must be positive, got {x}")
-        for a, b in zip(rows, rows[1:]):
-            if a < b:
+            if x < len(cols):
                 raise ValueError(f"row lengths must be weakly decreasing, got {rows}")
+            cols += [height] * (x - len(cols))
         self.rows = rows
+        self.cols = tuple(cols)
 
     @property
     def size(self) -> int:
         """Total number of boxes."""
         return sum(self.rows)
 
-    @property
-    def num_rows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def num_columns(self) -> int:
-        return self.rows[0] if self.rows else 0
-
-    def row_length(self, r: int) -> int:
-        """Length of row r, zero outside the diagram."""
-        if r < 1:
-            raise ValueError(f"row index must be positive, got {r}")
-        return self.rows[r - 1] if r <= len(self.rows) else 0
-
-    def column_length(self, c: int) -> int:
-        """Height of column c, zero outside the diagram."""
-        if c < 1:
-            raise ValueError(f"column index must be positive, got {c}")
-        return sum(1 for x in self.rows if x >= c)
-
-    def column_lengths(self) -> tuple[int, ...]:
-        """All column heights, i.e. the transposed row lengths."""
-        return tuple(self.column_length(c) for c in range(1, self.num_columns + 1))
-
     def transpose(self) -> "PartitionDiagram":
-        return PartitionDiagram(self.column_lengths())
-
-    def boxes(self) -> Iterator[Box]:
-        """All boxes, row by row from the corner row upward."""
-        for i, length in enumerate(self.rows):
-            for c in range(1, length + 1):
-                yield Box(c, i + 1)
-
-    def __contains__(self, box: Box) -> bool:
-        c, r = box
-        return c >= 1 and r >= 1 and r <= self.column_length(c)
-
-    def column_multiplicities(self) -> dict[int, int]:
-        """Map each occurring column height to its number of columns."""
-        return dict(Counter(self.column_lengths()))
+        return PartitionDiagram(self.cols)
 
     def to_json(self) -> list[int]:
         return list(self.rows)
@@ -161,21 +119,11 @@ def compositions(
             yield (head,) + tail
 
 
-def relative_arm(measuring: PartitionDiagram, box: Box) -> int:
-    """Arm of box measured in `measuring`; negative when box lies outside."""
-    return measuring.column_length(box.c) - box.r
-
-
-def relative_leg(measuring: PartitionDiagram, box: Box) -> int:
-    """Leg of box measured in `measuring`; negative when box lies outside."""
-    return measuring.row_length(box.r) - box.c
-
-
 class ColoredDiagram:
     """A Young diagram with a checkerboard 2-coloring.
 
-    The corner box (1, 1) carries color eps; colors alternate along rows
-    and columns, so box (c, r) has color (eps + c + r) mod 2.
+    The corner box carries color eps; colors alternate along rows and
+    columns, so the box in row i and column j has color (eps + i + j) mod 2.
     """
 
     __slots__ = ("diagram", "eps")
@@ -188,18 +136,16 @@ class ColoredDiagram:
         self.diagram = diagram
         self.eps = eps
 
-    def color(self, box: Box) -> int:
-        return (self.eps + box.c + box.r) % 2
-
     def color_counts(self) -> tuple[int, int]:
         """Number of boxes of color 0 and of color 1."""
-        counts = [0, 0]
-        for box in self.diagram.boxes():
-            counts[self.color(box)] += 1
-        return tuple(counts)
+        # row i starts with color (eps + i) mod 2 and alternates: color eps
+        # holds ceil(x/2) of the x boxes of an even row, floor(x/2) of an odd one
+        own = sum((x + 1 - i % 2) // 2 for i, x in enumerate(self.diagram.rows))
+        other = self.diagram.size - own
+        return (own, other) if self.eps == 0 else (other, own)
 
     def transpose(self) -> "ColoredDiagram":
-        # (c, r) -> (r, c) preserves c + r, so the coloring transposes along
+        # (i, j) -> (j, i) preserves i + j, so the coloring transposes along
         return ColoredDiagram(self.diagram.transpose(), self.eps)
 
     def recolor(self) -> "ColoredDiagram":

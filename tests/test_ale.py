@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from helpers import invariant_part, permute_framing, swap_t
 
 from hirzebruch.ale import (
     ColoredFixedPoint,
@@ -103,6 +104,21 @@ def test_enumeration_order_matches_recursive_oracle():
 def test_enumeration_rejects_bad_rank():
     with pytest.raises(ValueError):
         points(0, 1)
+    with pytest.raises(ValueError):
+        points(True, 1)
+
+
+@pytest.mark.parametrize("n", [0.1, 0.5, 1.0, True, None])
+def test_enumeration_rejects_inexact_n(n):
+    with pytest.raises(ValueError):
+        points(2, n)
+    with pytest.raises(ValueError):
+        ale_poincare(2, n)
+
+
+def test_enumeration_accepts_exact_text():
+    assert points(2, "1/2") == points(2, Fraction(1, 2))
+    assert ale_poincare(2, "1/2") == TPolynomial({0: 1, 2: 1})
 
 
 def test_integer_sector_has_uniform_corners():
@@ -141,14 +157,14 @@ def test_rank_one_frozen_characters():
 
 def test_transpose_matches_t_swap():
     for fp in points(2, 2):
-        swapped = ale_tangent_character(fp).swap_t()
+        swapped = swap_t(ale_tangent_character(fp))
         assert ale_tangent_character(fp.transpose()) == swapped
         assert fp.transpose().instanton_number() == fp.instanton_number()
 
 
 def test_reverse_matches_framing_swap():
     for fp in points(2, 2):
-        relabeled = ale_tangent_character(fp).permute_framing((2, 1))
+        relabeled = permute_framing(ale_tangent_character(fp), (2, 1))
         assert ale_tangent_character(fp.reverse()) == relabeled
 
 
@@ -195,7 +211,7 @@ def ale_tangent_character_oracle(fp):
     for a in range(1, r + 1):
         for b in range(1, r + 1):
             ya, yb = fp.tableaux[a - 1].diagram, fp.tableaux[b - 1].diagram
-            total = total + n_character(ya, yb, a, b, r).invariant_part(eps)
+            total = total + invariant_part(n_character(ya, yb, a, b, r), eps)
     return total
 
 

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from helpers import boxes, conjugate, promote, relative_arm, relative_leg, swap_t
 from hypothesis import given, strategies as st
 
 from hirzebruch.counting import enumerate_fixed_points, enumerate_reduced_fixed_points
@@ -10,6 +11,7 @@ from hirzebruch.localization import (
     InvariantError,
     ModuliParams,
     ReducedFixedPointDatum,
+    _patch_exponents,
     l_character,
     merge_t_matrix,
     n_character,
@@ -18,12 +20,7 @@ from hirzebruch.localization import (
     reduced_tangent_character,
     tangent_character,
 )
-from hirzebruch.partitions import (
-    PartitionDiagram,
-    enumerate_partitions,
-    relative_arm,
-    relative_leg,
-)
+from hirzebruch.partitions import PartitionDiagram, enumerate_partitions
 
 
 def mono(rank, a, b, e=None, coeff=1):
@@ -55,6 +52,24 @@ def test_params_validation():
     assert params.expected_dimension() == 2
     with pytest.raises(InvariantError):
         ModuliParams(1, 1, 0, Fraction(1, 3)).expected_dimension()
+
+
+@pytest.mark.parametrize(
+    "p, r, k, n",
+    [
+        (1, 1, 0, 0.1),
+        (1, 1, 0, 1.0),
+        (1, 1, 0, True),
+        (True, 1, 0, 1),
+        (1, True, 0, 1),
+        (1, 1, False, 1),
+        (1, 1, 0, None),
+        (1, 1, 0, "x"),
+    ],
+)
+def test_params_reject_floats_and_bools(p, r, k, n):
+    with pytest.raises(ValueError):
+        ModuliParams(p, r, k, n)
 
 
 def test_pair_weight_reference():
@@ -132,7 +147,7 @@ def test_n_character_dimension_is_box_count(ya, yb):
 def test_n_character_duality(ya, yb):
     # swapping the pair dualizes the character up to a t1*t2 twist
     lhs = n_character(ya, yb, 1, 2, 2)
-    rhs = mono(2, 1, 1) * n_character(yb, ya, 2, 1, 2).conjugate()
+    rhs = mono(2, 1, 1) * conjugate(n_character(yb, ya, 2, 1, 2))
     assert lhs == rhs
 
 
@@ -140,7 +155,7 @@ def test_n_character_duality(ya, yb):
 def test_n_character_transpose_symmetry(ya, yb):
     # transposing both diagrams swaps the roles of t1 and t2
     lhs = n_character(ya.transpose(), yb.transpose(), 1, 2, 2)
-    assert lhs == n_character(ya, yb, 1, 2, 2).swap_t()
+    assert lhs == swap_t(n_character(ya, yb, 1, 2, 2))
 
 
 def test_patch_matrices():
@@ -252,15 +267,18 @@ def framing_ratio(rank, beta, alpha):
     return tuple(es)
 
 
+def patch_exponents_oracle(y_alpha, y_beta):
+    # the arm/leg formula box by box, in the order of `_patch_exponents`
+    out = [(-relative_leg(y_beta, s), 1 + relative_arm(y_alpha, s)) for s in boxes(y_alpha)]
+    out += [(1 + relative_leg(y_alpha, s), -relative_arm(y_beta, s)) for s in boxes(y_beta)]
+    return out
+
+
 def n_character_oracle(y_alpha, y_beta, alpha, beta, rank):
     es = framing_ratio(rank, beta, alpha)
     terms = {}
-    for s in y_alpha.boxes():
-        key = (-relative_leg(y_beta, s), 1 + relative_arm(y_alpha, s), es)
-        terms[key] = terms.get(key, 0) + 1
-    for s in y_beta.boxes():
-        key = (1 + relative_leg(y_alpha, s), -relative_arm(y_beta, s), es)
-        terms[key] = terms.get(key, 0) + 1
+    for x, y in patch_exponents_oracle(y_alpha, y_beta):
+        terms[x, y, es] = terms.get((x, y, es), 0) + 1
     return Character(rank, terms)
 
 
@@ -272,7 +290,7 @@ def tangent_character_oracle(params, fp):
         for b in range(1, r + 1):
             d = fp.ks[a - 1] - fp.ks[b - 1]
             shift = p * (fp.ks[b - 1] - fp.ks[a - 1])
-            lpart = mono(r, 0, 0, framing_ratio(r, b, a)) * l_character(p, d).promote(r)
+            lpart = mono(r, 0, 0, framing_ratio(r, b, a)) * promote(l_character(p, d), r)
             n1 = n_character(fp.y1[a - 1], fp.y1[b - 1], a, b, r).substitute(m1)
             n2 = n_character(fp.y2[a - 1], fp.y2[b - 1], a, b, r).substitute(m2)
             total = total + lpart + mono(r, shift, 0) * n1 + mono(r, 0, shift) * n2
@@ -287,13 +305,18 @@ def reduced_tangent_character_oracle(params, rfp):
         for b in range(1, r + 1):
             d = rfp.ks[a - 1] - rfp.ks[b - 1]
             shift = p * (rfp.ks[b - 1] - rfp.ks[a - 1])
-            lpart = mono(r, 0, 0, framing_ratio(r, b, a)) * l_character(p, d).promote(
-                r
+            lpart = mono(r, 0, 0, framing_ratio(r, b, a)) * promote(
+                l_character(p, d), r
             ).substitute(merge_t_matrix())
             npart = n_character(rfp.ys[a - 1], rfp.ys[b - 1], a, b, r).substitute(reduced)
             total = total + lpart + mono(r, shift, 0) * npart
     assert not any(key[1] for key in total.terms)
     return total
+
+
+@given(diagrams(), diagrams())
+def test_patch_exponents_match_the_per_box_formula_in_order(ya, yb):
+    assert list(_patch_exponents(ya, yb)) == patch_exponents_oracle(ya, yb)
 
 
 @given(diagrams(), diagrams(), st.integers(1, 3), st.integers(1, 3))

@@ -1,16 +1,24 @@
 import itertools
+from collections import Counter
 
 import pytest
+from helpers import (
+    Box,
+    boxes,
+    color_counts_by_box,
+    column_heights,
+    contains,
+    relative_arm,
+    relative_leg,
+    row_length,
+)
 from hypothesis import given, strategies as st
 
 from hirzebruch.partitions import (
-    Box,
     ColoredDiagram,
     PartitionDiagram,
     compositions,
     enumerate_partitions,
-    relative_arm,
-    relative_leg,
 )
 
 
@@ -62,22 +70,30 @@ def test_colored_diagram_from_json_rejects_a_non_integer_color():
 def test_basic_shape_queries():
     y = PartitionDiagram([3, 1, 1])
     assert y.size == 5
-    assert y.num_rows == 3
-    assert y.num_columns == 3
-    assert [y.row_length(r) for r in (1, 2, 3, 4)] == [3, 1, 1, 0]
-    assert y.column_lengths() == (3, 1, 1)
-    assert y.column_multiplicities() == {3: 1, 1: 2}
+    assert len(y.rows) == 3
+    assert len(y.cols) == 3
+    assert [row_length(y, r) for r in (1, 2, 3, 4)] == [3, 1, 1, 0]
+    assert y.cols == column_heights(y) == (3, 1, 1)
+    assert Counter(y.cols) == {3: 1, 1: 2}
     assert y.transpose().rows == (3, 1, 1)
-    assert Box(1, 3) in y and Box(2, 1) in y and Box(2, 2) not in y
+    assert contains(y, Box(1, 3)) and contains(y, Box(2, 1)) and not contains(y, Box(2, 2))
 
 
 def test_boxes_against_membership():
     y = PartitionDiagram([4, 2, 1])
-    boxes = list(y.boxes())
-    assert len(boxes) == y.size == len(set(boxes))
-    for box in boxes:
-        assert box in y
-    assert Box(5, 1) not in y and Box(1, 4) not in y
+    found = list(boxes(y))
+    assert len(found) == y.size == len(set(found))
+    for box in found:
+        assert contains(y, box)
+    assert not contains(y, Box(5, 1)) and not contains(y, Box(1, 4))
+
+
+def test_cols_are_the_counted_column_heights():
+    for n in range(13):
+        for y in enumerate_partitions(n):
+            assert y.cols == column_heights(y)
+            assert y.transpose().rows == y.cols
+            assert y.transpose().transpose() == y
 
 
 def test_enumeration_counts_match_reference():
@@ -153,15 +169,15 @@ def test_transpose_is_an_involution(y):
 
 @given(diagrams())
 def test_own_arm_and_leg_are_nonnegative(y):
-    for s in y.boxes():
+    for s in boxes(y):
         assert relative_arm(y, s) >= 0
         assert relative_leg(y, s) >= 0
 
 
 @given(diagrams())
 def test_boxes_with_zero_arm_are_the_column_tops(y):
-    tops = sum(1 for s in y.boxes() if relative_arm(y, s) == 0)
-    assert tops == y.num_columns
+    tops = sum(1 for s in boxes(y) if relative_arm(y, s) == 0)
+    assert tops == len(y.cols)
 
 
 @given(diagrams(), st.integers(1, 6), st.integers(1, 6))
@@ -178,10 +194,12 @@ def test_json_round_trip():
 
 
 def test_coloring_reference_values():
-    d = ColoredDiagram(PartitionDiagram([2]), 0)
-    assert d.color(Box(1, 1)) == 0 and d.color(Box(2, 1)) == 1
-    assert d.color_counts() == (1, 1)
+    # one box: the corner carries eps; two boxes: the second carries 1 - eps
     assert ColoredDiagram(PartitionDiagram([1]), 0).color_counts() == (1, 0)
+    assert ColoredDiagram(PartitionDiagram([1]), 1).color_counts() == (0, 1)
+    for rows in ([2], [1, 1]):
+        for eps in (0, 1):
+            assert ColoredDiagram(PartitionDiagram(rows), eps).color_counts() == (1, 1)
     assert ColoredDiagram(PartitionDiagram([2, 1]), 0).color_counts() == (1, 2)
     assert ColoredDiagram(PartitionDiagram([4]), 0).color_counts() == (2, 2)
 
@@ -203,7 +221,15 @@ def test_recoloring_swaps_counts(y, eps):
 def test_color_imbalance_bounded_by_columns(y, eps):
     # each column alternates colors, so it contributes at most 1 to the gap
     k0, k1 = ColoredDiagram(y, eps).color_counts()
-    assert abs(k0 - k1) <= y.num_columns
+    assert abs(k0 - k1) <= len(y.cols)
+
+
+def test_color_counts_match_the_per_box_count():
+    for n in range(11):
+        for y in enumerate_partitions(n):
+            for eps in (0, 1):
+                d = ColoredDiagram(y, eps)
+                assert d.color_counts() == color_counts_by_box(d)
 
 
 @given(diagrams(), st.integers(0, 1))
