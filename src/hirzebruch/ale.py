@@ -23,6 +23,7 @@ for the p = 2, k = 0 spaces.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -159,7 +160,6 @@ def ale_poincare(r: int, n, ordering: OrderingSpec | None = None) -> TPolynomial
     """
     if ordering is None:
         ordering = ale_ordering(r)
-    total = TPolynomial.zero()
-    for fp in enumerate_colored_fixed_points(r, n):
-        total = total + TPolynomial.t_power(2 * ale_index(fp, ordering))
-    return total
+    return TPolynomial(
+        Counter(2 * ale_index(fp, ordering) for fp in enumerate_colored_fixed_points(r, n))
+    )

@@ -20,6 +20,7 @@ import re
 import sys
 import tempfile
 import time
+from collections import Counter
 from fractions import Fraction
 
 from . import __version__
@@ -27,6 +28,7 @@ from .ale import ale_index, ale_tangent_character, ale_poincare, enumerate_color
 from .counting import (
     check_nonempty,
     enumerate_fixed_points,
+    enumerate_reduced_fixed_points,
     hilbert_series_r1,
     indexed_points,
     poincare_polynomial,
@@ -235,7 +237,7 @@ def _cmd_tangent(args, cache):
         else:
             points = [FixedPointDatum.from_json(r) for r in records]
     elif args.reduced:
-        points = [point.datum for point in indexed_points(params)]
+        points = list(enumerate_reduced_fixed_points(params))
     else:
         points = list(enumerate_fixed_points(params))
     ordering = _ordering(args.ordering, params.r)
@@ -302,9 +304,7 @@ def _cmd_ale(args, cache):
             }
 
         points = [one(fp) for fp in enumerate_colored_fixed_points(args.r, args.n)]
-        poly = TPolynomial.zero()
-        for record in points:
-            poly = poly + TPolynomial.t_power(2 * record["index"])
+        poly = TPolynomial(Counter(2 * record["index"] for record in points))
         return request, {"poly": poly.to_pairs(), "points": points}
     return _ale_payload(cache, args.r, args.n, args.ordering)
 

@@ -17,7 +17,6 @@ lexicographic order with the rightmost slot varying fastest.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -129,16 +128,32 @@ def morse_index_closed(params: ModuliParams, rfp: ReducedFixedPointDatum) -> int
     return total
 
 
+def _factor_terms(ys, shift: int = 0) -> dict[int, int]:
+    """Coefficients of t^shift times the component factors of every diagram in ys.
+
+    A diagram has rows[h-1] - rows[h] columns of height h, so each drop
+    m > 0 between consecutive rows multiplies by 1 + t^2 + .. + t^(2m).
+    """
+    terms = {shift: 1}
+    for y in ys:
+        for x, below in zip(y.rows, y.rows[1:] + (0,)):
+            m = x - below
+            if m:
+                grown: dict[int, int] = {}
+                for deg, coeff in terms.items():
+                    for top in range(deg, deg + 2 * m + 1, 2):
+                        grown[top] = grown.get(top, 0) + coeff
+                terms = grown
+    return terms
+
+
 def component_factor(y: PartitionDiagram) -> TPolynomial:
     """Poincare polynomial of the flag-variety factor attached to one diagram.
 
     Product over occurring column heights of 1 + t^2 + .. + t^(2m), where
     m is the number of columns of that height.
     """
-    poly = TPolynomial.one()
-    for mult in Counter(y.cols).values():
-        poly = poly * TPolynomial({2 * j: 1 for j in range(mult + 1)})
-    return poly
+    return TPolynomial(_factor_terms((y,)))
 
 
 @dataclass(frozen=True)
@@ -159,9 +174,7 @@ class IndexedPoint:
 def indexed_points(params: ModuliParams) -> Iterator[IndexedPoint]:
     """Reduced fixed loci decorated with Morse index and component factor."""
     for rfp in enumerate_reduced_fixed_points(params):
-        factor = TPolynomial.one()
-        for y in rfp.ys:
-            factor = factor * component_factor(y)
+        factor = TPolynomial(_factor_terms(rfp.ys))
         yield IndexedPoint(rfp, morse_index_closed(params, rfp), factor)
 
 
@@ -169,12 +182,15 @@ def poincare_polynomial(params: ModuliParams) -> TPolynomial:
     """Poincare polynomial of the moduli space.
 
     Sum over reduced fixed loci of t^(2 * Morse index) times the locus's
-    component factor.  The zero polynomial means the space is empty.
+    component factor, counted into one table.  The zero polynomial means
+    the space is empty.
     """
-    total = TPolynomial.zero()
-    for point in indexed_points(params):
-        total = total + TPolynomial.t_power(2 * point.index) * point.factor
-    return total
+    coeffs: dict[int, int] = {}
+    for rfp in enumerate_reduced_fixed_points(params):
+        shift = 2 * morse_index_closed(params, rfp)
+        for deg, coeff in _factor_terms(rfp.ys, shift).items():
+            coeffs[deg] = coeffs.get(deg, 0) + coeff
+    return TPolynomial(coeffs)
 
 
 def _bracket_ratio(series: QSeries, i: int) -> QSeries:
@@ -226,11 +242,10 @@ def rank2_series_closed(p: int, order: int) -> QSeries:
 def _series_direct(p: int, r: int, order: int) -> QSeries:
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
-    series = QSeries.zero(order)
-    for n in range(order + 1):
-        poly = poincare_polynomial(ModuliParams(p, r, 0, Fraction(n)))
-        series = series + QSeries.term(order, n, poly)
-    return series
+    return QSeries(
+        order,
+        {n: poincare_polynomial(ModuliParams(p, r, 0, n)) for n in range(order + 1)},
+    )
 
 
 def rank2_series_direct(p: int, order: int) -> QSeries:

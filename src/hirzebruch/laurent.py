@@ -210,17 +210,13 @@ class OrderingSpec:
     Every torus and framing variable must appear in exactly one key.
     """
 
-    __slots__ = ("keys", "rank")
+    __slots__ = ("keys", "rank", "_positions")
 
     def __init__(self, keys: Iterable[Union[str, Iterable[str]]]):
-        normalized: list[tuple[str, ...]] = []
-        for key in keys:
-            group = (key,) if isinstance(key, str) else tuple(key)
-            for name in group:
-                if not self._valid_name(name):
-                    raise ValueError(f"unknown variable name {name!r}")
-            normalized.append(group)
-        names = [name for group in normalized for name in group]
+        self.keys = tuple((key,) if isinstance(key, str) else tuple(key) for key in keys)
+        # each key as its positions in the flat exponent vector (t1, t2, e1, .., er)
+        self._positions = tuple(tuple(map(self._position, group)) for group in self.keys)
+        names = [name for group in self.keys for name in group]
         if len(names) != len(set(names)):
             raise ValueError(f"variable listed twice in ordering: {names}")
         if "t1" not in names or "t2" not in names:
@@ -228,28 +224,24 @@ class OrderingSpec:
         e_indices = sorted(int(n[1:]) for n in names if n.startswith("e"))
         if e_indices != list(range(1, len(e_indices) + 1)):
             raise ValueError(f"framing variables must be e1..er, got {names}")
-        self.keys = tuple(normalized)
         self.rank = len(e_indices)
 
     @staticmethod
-    def _valid_name(name: str) -> bool:
+    def _position(name: str) -> int:
+        """Index of a variable in (t1, t2, e1, .., er); ValueError for an unknown name."""
         if name in ("t1", "t2"):
-            return True
-        return name.startswith("e") and name[1:].isdigit() and int(name[1:]) >= 1
-
-    def _exponent(self, name: str, key: Exponent) -> int:
-        a, b, es = key
-        if name == "t1":
-            return a
-        if name == "t2":
-            return b
-        return es[int(name[1:]) - 1]
+            return int(name[1]) - 1
+        if name.startswith("e") and name[1:].isdigit() and int(name[1:]) >= 1:
+            return int(name[1:]) + 1
+        raise ValueError(f"unknown variable name {name!r}")
 
     def sign(self, key: Exponent) -> int:
-        if len(key[2]) != self.rank:
-            raise ValueError(f"ordering covers rank {self.rank}, monomial has rank {len(key[2])}")
-        for group in self.keys:
-            value = sum(self._exponent(name, key) for name in group)
+        a, b, es = key
+        if len(es) != self.rank:
+            raise ValueError(f"ordering covers rank {self.rank}, monomial has rank {len(es)}")
+        flat = (a, b) + es
+        for group in self._positions:
+            value = sum(map(flat.__getitem__, group))
             if value:
                 return 1 if value > 0 else -1
         return 0
@@ -305,9 +297,6 @@ class TPolynomial:
             coeffs[deg] = coeffs.get(deg, 0) + coeff
         return TPolynomial(coeffs)
 
-    def __sub__(self, other: "TPolynomial") -> "TPolynomial":
-        return self + (-other)
-
     def __neg__(self) -> "TPolynomial":
         return TPolynomial({d: -c for d, c in self.coeffs.items()})
 
@@ -330,9 +319,6 @@ class TPolynomial:
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
         return max(self.coeffs, default=-1)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def coefficient(self, degree: int) -> int:
         return self.coeffs.get(degree, 0)
@@ -398,7 +384,7 @@ class QSeries:
             qexp = Fraction(qexp)
             if qexp < 0:
                 raise ValueError(f"q-exponent must be nonnegative, got {qexp}")
-            if qexp <= self.order and not poly.is_zero():
+            if qexp <= self.order and poly:
                 clean[qexp] = poly
         self.coeffs = clean
 
@@ -439,40 +425,34 @@ class QSeries:
                     coeffs[qexp] = coeffs.get(qexp, TPolynomial.zero()) + p1 * p2
         return QSeries(self.order, coeffs)
 
-    def scale(self, poly: TPolynomial) -> "QSeries":
-        return QSeries(self.order, {q: p * poly for q, p in self.coeffs.items()})
-
     def coefficient(self, qexp: Rational) -> TPolynomial:
         return self.coeffs.get(Fraction(qexp), TPolynomial.zero())
 
     def items(self) -> list[tuple[Fraction, TPolynomial]]:
         return sorted(self.coeffs.items())
 
-    def _shifted_scaled(self, qexp: Fraction, poly: TPolynomial) -> "QSeries":
-        coeffs = {}
-        for q, p in self.coeffs.items():
-            if q + qexp <= self.order:
-                coeffs[q + qexp] = p * poly
-        return QSeries(self.order, coeffs)
-
     def mul_one_minus(self, qexp: Rational, poly: TPolynomial) -> "QSeries":
         """Multiply by (1 - q^qexp * poly)."""
-        qexp = Fraction(qexp)
-        shifted = self._shifted_scaled(qexp, poly)
-        return self + QSeries(self.order, {q: -p for q, p in shifted.coeffs.items()})
+        qexp, minus = Fraction(qexp), -poly
+        coeffs = dict(self.coeffs)
+        for q, p in self.coeffs.items():
+            q += qexp
+            if q <= self.order:
+                coeffs[q] = coeffs[q] + p * minus if q in coeffs else p * minus
+        return QSeries(self.order, coeffs)
 
     def mul_inverse_one_minus(self, qexp: Rational, poly: TPolynomial) -> "QSeries":
         """Multiply by 1/(1 - q^qexp * poly) = sum_m q^(m*qexp) poly^m."""
         qexp = Fraction(qexp)
         if qexp <= 0:
             raise ValueError(f"geometric inversion needs a positive q-exponent, got {qexp}")
-        total = self
-        term = self
-        while True:
-            term = term._shifted_scaled(qexp, poly)
-            if not term.coeffs:
-                return total
-            total = total + term
+        # each term of self spreads into q^(m*qexp) poly^m up to the order
+        coeffs: dict[Fraction, TPolynomial] = {}
+        for q, p in self.coeffs.items():
+            while q <= self.order:
+                coeffs[q] = coeffs[q] + p if q in coeffs else p
+                q, p = q + qexp, p * poly
+        return QSeries(self.order, coeffs)
 
     def to_json(self) -> list[dict]:
         return [{"q": str(q), "poly": p.to_pairs()} for q, p in self.items()]

@@ -67,10 +67,10 @@ class ModuliParams:
 
     def pair_weight(self, ks: tuple[int, ...]) -> Fraction:
         """(p / 2r) * sum over pairs of squared k-differences."""
-        total = sum(
-            (ks[i] - ks[j]) ** 2 for i in range(self.r) for j in range(i + 1, self.r)
-        )
-        return Fraction(self.p * total, 2 * self.r)
+        # sum_{a<b} (k_a - k_b)^2 = r * sum_a k_a^2 - (sum_a k_a)^2
+        squares = sum(x * x for x in ks)
+        total = sum(ks)
+        return Fraction(self.p * (len(ks) * squares - total * total), 2 * self.r)
 
     def expected_dimension(self) -> int:
         value = 2 * self.r * self.n

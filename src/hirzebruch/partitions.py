@@ -75,21 +75,22 @@ EMPTY = PartitionDiagram(())
 
 
 @lru_cache(maxsize=None)
-def _partition_rows(n: int, cap: int) -> tuple[tuple[int, ...], ...]:
-    if n == 0:
-        return ((),)
-    out = []
-    for first in range(min(n, cap), 0, -1):
-        for rest in _partition_rows(n - first, first):
-            out.append((first,) + rest)
-    return tuple(out)
+def enumerate_partitions(n: int) -> tuple[PartitionDiagram, ...]:
+    """All partitions of n, in decreasing lexicographic order of rows.
 
-
-def enumerate_partitions(n: int) -> list[PartitionDiagram]:
-    """All partitions of n, in decreasing lexicographic order of rows."""
+    Cached: every call with the same n returns the same tuple of shared
+    diagrams, each built once from the tables of smaller n.
+    """
     if n < 0:
         raise ValueError(f"cannot partition a negative number, got {n}")
-    return [PartitionDiagram(rows) for rows in _partition_rows(n, n)]
+    if n == 0:
+        return (EMPTY,)
+    return tuple(
+        PartitionDiagram((first,) + rest.rows)
+        for first in range(n, 0, -1)
+        for rest in enumerate_partitions(n - first)
+        if not rest.rows or rest.rows[0] <= first
+    )
 
 
 def compositions(
@@ -131,8 +132,8 @@ class ColoredDiagram:
     def __init__(self, diagram: PartitionDiagram, eps: int):
         if not isinstance(diagram, PartitionDiagram):
             diagram = PartitionDiagram(diagram)
-        if eps not in (0, 1):
-            raise ValueError(f"color of the corner box must be 0 or 1, got {eps}")
+        if type(eps) is not int or eps not in (0, 1):
+            raise ValueError(f"color of the corner box must be 0 or 1, got {eps!r}")
         self.diagram = diagram
         self.eps = eps
 
@@ -156,8 +157,7 @@ class ColoredDiagram:
 
     @classmethod
     def from_json(cls, data) -> "ColoredDiagram":
-        (eps,) = _integers([data["eps"]])
-        return cls(PartitionDiagram(data["rows"]), eps)
+        return cls(PartitionDiagram(data["rows"]), data["eps"])
 
     def __eq__(self, other) -> bool:
         return (

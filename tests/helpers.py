@@ -1,4 +1,5 @@
-"""Per-box diagram statistics and Character operations that only the tests use.
+"""Per-box diagram statistics, the rows enumeration of partitions and
+Character operations that only the tests use.
 
 The library reads arms and legs off a diagram's rows and their conjugate
 (`localization._patch_exponents`) and counts box colors in closed form
@@ -17,6 +18,22 @@ The Character operations at the end are plain functions over
 from typing import NamedTuple
 
 from hirzebruch.laurent import Character
+
+
+def partition_rows(n, cap=None):
+    """Row tuples of the partitions of n with parts <= cap, decreasing lexicographically.
+
+    The enumeration the cached diagram table replaced, kept as its oracle.
+    """
+    if cap is None:
+        cap = n
+    if n == 0:
+        return [()]
+    return [
+        (first,) + rest
+        for first in range(min(n, cap), 0, -1)
+        for rest in partition_rows(n - first, first)
+    ]
 
 
 class Box(NamedTuple):

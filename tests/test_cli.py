@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hirzebruch
+import hirzebruch.counting
 from hirzebruch import __version__
 from hirzebruch.cli import CACHE_ENV_VAR, main
 
@@ -137,6 +138,19 @@ def test_tangent_reduced_includes_index(capsys):
     records = [json.loads(line) for line in out.strip().split("\n")]
     assert [record["index"] for record in records] == [1, 0]
     assert all(record["dimension"] == 4 for record in records)
+
+
+def test_tangent_reduced_computes_no_closed_index_or_factor(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("tangent --reduced computed an index or factor it drops")
+
+    for name in ("morse_index_closed", "component_factor", "_factor_terms"):
+        monkeypatch.setattr(hirzebruch.counting, name, refuse)
+    code, out, _ = run(
+        capsys, "tangent", "--p", "1", "--r", "3", "--k", "0", "--n", "2", "--reduced"
+    )
+    assert code == 0
+    assert len(out.strip().split("\n")) == 27
 
 
 def test_tangent_from_file_and_stdin(capsys, tmp_path, monkeypatch):
@@ -447,14 +461,16 @@ PINNED_REQUESTS = [
     ["tangent", "--p", "1", "--r", "3", "--k", "0", "--n", "2", "--reduced"],
     ["poincare", "--p", "1", "--r", "3", "--k", "0", "--n", "2"],
     ["series", "--p", "1", "--max-order", "3"],
+    ["series", "--p", "1", "--max-order", "3", "--method", "direct"],
     ["hilbert", "--p", "2", "--max-order", "4"],
     ["ale", "--r", "2", "--n", "3/2", "--points"],
+    ["ale", "--r", "3", "--n", "2"],
     ["check", "--p", "3", "--r", "4", "--k", "2", "--n", "7/2"],
     ["sweep", "--mode", "crosscheck", "--p", "1,2", "--r", "2", "--k", "0", "--n", "0..2"],
 ]
 PINNED_OUTPUT = (
     "0.1.0",
-    "017235bdececa751769b359275109603c903494b65631f15f616416b748b14eb",
+    "51f05a5913d882074323bf19c73ad352b369abc531fed0db638492ce7703213e",
 )
 
 

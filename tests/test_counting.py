@@ -27,7 +27,7 @@ from hirzebruch.localization import (
     ReducedFixedPointDatum,
     reduced_tangent_character,
 )
-from hirzebruch.partitions import PartitionDiagram
+from hirzebruch.partitions import PartitionDiagram, enumerate_partitions
 
 
 @lru_cache(maxsize=None)
@@ -247,6 +247,53 @@ def test_component_factor_at_one_counts_diagram_pairs():
     for m in mults:
         expected *= m + 1
     assert component_factor(y)(1) == expected
+
+
+def component_factor_oracle(y):
+    # one polynomial product per column height, as the factor was first built
+    poly = TPolynomial.one()
+    for mult in Counter(column_heights(y)).values():
+        poly = poly * TPolynomial({2 * j: 1 for j in range(mult + 1)})
+    return poly
+
+
+def test_component_factor_matches_the_column_count_oracle():
+    for n in range(11):
+        for y in enumerate_partitions(n):
+            assert component_factor(y) == component_factor_oracle(y)
+
+
+def poincare_running_sum(params):
+    # the running sum the single term table replaced, kept as its oracle
+    total = TPolynomial.zero()
+    for point in indexed_points(params):
+        total = total + TPolynomial.t_power(2 * point.index) * point.factor
+    return total
+
+
+@pytest.mark.parametrize(
+    "p, r, k, n",
+    [(2, 2, 0, 4), (1, 3, 0, 4), (3, 3, 1, 7), (1, 2, 1, Fraction(5, 2)),
+     (2, 4, 1, Fraction(5, 2)), (1, 1, 0, 6), (2, 2, 1, 1)],
+)
+def test_poincare_polynomial_matches_the_running_sum(p, r, k, n):
+    params = ModuliParams(p, r, k, n)
+    assert poincare_polynomial(params) == poincare_running_sum(params)
+
+
+def test_warm_poincare_polynomial_builds_no_diagram(monkeypatch):
+    params = ModuliParams(1, 3, 0, 8)
+    poincare_polynomial(params)
+    built = []
+    original = PartitionDiagram.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(PartitionDiagram, "__init__", counting_init)
+    poincare_polynomial(params)
+    assert built == []
 
 
 def test_indexed_points_frozen():

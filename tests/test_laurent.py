@@ -152,6 +152,30 @@ def test_ordering_sign_uses_first_nonzero_group():
     assert ordering.sign((0, 0, (0, 0))) == 0
 
 
+def sign_by_name(ordering, key):
+    # the sign read variable by variable from its name, as first written
+    a, b, es = key
+    exponent = {"t1": a, "t2": b, **{f"e{i + 1}": x for i, x in enumerate(es)}}
+    for group in ordering.keys:
+        value = sum(exponent[name] for name in group)
+        if value:
+            return 1 if value > 0 else -1
+    return 0
+
+
+@given(
+    st.permutations(["t1", "t2", "e1", "e2", "e3"]),
+    st.integers(0, 4),
+    st.tuples(*[st.integers(-2, 2)] * 5),
+)
+def test_ordering_sign_matches_the_name_lookup(names, split, exps):
+    # group the first `split` names into one summed key, the rest stay single
+    keys = ([tuple(names[:split])] if split else []) + names[split:]
+    ordering = OrderingSpec(keys)
+    key = (exps[0], exps[1], exps[2:])
+    assert ordering.sign(key) == sign_by_name(ordering, key)
+
+
 def test_ale_ordering_reference():
     ordering = ale_ordering(2)
     # t2 decides first, then e's, then t1
@@ -261,6 +285,40 @@ def test_qseries_geometric_inverse():
         assert s.coefficient(j) == TPolynomial.one()
     back = s.mul_one_minus(1, TPolynomial.one())
     assert back == QSeries.one(4)
+
+
+def shifted_scaled(s, qexp, poly):
+    return QSeries(s.order, {q + qexp: p * poly for q, p in s.coeffs.items()})
+
+
+def mul_inverse_one_minus_oracle(s, qexp, poly):
+    # the running sum s + s*x + s*x^2 + .., one series per power of x = q^qexp * poly
+    total = term = s
+    while True:
+        term = shifted_scaled(term, qexp, poly)
+        if not term.coeffs:
+            return total
+        total = total + term
+
+
+@given(
+    st.dictionaries(
+        st.integers(0, 6),
+        st.dictionaries(st.integers(0, 4), st.integers(-3, 3), max_size=3),
+        max_size=4,
+    ),
+    st.integers(1, 4),
+    st.dictionaries(st.integers(0, 4), st.integers(-2, 2), max_size=3),
+)
+def test_qseries_one_minus_and_its_inverse_match_the_running_sums(halves, step, poly):
+    # q-exponents in halves up to order 3
+    s = QSeries(3, {Fraction(h, 2): TPolynomial(c) for h, c in halves.items()})
+    qexp, poly = Fraction(step, 2), TPolynomial(poly)
+    inverse = s.mul_inverse_one_minus(qexp, poly)
+    assert inverse == mul_inverse_one_minus_oracle(s, qexp, poly)
+    minus = QSeries(3, {q: -p for q, p in shifted_scaled(s, qexp, poly).coeffs.items()})
+    assert s.mul_one_minus(qexp, poly) == s + minus
+    assert inverse.mul_one_minus(qexp, poly) == s
 
 
 def test_qseries_inverse_requires_positive_exponent():

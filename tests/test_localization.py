@@ -80,6 +80,17 @@ def test_pair_weight_reference():
     assert ModuliParams(2, 2, 1, 0).pair_weight((1, 0)) == Fraction(1, 2)
 
 
+@given(
+    st.integers(1, 3),
+    st.lists(st.integers(-6, 6), min_size=1, max_size=7),
+)
+def test_pair_weight_equals_the_pairwise_sum(p, ks):
+    # k is 0 here, so most k-strings drawn do not sum to k
+    r = len(ks)
+    pairs = sum((ks[a] - ks[b]) ** 2 for a in range(r) for b in range(a + 1, r))
+    assert ModuliParams(p, r, 0, 0).pair_weight(tuple(ks)) == Fraction(p * pairs, 2 * r)
+
+
 def test_l_character_frozen_values():
     assert l_character(1, 0) == Character.zero(0)
     assert l_character(1, 1) == mono(0, 0, 0)

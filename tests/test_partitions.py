@@ -8,6 +8,7 @@ from helpers import (
     color_counts_by_box,
     column_heights,
     contains,
+    partition_rows,
     relative_arm,
     relative_leg,
     row_length,
@@ -67,6 +68,12 @@ def test_colored_diagram_from_json_rejects_a_non_integer_color():
     assert ColoredDiagram.from_json({"rows": [1], "eps": 1}).eps == 1
 
 
+@pytest.mark.parametrize("eps", [True, 1.0, 2, -1])
+def test_colored_diagram_rejects_a_color_that_is_not_0_or_1(eps):
+    with pytest.raises(ValueError):
+        ColoredDiagram(PartitionDiagram([2, 1]), eps)
+
+
 def test_basic_shape_queries():
     y = PartitionDiagram([3, 1, 1])
     assert y.size == 5
@@ -102,6 +109,16 @@ def test_enumeration_counts_match_reference():
         assert len(got) == slow_partition_count(n)
         assert len(set(got)) == len(got)
         assert all(y.size == n for y in got)
+
+
+def test_enumeration_is_one_shared_table_equal_to_the_rows_oracle():
+    for n in range(13):
+        got = enumerate_partitions(n)
+        assert isinstance(got, tuple)
+        assert [y.rows for y in got] == partition_rows(n)
+        again = enumerate_partitions(n)
+        assert again is got
+        assert all(a is b for a, b in zip(got, again))
 
 
 def test_enumeration_order_is_decreasing_lex():
