@@ -6,7 +6,9 @@ partial flag varieties recorded by a single diagram per summand, it
 contributes its own Poincare polynomial (`component_factor`) shifted by
 t^(2 * Morse index).  The Morse index has a closed form in terms of the
 diagrams and the k-string, and independently equals the number of
-negative-weight directions of the reduced tangent character.
+negative-weight directions of the reduced tangent character.  The closed
+form splits into one term per summand, so `poincare_polynomial` sums
+slot by slot instead of locus by locus.
 
 Enumeration orders are deterministic: k-strings ascend lexicographically
 within their search box, box distributions over the diagram slots ascend
@@ -19,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator
 
 from .laurent import QSeries, TPolynomial
@@ -45,20 +48,27 @@ def check_nonempty(params: ModuliParams) -> bool:
 
 
 def _k_strings(params: ModuliParams) -> Iterator[tuple[tuple[int, ...], int]]:
-    """All k-strings compatible with params, with their integer box excess."""
-    if params.n < 0:
+    """All k-strings compatible with params, with their integer box excess.
+
+    In integers: with N = 2rn and s = r * sum k_a^2 - k^2, the pair sum
+    sum_{a<b} (k_a - k_b)^2, a string has excess (N - p*s) / 2r, which
+    must be a nonnegative integer.  Since r*k_a - k = sum_b (k_a - k_b),
+    Cauchy-Schwarz gives p * (r*k_a - k)^2 <= (r-1) * p*s <= (r-1) * N,
+    an exact bound on each entry.
+    """
+    r, k = params.r, params.k
+    dim = 2 * r * params.n
+    if dim < 0 or dim.denominator != 1:
         return
-    # |k_a - k/r| <= sqrt(2n/p): the pair sum is bounded by 2rn/p and
-    # Cauchy-Schwarz turns that into a per-entry bound around the mean.
-    radius = math.isqrt(int(2 * params.n // params.p)) + 1
-    center = Fraction(params.k, params.r)
-    lo = math.ceil(center - radius)
-    hi = math.floor(center + radius)
-    for ks in compositions(params.k, params.r, lo, hi):
-        excess = params.n - params.pair_weight(ks)
-        if excess < 0 or excess.denominator != 1:
-            continue
-        yield ks, int(excess)
+    dim = int(dim)
+    # |r*k_a - k| <= spread
+    spread = math.isqrt((r - 1) * dim // params.p)
+    lo = -((spread - k) // r)
+    hi = (k + spread) // r
+    for ks in compositions(k, r, lo, hi):
+        scaled = dim - params.p * (r * sum(x * x for x in ks) - k * k)
+        if scaled >= 0 and scaled % (2 * r) == 0:
+            yield ks, scaled // (2 * r)
 
 
 def _diagram_tuples(sizes: tuple[int, ...]) -> Iterator[tuple[PartitionDiagram, ...]]:
@@ -178,18 +188,71 @@ def indexed_points(params: ModuliParams) -> Iterator[IndexedPoint]:
         yield IndexedPoint(rfp, morse_index_closed(params, rfp), factor)
 
 
+@lru_cache(maxsize=None)
+def _slot_table(thresholds: tuple[int, ...], size: int) -> tuple[tuple[int, int], ...]:
+    """Sum over diagrams Y of `size` boxes of t^(2 f(Y)) times Y's component factor.
+
+    f(Y) = -(number of columns) - sum over th in thresholds of the number
+    of columns longer than th: the part of the Morse index that one slot's
+    diagram adds.  Sorted (degree, coefficient) pairs; degrees may be negative.
+    """
+    terms: dict[int, int] = {}
+    for y in enumerate_partitions(size):
+        f = -len(y.cols)
+        for th in thresholds:
+            f -= sum(1 for length in y.cols if length > th)
+        for deg, coeff in _factor_terms((y,), 2 * f).items():
+            terms[deg] = terms.get(deg, 0) + coeff
+    return tuple(sorted(terms.items()))
+
+
+def _convolve(
+    terms: dict[int, int], table: tuple[tuple[int, int], ...], into: dict[int, int]
+) -> None:
+    # count the product of terms and the slot table into `into`
+    for deg, coeff in terms.items():
+        for step, mult in table:
+            into[deg + step] = into.get(deg + step, 0) + coeff * mult
+
+
 def poincare_polynomial(params: ModuliParams) -> TPolynomial:
     """Poincare polynomial of the moduli space.
 
-    Sum over reduced fixed loci of t^(2 * Morse index) times the locus's
-    component factor, counted into one table.  The zero polynomial means
+    The sum over reduced fixed loci of t^(2 * Morse index) times the
+    locus's component factor, taken one k-string at a time.  With excess e,
+    `morse_index_closed` is L(ks) + r*e + sum_a f_a(Y_a), where L sums
+    `l_prime` over pairs and each pair a < b hands its `n_prime` threshold
+    d = k_a - k_b to slot a when d >= 0, else -d - 1 to slot b.  So the
+    sum over r-tuples of diagrams is a convolution, over sizes adding up
+    to e, of per-slot tables (`_slot_table`).  The zero polynomial means
     the space is empty.
     """
+    p, r = params.p, params.r
     coeffs: dict[int, int] = {}
-    for rfp in enumerate_reduced_fixed_points(params):
-        shift = 2 * morse_index_closed(params, rfp)
-        for deg, coeff in _factor_terms(rfp.ys, shift).items():
-            coeffs[deg] = coeffs.get(deg, 0) + coeff
+    for ks, excess in _k_strings(params):
+        shift = r * excess
+        thresholds: list[list[int]] = [[] for _ in ks]
+        for a in range(r):
+            for b in range(a + 1, r):
+                shift += l_prime(p, ks[a], ks[b])
+                d = ks[a] - ks[b]
+                if d >= 0:
+                    thresholds[a].append(d)
+                else:
+                    thresholds[b].append(-d - 1)
+        # boxes used by the slots so far -> the terms they give
+        partial = {0: {2 * shift: 1}}
+        for a in range(r - 1):
+            th = tuple(sorted(thresholds[a]))
+            grown: dict[int, dict[int, int]] = {}
+            for used, terms in partial.items():
+                for size in range(excess - used + 1):
+                    into = grown.setdefault(used + size, {})
+                    _convolve(terms, _slot_table(th, size), into)
+            partial = grown
+        th = tuple(sorted(thresholds[-1]))
+        for used, terms in partial.items():
+            _convolve(terms, _slot_table(th, excess - used), coeffs)
     return TPolynomial(coeffs)
 
 

@@ -25,7 +25,11 @@ from .laurent import _integers
 
 
 class PartitionDiagram:
-    """A Young diagram: weakly decreasing positive row lengths and their conjugate."""
+    """A Young diagram: weakly decreasing positive row lengths and their conjugate.
+
+    Immutable once built, because `enumerate_partitions` and the tables
+    built on it share one object per partition among all callers.
+    """
 
     __slots__ = ("rows", "cols")
 
@@ -40,8 +44,18 @@ class PartitionDiagram:
             if x < len(cols):
                 raise ValueError(f"row lengths must be weakly decreasing, got {rows}")
             cols += [height] * (x - len(cols))
-        self.rows = rows
-        self.cols = tuple(cols)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", tuple(cols))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PartitionDiagram is immutable, cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"PartitionDiagram is immutable, cannot delete {name!r}")
+
+    def __reduce__(self):
+        # pickle and copy rebuild from the rows instead of setting the slots
+        return PartitionDiagram, (self.rows,)
 
     @property
     def size(self) -> int:

@@ -1,5 +1,6 @@
-"""Per-box diagram statistics, the rows enumeration of partitions and
-Character operations that only the tests use.
+"""Per-box diagram statistics, the rows enumeration of partitions, the
+per-locus Poincare sum, the Fraction k-string search and Character
+operations that only the tests use.
 
 The library reads arms and legs off a diagram's rows and their conjugate
 (`localization._patch_exponents`) and counts box colors in closed form
@@ -15,9 +16,13 @@ The Character operations at the end are plain functions over
 `Character.terms`, used to state symmetries of the tangent characters.
 """
 
+import math
+from fractions import Fraction
 from typing import NamedTuple
 
-from hirzebruch.laurent import Character
+from hirzebruch.counting import indexed_points
+from hirzebruch.laurent import Character, TPolynomial
+from hirzebruch.partitions import compositions
 
 
 def partition_rows(n, cap=None):
@@ -34,6 +39,39 @@ def partition_rows(n, cap=None):
         for first in range(min(n, cap), 0, -1)
         for rest in partition_rows(n - first, first)
     ]
+
+
+def poincare_by_loci(params):
+    """Sum over reduced fixed loci of t^(2 * Morse index) times the locus's factor.
+
+    The per-locus engine the per-slot convolution replaced, kept as its oracle.
+    """
+    coeffs = {}
+    for point in indexed_points(params):
+        for deg, coeff in point.factor.coeffs.items():
+            deg += 2 * point.index
+            coeffs[deg] = coeffs.get(deg, 0) + coeff
+    return TPolynomial(coeffs)
+
+
+def fraction_k_strings(params):
+    """(k-string, excess) pairs by the rational search the integer one replaced.
+
+    Searches the box |k_a - k/r| <= isqrt(2n/p) + 1 and keeps the strings
+    whose excess n - pair_weight is a nonnegative integer.
+    """
+    if params.n < 0:
+        return []
+    radius = math.isqrt(int(2 * params.n // params.p)) + 1
+    center = Fraction(params.k, params.r)
+    lo = math.ceil(center - radius)
+    hi = math.floor(center + radius)
+    out = []
+    for ks in compositions(params.k, params.r, lo, hi):
+        excess = params.n - params.pair_weight(ks)
+        if excess >= 0 and excess.denominator == 1:
+            out.append((ks, int(excess)))
+    return out
 
 
 class Box(NamedTuple):

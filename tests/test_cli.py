@@ -460,6 +460,7 @@ PINNED_REQUESTS = [
     ["tangent", "--p", "3", "--r", "2", "--k", "1", "--n", "7/4"],
     ["tangent", "--p", "1", "--r", "3", "--k", "0", "--n", "2", "--reduced"],
     ["poincare", "--p", "1", "--r", "3", "--k", "0", "--n", "2"],
+    ["poincare", "--p", "1", "--r", "6", "--k", "0", "--n", "2"],
     ["series", "--p", "1", "--max-order", "3"],
     ["series", "--p", "1", "--max-order", "3", "--method", "direct"],
     ["hilbert", "--p", "2", "--max-order", "4"],
@@ -470,7 +471,7 @@ PINNED_REQUESTS = [
 ]
 PINNED_OUTPUT = (
     "0.1.0",
-    "51f05a5913d882074323bf19c73ad352b369abc531fed0db638492ce7703213e",
+    "4ce6f3fa231aa04d4138e803316d3edbaebddce0155cf0f9b892ce32ed1b5e34",
 )
 
 

@@ -1,13 +1,17 @@
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from helpers import column_heights
+from helpers import column_heights, fraction_k_strings, poincare_by_loci
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hirzebruch.counting import (
     _k_strings,
+    _slot_table,
     check_nonempty,
     component_factor,
     enumerate_fixed_points,
@@ -23,6 +27,7 @@ from hirzebruch.counting import (
 )
 from hirzebruch.laurent import TPolynomial, main_ordering
 from hirzebruch.localization import (
+    FixedPointDatum,
     ModuliParams,
     ReducedFixedPointDatum,
     reduced_tangent_character,
@@ -176,6 +181,29 @@ def test_k_strings_match_box_filter_order():
     assert nonempty > 100 and fractional > 50
 
 
+def test_k_strings_match_the_fraction_search():
+    for p in (1, 2, 3):
+        for r in range(1, 7):
+            for k in range(-4, 5):
+                for j in range(-2, 8 * r + 1):
+                    params = ModuliParams(p, r, k, Fraction(j, 2 * r))
+                    assert list(_k_strings(params)) == fraction_k_strings(params), params
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.integers(1, 6),
+    st.integers(-9, 9),
+    st.integers(-3, 40),
+    st.integers(1, 13),
+)
+def test_k_strings_match_the_fraction_search_at_random(p, r, k, num, den):
+    # n need not make 2rn an integer; then both searches find nothing
+    params = ModuliParams(p, r, k, Fraction(num, den) / r)
+    assert list(_k_strings(params)) == fraction_k_strings(params)
+
+
 def test_enumerated_points_satisfy_constraints():
     for params in (
         ModuliParams(1, 2, 1, Fraction(5, 4)),
@@ -281,19 +309,66 @@ def test_poincare_polynomial_matches_the_running_sum(p, r, k, n):
     assert poincare_polynomial(params) == poincare_running_sum(params)
 
 
+@pytest.mark.parametrize("r", range(1, 6))
+def test_poincare_polynomial_matches_the_per_locus_sum(r):
+    # every n with 0 <= 2rn <= 8r, fractional ones included; most are empty
+    empty = 0
+    for p in (1, 2, 3):
+        for k in range(-2, 3):
+            for j in range(8 * r + 1):
+                params = ModuliParams(p, r, k, Fraction(j, 2 * r))
+                got = poincare_polynomial(params)
+                assert got == poincare_by_loci(params), params
+                empty += got == TPolynomial.zero()
+    assert empty > 0
+
+
+@pytest.mark.parametrize(
+    "p, r, k, n",
+    [(1, 1, 0, Fraction(1, 2)), (2, 2, 1, 1), (1, 3, 1, 0), (3, 4, 2, Fraction(1, 4)),
+     (1, 2, 0, -1)],
+)
+def test_empty_spaces_have_the_zero_polynomial(p, r, k, n):
+    params = ModuliParams(p, r, k, n)
+    assert not check_nonempty(params)
+    assert poincare_polynomial(params) == poincare_by_loci(params) == TPolynomial.zero()
+
+
 def test_warm_poincare_polynomial_builds_no_diagram(monkeypatch):
     params = ModuliParams(1, 3, 0, 8)
     poincare_polynomial(params)
     built = []
-    original = PartitionDiagram.__init__
+    for cls in (PartitionDiagram, ReducedFixedPointDatum, FixedPointDatum):
+        original = cls.__init__
 
-    def counting_init(self, *args, **kwargs):
-        built.append(args)
-        original(self, *args, **kwargs)
+        def counting_init(self, *args, original=original, **kwargs):
+            built.append(type(self))
+            original(self, *args, **kwargs)
 
-    monkeypatch.setattr(PartitionDiagram, "__init__", counting_init)
+        monkeypatch.setattr(cls, "__init__", counting_init)
     poincare_polynomial(params)
     assert built == []
+
+
+def clear_every_cache():
+    for name, module in list(sys.modules.items()):
+        if name == "hirzebruch" or name.startswith("hirzebruch."):
+            for obj in vars(module).values():
+                if callable(getattr(obj, "cache_clear", None)):
+                    obj.cache_clear()
+
+
+def test_cold_results_equal_warm_ones():
+    grid = [ModuliParams(p, r, k, Fraction(j, 2 * r))
+            for p, r, k in [(1, 3, 0), (2, 4, 1), (1, 2, 1), (3, 5, -1)]
+            for j in range(6 * r + 1)]
+    first = [poincare_polynomial(params) for params in grid]
+    assert [poincare_polynomial(params) for params in grid] == first
+    for params, expected in zip(grid, first):
+        clear_every_cache()
+        assert _slot_table.cache_info().currsize == 0
+        assert enumerate_partitions.cache_info().currsize == 0
+        assert poincare_polynomial(params) == expected, params
 
 
 def test_indexed_points_frozen():

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 from collections import Counter
 
 import pytest
@@ -119,6 +121,31 @@ def test_enumeration_is_one_shared_table_equal_to_the_rows_oracle():
         again = enumerate_partitions(n)
         assert again is got
         assert all(a is b for a, b in zip(got, again))
+
+
+def test_shared_diagrams_cannot_be_changed():
+    y = enumerate_partitions(2)[0]
+    with pytest.raises(AttributeError):
+        y.rows = (5,)
+    with pytest.raises(AttributeError):
+        y.cols = (5,)
+    with pytest.raises(AttributeError):
+        y.extra = 1
+    with pytest.raises(AttributeError):
+        del y.rows
+    with pytest.raises(AttributeError):
+        del y.cols
+    assert [d.rows for d in enumerate_partitions(2)] == [(2,), (1, 1)]
+    assert [d.cols for d in enumerate_partitions(2)] == [(1, 1), (2,)]
+
+
+@given(diagrams())
+def test_pickle_and_copies_round_trip(y):
+    for twin in (pickle.loads(pickle.dumps(y)), copy.deepcopy(y), copy.copy(y)):
+        assert type(twin) is PartitionDiagram
+        assert (twin.rows, twin.cols) == (y.rows, y.cols)
+        with pytest.raises(AttributeError):
+            twin.rows = ()
 
 
 def test_enumeration_order_is_decreasing_lex():
