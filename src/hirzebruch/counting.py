@@ -256,55 +256,38 @@ def poincare_polynomial(params: ModuliParams) -> TPolynomial:
     return TPolynomial(coeffs)
 
 
-def _bracket_ratio(series: QSeries, i: int) -> QSeries:
-    # multiply by (1 - q^i t^(4i-4)) / (1 - q^i t^(4i))
-    series = series.mul_one_minus(i, TPolynomial.t_power(4 * i - 4))
-    return series.mul_inverse_one_minus(i, TPolynomial.t_power(4 * i))
-
-
 def rank2_series_closed(p: int, order: int) -> QSeries:
     """Generating series of rank-2, k=0 Poincare polynomials, closed form.
 
     The series is a product of four infinite q-Pochhammer-type factors
     times a bracket summing two families of k-string sectors, indexed by
     h >= 0 and h > 0, each weighted by q^(p h^2) and an explicit t-power.
-    Truncated exactly at the given q-order.
+    Sector m = 0, 1, 2, .. has h = ceil(m/2), from the first family for even
+    m and the second for odd m, and carries the ratios R_i = (1 - q^i
+    t^(4i-4)) / (1 - q^i t^(4i)), i = 1..m; the bracket is summed innermost
+    first, as c_0 + R_1 (c_1 + R_2 (c_2 + ..)).  Truncated exactly at the order.
     """
-    if p < 1:
-        raise ValueError(f"p must be a positive integer, got {p}")
-    if order < 0:
-        raise ValueError(f"order must be nonnegative, got {order}")
-    series = QSeries.one(order)
+    if type(p) is not int or p < 1:
+        raise ValueError(f"p must be a positive integer, got {p!r}")
+    series = QSeries(order)
+    for m in range(2 * math.isqrt(order // p), -1, -1):
+        h = (m + 1) // 2
+        if m % 2:
+            series.add_monomial(p * h * h, 2 * (2 * h - 1) * (p * h + 1))
+        else:
+            series.add_monomial(p * h * h, 2 * h * (p * (2 * h - 1) + 2))
+        if m:
+            series.mul_one_minus(m, 4 * m - 4)
+            series.mul_inverse_one_minus(m, 4 * m)
     for i in range(1, order + 1):
-        series = series.mul_inverse_one_minus(i, TPolynomial.t_power(4 * i))
-        series = series.mul_inverse_one_minus(i, TPolynomial.t_power(4 * i - 2))
-        series = series.mul_inverse_one_minus(i, TPolynomial.t_power(4 * i - 2))
-        series = series.mul_inverse_one_minus(i, TPolynomial.t_power(4 * i - 4))
-    bracket = QSeries.zero(order)
-    h = 0
-    while p * h * h <= order:
-        term = QSeries.term(
-            order, p * h * h, TPolynomial.t_power(2 * h * (p * (2 * h - 1) + 2))
-        )
-        for i in range(1, 2 * h + 1):
-            term = _bracket_ratio(term, i)
-        bracket = bracket + term
-        h += 1
-    h = 1
-    while p * h * h <= order:
-        term = QSeries.term(
-            order, p * h * h, TPolynomial.t_power(2 * (2 * h - 1) * (p * h + 1))
-        )
-        for i in range(1, 2 * h):
-            term = _bracket_ratio(term, i)
-        bracket = bracket + term
-        h += 1
-    return series * bracket
+        series.mul_inverse_one_minus(i, 4 * i)
+        series.mul_inverse_one_minus(i, 4 * i - 2)
+        series.mul_inverse_one_minus(i, 4 * i - 2)
+        series.mul_inverse_one_minus(i, 4 * i - 4)
+    return series
 
 
 def _series_direct(p: int, r: int, order: int) -> QSeries:
-    if order < 0:
-        raise ValueError(f"order must be nonnegative, got {order}")
     return QSeries(
         order,
         {n: poincare_polynomial(ModuliParams(p, r, 0, n)) for n in range(order + 1)},

@@ -7,8 +7,8 @@ Three rings cover everything the fixed-point computations need:
   vector (a, b, (c1, .., cr)).
 * `TPolynomial`: integer polynomials in a single variable t with
   nonnegative exponents, used for Poincare polynomials.
-* `QSeries`: power series in q truncated at a fixed order, with
-  TPolynomial coefficients and exact rational q-exponents.
+* `QSeries`: power series in q truncated at a fixed order, with integer
+  q-exponents and one {t-degree: coeff} table per power of q.
 
 `OrderingSpec` fixes a lexicographic sign convention on Character
 monomials, used to count negative-weight directions.
@@ -365,107 +365,84 @@ class TPolynomial:
         return f"<TPolynomial {self.text()}>"
 
 
-Rational = Union[int, Fraction]
+def _index(value, what: str, least: int = 0) -> int:
+    # a series index is an int (not a bool, float or Fraction) and >= least
+    if type(value) is not int or value < least:
+        raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
+    return value
 
 
 class QSeries:
-    """A power series in q truncated at a fixed order.
+    """A power series in q truncated at a fixed order, with integer q-exponents.
 
-    Coefficients are TPolynomials; q-exponents are exact nonnegative
-    rationals.  All arithmetic discards terms beyond the order.
+    Row j of `rows` is the coefficient of q^j as a {t-degree: coeff} table.
+    The monomial factors (1 - q^a t^b) and 1/(1 - q^a t^b) multiply in
+    place, one pass over the rows each, and discard terms beyond the order.
+    Entries that cancel to 0 stay in their row until read.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "rows")
 
-    def __init__(self, order: Rational, coeffs: Mapping[Rational, TPolynomial] | None = None):
-        self.order = Fraction(order)
-        clean: dict[Fraction, TPolynomial] = {}
+    def __init__(self, order: int, coeffs: Mapping[int, TPolynomial] | None = None):
+        self.order = _index(order, "order")
+        self.rows: list[dict[int, int]] = [{} for _ in range(order + 1)]
         for qexp, poly in (coeffs or {}).items():
-            qexp = Fraction(qexp)
-            if qexp < 0:
-                raise ValueError(f"q-exponent must be nonnegative, got {qexp}")
-            if qexp <= self.order and poly:
-                clean[qexp] = poly
-        self.coeffs = clean
+            if _index(qexp, "q-exponent") <= order:
+                self.rows[qexp] = dict(poly.coeffs)
 
-    @classmethod
-    def zero(cls, order: Rational) -> "QSeries":
-        return cls(order)
+    def add_monomial(self, qexp: int, degree: int) -> None:
+        """Add q^qexp t^degree; a term beyond the order is discarded."""
+        _index(degree, "t-degree")
+        if _index(qexp, "q-exponent") <= self.order:
+            row = self.rows[qexp]
+            row[degree] = row.get(degree, 0) + 1
 
-    @classmethod
-    def one(cls, order: Rational) -> "QSeries":
-        return cls(order, {Fraction(0): TPolynomial.one()})
+    def mul_one_minus(self, qexp: int, degree: int) -> None:
+        """Multiply in place by (1 - q^qexp t^degree): row[j] -= row[j - qexp], descending."""
+        # q^0 would make the pass read the row it writes
+        _index(qexp, "a factor's q-exponent", 1)
+        _index(degree, "t-degree")
+        rows = self.rows
+        for j in range(self.order, qexp - 1, -1):
+            row = rows[j]
+            for deg, coeff in rows[j - qexp].items():
+                deg += degree
+                row[deg] = row.get(deg, 0) - coeff
 
-    @classmethod
-    def term(cls, order: Rational, qexp: Rational, poly: TPolynomial) -> "QSeries":
-        return cls(order, {Fraction(qexp): poly})
+    def mul_inverse_one_minus(self, qexp: int, degree: int) -> None:
+        """Multiply in place by 1/(1 - q^qexp t^degree): row[j] += row[j - qexp], ascending."""
+        # q^0 would make the pass read the row it writes
+        _index(qexp, "a factor's q-exponent", 1)
+        _index(degree, "t-degree")
+        rows = self.rows
+        for j in range(qexp, self.order + 1):
+            row = rows[j]
+            for deg, coeff in rows[j - qexp].items():
+                deg += degree
+                row[deg] = row.get(deg, 0) + coeff
 
-    def _require_same_order(self, other: "QSeries") -> None:
-        if self.order != other.order:
-            raise ValueError(f"order mismatch: {self.order} vs {other.order}")
+    def coefficient(self, qexp: int) -> TPolynomial:
+        if 0 <= qexp <= self.order:
+            return TPolynomial(self.rows[qexp])
+        return TPolynomial()
 
-    def __add__(self, other: "QSeries") -> "QSeries":
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        self._require_same_order(other)
-        coeffs = dict(self.coeffs)
-        for qexp, poly in other.coeffs.items():
-            coeffs[qexp] = coeffs.get(qexp, TPolynomial.zero()) + poly
-        return QSeries(self.order, coeffs)
-
-    def __mul__(self, other: "QSeries") -> "QSeries":
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        self._require_same_order(other)
-        coeffs: dict[Fraction, TPolynomial] = {}
-        for q1, p1 in self.coeffs.items():
-            for q2, p2 in other.coeffs.items():
-                qexp = q1 + q2
-                if qexp <= self.order:
-                    coeffs[qexp] = coeffs.get(qexp, TPolynomial.zero()) + p1 * p2
-        return QSeries(self.order, coeffs)
-
-    def coefficient(self, qexp: Rational) -> TPolynomial:
-        return self.coeffs.get(Fraction(qexp), TPolynomial.zero())
-
-    def items(self) -> list[tuple[Fraction, TPolynomial]]:
-        return sorted(self.coeffs.items())
-
-    def mul_one_minus(self, qexp: Rational, poly: TPolynomial) -> "QSeries":
-        """Multiply by (1 - q^qexp * poly)."""
-        qexp, minus = Fraction(qexp), -poly
-        coeffs = dict(self.coeffs)
-        for q, p in self.coeffs.items():
-            q += qexp
-            if q <= self.order:
-                coeffs[q] = coeffs[q] + p * minus if q in coeffs else p * minus
-        return QSeries(self.order, coeffs)
-
-    def mul_inverse_one_minus(self, qexp: Rational, poly: TPolynomial) -> "QSeries":
-        """Multiply by 1/(1 - q^qexp * poly) = sum_m q^(m*qexp) poly^m."""
-        qexp = Fraction(qexp)
-        if qexp <= 0:
-            raise ValueError(f"geometric inversion needs a positive q-exponent, got {qexp}")
-        # each term of self spreads into q^(m*qexp) poly^m up to the order
-        coeffs: dict[Fraction, TPolynomial] = {}
-        for q, p in self.coeffs.items():
-            while q <= self.order:
-                coeffs[q] = coeffs[q] + p if q in coeffs else p
-                q, p = q + qexp, p * poly
-        return QSeries(self.order, coeffs)
+    def _terms(self) -> list[tuple[int, TPolynomial]]:
+        # the nonzero coefficients, ascending in q
+        return [(j, poly) for j, poly in enumerate(map(TPolynomial, self.rows)) if poly]
 
     def to_json(self) -> list[dict]:
-        return [{"q": str(q), "poly": p.to_pairs()} for q, p in self.items()]
+        return [{"q": str(j), "poly": poly.to_pairs()} for j, poly in self._terms()]
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, QSeries)
             and self.order == other.order
-            and self.coeffs == other.coeffs
+            and self._terms() == other._terms()
         )
 
     def __repr__(self) -> str:
-        if not self.coeffs:
+        terms = self._terms()
+        if not terms:
             return "<QSeries 0>"
-        body = " + ".join(f"({p.text()})*q^{q}" for q, p in self.items())
+        body = " + ".join(f"({poly.text()})*q^{j}" for j, poly in terms)
         return f"<QSeries {body}>"

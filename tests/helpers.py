@@ -1,6 +1,7 @@
 """Per-box diagram statistics, the rows enumeration of partitions, the
-per-locus Poincare sum, the Fraction k-string search and Character
-operations that only the tests use.
+per-locus Poincare sum, the Fraction k-string search, series arithmetic
+on one TPolynomial per power of q, and Character operations that only the
+tests use.
 
 The library reads arms and legs off a diagram's rows and their conjugate
 (`localization._patch_exponents`) and counts box colors in closed form
@@ -21,7 +22,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from hirzebruch.counting import indexed_points
-from hirzebruch.laurent import Character, TPolynomial
+from hirzebruch.laurent import Character, QSeries, TPolynomial
 from hirzebruch.partitions import compositions
 
 
@@ -72,6 +73,71 @@ def fraction_k_strings(params):
         if excess >= 0 and excess.denominator == 1:
             out.append((ks, int(excess)))
     return out
+
+
+# Series as {q-exponent: TPolynomial} maps truncated at `order`, multiplied
+# term by term: the arithmetic the in-place monomial factors of `QSeries`
+# replaced, kept as their oracle.
+
+
+def spread_one_minus(order, coeffs, qexp, poly):
+    """coeffs times (1 - q^qexp * poly)."""
+    out, minus = dict(coeffs), -poly
+    for q, p in coeffs.items():
+        q += qexp
+        if q <= order:
+            out[q] = out[q] + p * minus if q in out else p * minus
+    return out
+
+
+def spread_inverse_one_minus(order, coeffs, qexp, poly):
+    """coeffs times 1/(1 - q^qexp * poly): each term spreads into q^(m*qexp) poly^m."""
+    out = {}
+    for q, p in coeffs.items():
+        while q <= order:
+            out[q] = out[q] + p if q in out else p
+            q, p = q + qexp, p * poly
+    return out
+
+
+def series_sum(left, right):
+    out = dict(left)
+    for q, p in right.items():
+        out[q] = out.get(q, TPolynomial()) + p
+    return out
+
+
+def series_product(order, left, right):
+    out = {}
+    for q1, p1 in left.items():
+        for q2, p2 in right.items():
+            if q1 + q2 <= order:
+                out[q1 + q2] = out.get(q1 + q2, TPolynomial()) + p1 * p2
+    return out
+
+
+def rank2_series_by_products(p, order):
+    """The closed rank-2 series as the Pochhammer product times the bracket.
+
+    Each sector term of the bracket is multiplied by its own ratios
+    (1 - q^i t^(4i-4)) / (1 - q^i t^(4i)), the terms are summed, and the
+    sum is multiplied by the product series.
+    """
+    product = {0: TPolynomial.one()}
+    for i in range(1, order + 1):
+        for degree in (4 * i, 4 * i - 2, 4 * i - 2, 4 * i - 4):
+            product = spread_inverse_one_minus(order, product, i, TPolynomial.t_power(degree))
+    bracket = {}
+    sectors = [(h, 2 * h, 2 * h * (p * (2 * h - 1) + 2)) for h in range(order + 1)]
+    sectors += [(h, 2 * h - 1, 2 * (2 * h - 1) * (p * h + 1)) for h in range(1, order + 1)]
+    for h, ratios, degree in sectors:
+        if p * h * h <= order:
+            term = {p * h * h: TPolynomial.t_power(degree)}
+            for i in range(1, ratios + 1):
+                term = spread_one_minus(order, term, i, TPolynomial.t_power(4 * i - 4))
+                term = spread_inverse_one_minus(order, term, i, TPolynomial.t_power(4 * i))
+            bracket = series_sum(bracket, term)
+    return QSeries(order, series_product(order, product, bracket))
 
 
 class Box(NamedTuple):

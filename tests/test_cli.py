@@ -463,7 +463,9 @@ PINNED_REQUESTS = [
     ["poincare", "--p", "1", "--r", "6", "--k", "0", "--n", "2"],
     ["series", "--p", "1", "--max-order", "3"],
     ["series", "--p", "1", "--max-order", "3", "--method", "direct"],
+    ["series", "--p", "2", "--max-order", "8"],
     ["hilbert", "--p", "2", "--max-order", "4"],
+    ["hilbert", "--p", "1", "--max-order", "8"],
     ["ale", "--r", "2", "--n", "3/2", "--points"],
     ["ale", "--r", "3", "--n", "2"],
     ["check", "--p", "3", "--r", "4", "--k", "2", "--n", "7/2"],
@@ -471,7 +473,7 @@ PINNED_REQUESTS = [
 ]
 PINNED_OUTPUT = (
     "0.1.0",
-    "4ce6f3fa231aa04d4138e803316d3edbaebddce0155cf0f9b892ce32ed1b5e34",
+    "cc71ae5a0b194c2db6b12aac3f6f7b5901265507f8ab5af09d6d270c19e40071",
 )
 
 

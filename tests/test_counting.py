@@ -5,7 +5,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from helpers import column_heights, fraction_k_strings, poincare_by_loci
+from helpers import column_heights, fraction_k_strings, poincare_by_loci, rank2_series_by_products
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -422,8 +422,17 @@ def test_rank2_series_closed_frozen_coefficients():
 
 
 def test_rank2_series_closed_matches_direct():
-    for p in (1, 2):
-        assert rank2_series_closed(p, 3) == rank2_series_direct(p, 3)
+    for p in (1, 2, 3):
+        assert rank2_series_closed(p, 6) == rank2_series_direct(p, 6)
+
+
+def test_rank2_series_closed_matches_the_product_of_series():
+    # the in-place monomial factors against the product-times-bracket form
+    for p in (1, 2, 3, 4):
+        for order in range(11):
+            closed, expected = rank2_series_closed(p, order), rank2_series_by_products(p, order)
+            assert closed == expected
+            assert closed.to_json() == expected.to_json()
 
 
 def test_hilbert_series_frozen_coefficients():
@@ -432,6 +441,12 @@ def test_hilbert_series_frozen_coefficients():
     assert s.coefficient(1) == TPolynomial({0: 1, 2: 1})
     assert s.coefficient(2) == TPolynomial({0: 1, 2: 2, 4: 2})
     assert s.coefficient(3) == TPolynomial({0: 1, 2: 2, 4: 4, 6: 3})
+
+
+@pytest.mark.parametrize("p", [0, 1.0, True, Fraction(1)])
+def test_rank2_series_closed_rejects_a_p_that_is_not_a_positive_int(p):
+    with pytest.raises(ValueError, match="p must be a positive integer"):
+        rank2_series_closed(p, 2)
 
 
 def test_series_reject_negative_order():

@@ -1,7 +1,18 @@
 from fractions import Fraction
 
 import pytest
-from helpers import conjugate, invariant_part, permute_framing, promote, swap_t, zero_weight_count
+from helpers import (
+    conjugate,
+    invariant_part,
+    permute_framing,
+    promote,
+    series_product,
+    series_sum,
+    spread_inverse_one_minus,
+    spread_one_minus,
+    swap_t,
+    zero_weight_count,
+)
 from hypothesis import given, strategies as st
 
 from hirzebruch.laurent import (
@@ -264,79 +275,117 @@ def test_tpolynomial_from_pairs_rejects_non_integers(pairs):
 
 
 def test_qseries_truncation():
-    s = QSeries.term(2, 3, TPolynomial.one())
-    assert s == QSeries.zero(2)
-    t = QSeries.term(2, 1, TPolynomial.one())
+    s = QSeries(2, {3: TPolynomial.one()})
+    assert s == QSeries(2)
+    s.add_monomial(3, 0)
+    assert s == QSeries(2)
+    t = QSeries(2, {1: TPolynomial.one()})
     assert t.coefficient(1) == TPolynomial.one()
     assert t.coefficient(2) == TPolynomial.zero()
 
 
 def test_qseries_product_truncates():
-    one_plus_q = QSeries.one(3) + QSeries.term(3, 1, TPolynomial.one())
-    cube = one_plus_q * one_plus_q * one_plus_q
+    # (1 + q)^3 = (1 - q^2)^3 / (1 - q)^3, truncated at q^3
+    cube = QSeries(3, {0: TPolynomial.one()})
+    for _ in range(3):
+        cube.mul_one_minus(2, 0)
+        cube.mul_inverse_one_minus(1, 0)
     assert cube.coefficient(2) == TPolynomial({0: 3})
     assert cube.coefficient(3) == TPolynomial({0: 1})
+    one_plus_q = {0: TPolynomial.one(), 1: TPolynomial.one()}
+    assert cube == QSeries(3, series_product(3, series_product(3, one_plus_q, one_plus_q), one_plus_q))
 
 
 def test_qseries_geometric_inverse():
     # 1/(1-q) through order 4
-    s = QSeries.one(4).mul_inverse_one_minus(1, TPolynomial.one())
+    s = QSeries(4, {0: TPolynomial.one()})
+    s.mul_inverse_one_minus(1, 0)
     for j in range(5):
         assert s.coefficient(j) == TPolynomial.one()
-    back = s.mul_one_minus(1, TPolynomial.one())
-    assert back == QSeries.one(4)
+    s.mul_one_minus(1, 0)
+    assert s == QSeries(4, {0: TPolynomial.one()})
 
 
-def shifted_scaled(s, qexp, poly):
-    return QSeries(s.order, {q + qexp: p * poly for q, p in s.coeffs.items()})
-
-
-def mul_inverse_one_minus_oracle(s, qexp, poly):
-    # the running sum s + s*x + s*x^2 + .., one series per power of x = q^qexp * poly
-    total = term = s
+def mul_inverse_one_minus_oracle(order, coeffs, x):
+    # the running sum s + s*x + s*x^2 + .., one series per power of the monomial x
+    total = term = coeffs
     while True:
-        term = shifted_scaled(term, qexp, poly)
-        if not term.coeffs:
+        term = series_product(order, term, x)
+        if not term:
             return total
-        total = total + term
+        total = series_sum(total, term)
 
 
 @given(
+    st.integers(0, 6),
     st.dictionaries(
         st.integers(0, 6),
         st.dictionaries(st.integers(0, 4), st.integers(-3, 3), max_size=3),
         max_size=4,
     ),
     st.integers(1, 4),
-    st.dictionaries(st.integers(0, 4), st.integers(-2, 2), max_size=3),
+    st.integers(0, 4),
 )
-def test_qseries_one_minus_and_its_inverse_match_the_running_sums(halves, step, poly):
-    # q-exponents in halves up to order 3
-    s = QSeries(3, {Fraction(h, 2): TPolynomial(c) for h, c in halves.items()})
-    qexp, poly = Fraction(step, 2), TPolynomial(poly)
-    inverse = s.mul_inverse_one_minus(qexp, poly)
-    assert inverse == mul_inverse_one_minus_oracle(s, qexp, poly)
-    minus = QSeries(3, {q: -p for q, p in shifted_scaled(s, qexp, poly).coeffs.items()})
-    assert s.mul_one_minus(qexp, poly) == s + minus
-    assert inverse.mul_one_minus(qexp, poly) == s
+def test_qseries_one_minus_and_its_inverse_match_the_running_sums(order, rows, qexp, degree):
+    coeffs = {q: TPolynomial(c) for q, c in rows.items() if q <= order}
+    x = {qexp: TPolynomial.t_power(degree)}
+    s = QSeries(order, coeffs)
+    s.mul_inverse_one_minus(qexp, degree)
+    assert s == QSeries(order, mul_inverse_one_minus_oracle(order, coeffs, x))
+    assert s == QSeries(order, spread_inverse_one_minus(order, coeffs, qexp, x[qexp]))
+    s.mul_one_minus(qexp, degree)
+    assert s == QSeries(order, coeffs)
+    s.mul_one_minus(qexp, degree)
+    minus = {q: -p for q, p in series_product(order, coeffs, x).items()}
+    assert s == QSeries(order, series_sum(coeffs, minus))
+    assert s == QSeries(order, spread_one_minus(order, coeffs, qexp, x[qexp]))
 
 
 def test_qseries_inverse_requires_positive_exponent():
     with pytest.raises(ValueError):
-        QSeries.one(2).mul_inverse_one_minus(0, TPolynomial.one())
+        QSeries(2, {0: TPolynomial.one()}).mul_inverse_one_minus(0, 0)
 
 
-def test_qseries_fractional_exponents():
-    half = Fraction(1, 2)
-    s = QSeries.term(1, half, TPolynomial({2: 1}))
-    sq = s * s
-    assert sq.coefficient(1) == TPolynomial({4: 1})
-    assert s.coefficient(half) == TPolynomial({2: 1})
+@pytest.mark.parametrize("qexp, degree", [(0, 0), (-1, 0), (1, -1), (1.0, 0), (True, 0), (1, 0.5)])
+def test_qseries_factors_require_a_positive_integer_exponent(qexp, degree):
+    s = QSeries(2, {0: TPolynomial.one()})
+    with pytest.raises(ValueError):
+        s.mul_inverse_one_minus(qexp, degree)
+    with pytest.raises(ValueError):
+        s.mul_one_minus(qexp, degree)
+    assert s == QSeries(2, {0: TPolynomial.one()})
+
+
+@pytest.mark.parametrize(
+    "order, qexp",
+    [
+        (2.5, 0),
+        (True, 0),
+        (Fraction(2), 0),
+        (-1, 0),
+        (2, 0.1),
+        (2, True),
+        (2, Fraction(1)),
+        (2, Fraction(1, 2)),
+        (2, -1),
+    ],
+)
+def test_qseries_rejects_non_integer_indices(order, qexp):
+    with pytest.raises(ValueError):
+        QSeries(order, {qexp: TPolynomial.one()})
+    if type(order) is int and order >= 0:
+        with pytest.raises(ValueError):
+            QSeries(order).add_monomial(qexp, 0)
 
 
 def test_qseries_json():
-    s = QSeries.one(1) + QSeries.term(1, Fraction(1, 2), TPolynomial({2: 3}))
+    s = QSeries(2, {0: TPolynomial.one(), 1: TPolynomial({2: 3})})
+    # q^2 t^4 cancels to a 0 entry, which no output shows
+    s.mul_inverse_one_minus(2, 4)
+    s.mul_one_minus(2, 4)
+    assert s.rows[2] == {4: 0}
     assert s.to_json() == [
         {"q": "0", "poly": [[0, 1]]},
-        {"q": "1/2", "poly": [[2, 3]]},
+        {"q": "1", "poly": [[2, 3]]},
     ]
+    assert repr(s) == "<QSeries (1)*q^0 + (3*t^2)*q^1>"
