@@ -27,7 +27,6 @@ from .counting import (
     indexed_points,
     l_prime,
     morse_index_closed,
-    n_prime,
     poincare_polynomial,
     rank2_series_closed,
     rank2_series_direct,
@@ -83,7 +82,6 @@ __all__ = [
     "main_ordering",
     "morse_index_closed",
     "n_character",
-    "n_prime",
     "poincare_polynomial",
     "rank2_series_closed",
     "rank2_series_direct",

@@ -59,37 +59,23 @@ def _rational(text: str) -> Fraction:
     return Fraction(text)
 
 
-def _int_list(text: str) -> list[int]:
-    out: list[int] = []
-    for token in text.split(","):
-        token = token.strip()
-        matched = _RANGE.match(token)
-        if matched:
-            lo, hi = int(matched.group(1)), int(matched.group(2))
-            out.extend(range(lo, hi + 1))
-        else:
-            try:
-                out.append(int(token))
-            except ValueError:
-                raise argparse.ArgumentTypeError(f"expected integers, got {token!r}")
-    return out
+def _list_of(convert):
+    """An argparse type: comma-separated `convert` values and integer ranges a..b."""
 
+    def parse(text: str) -> list:
+        out = []
+        for token in text.split(","):
+            token = token.strip()
+            matched = _RANGE.match(token)
+            if matched:
+                lo, hi = int(matched.group(1)), int(matched.group(2))
+                out.extend(convert(str(x)) for x in range(lo, hi + 1))
+            else:
+                out.append(convert(token))
+        return out
 
-def _rational_list(text: str) -> list[Fraction]:
-    out: list[Fraction] = []
-    for token in text.split(","):
-        token = token.strip()
-        matched = _RANGE.match(token)
-        if matched:
-            lo, hi = int(matched.group(1)), int(matched.group(2))
-            out.extend(Fraction(x) for x in range(lo, hi + 1))
-        elif _RATIONAL.match(token):
-            out.append(Fraction(token))
-        else:
-            raise argparse.ArgumentTypeError(
-                f"expected rationals or integer ranges a..b, got {token!r}"
-            )
-    return out
+    parse.__name__ = f"{convert.__name__} list"
+    return parse
 
 
 def _request(subcommand: str, **fields) -> dict:
@@ -224,6 +210,19 @@ def _load_fixed_point_records(source: str) -> list:
     return records
 
 
+def _character_record(point, x, ordering=None) -> dict:
+    """A fixed point with its tangent character x, x's dimension and, given an
+    ordering, its index."""
+    record = {
+        "fixed_point": point.to_json(),
+        "character": x.to_json(),
+        "dimension": x.dimension(),
+    }
+    if ordering is not None:
+        record["index"] = x.negative_count(ordering)
+    return record
+
+
 def _cmd_tangent(args, cache):
     params = _params(args)
     request = _request(
@@ -240,25 +239,15 @@ def _cmd_tangent(args, cache):
         points = list(enumerate_reduced_fixed_points(params))
     else:
         points = list(enumerate_fixed_points(params))
-    ordering = _ordering(args.ordering, params.r)
-
-    def one(point):
-        if args.reduced:
-            x = reduced_tangent_character(params, point)
-            return {
-                "fixed_point": point.to_json(),
-                "character": x.to_json(),
-                "dimension": x.dimension(),
-                "index": x.negative_count(ordering),
-            }
-        x = tangent_character(params, point)
-        return {
-            "fixed_point": point.to_json(),
-            "character": x.to_json(),
-            "dimension": x.dimension(),
-        }
-
-    return request, [one(point) for point in points]
+    if args.reduced:
+        ordering = _ordering(args.ordering, params.r)
+        records = [
+            _character_record(point, reduced_tangent_character(params, point), ordering)
+            for point in points
+        ]
+    else:
+        records = [_character_record(fp, tangent_character(params, fp)) for fp in points]
+    return request, records
 
 
 def _cmd_poincare(args, cache):
@@ -293,17 +282,10 @@ def _cmd_ale(args, cache):
     if args.points:
         request = _request("ale", r=args.r, n=args.n, ordering=args.ordering, points=True)
         ordering = _ordering(args.ordering, args.r)
-
-        def one(fp):
-            x = ale_tangent_character(fp)
-            return {
-                "fixed_point": fp.to_json(),
-                "character": x.to_json(),
-                "dimension": x.dimension(),
-                "index": x.negative_count(ordering),
-            }
-
-        points = [one(fp) for fp in enumerate_colored_fixed_points(args.r, args.n)]
+        points = [
+            _character_record(fp, ale_tangent_character(fp), ordering)
+            for fp in enumerate_colored_fixed_points(args.r, args.n)
+        ]
         poly = TPolynomial(Counter(2 * record["index"] for record in points))
         return request, {"poly": poly.to_pairs(), "points": points}
     return _ale_payload(cache, args.r, args.n, args.ordering)
@@ -387,6 +369,19 @@ def _cmd_sweep(args, cache):
         for n in args.n
     ]
     return request, rows
+
+
+def _write_stdout(text: str) -> None:
+    """Print text and flush.  If stdout cannot take it (a closed pipe, a full
+    disk), point its descriptor at os.devnull before the error propagates, so
+    the flush at interpreter shutdown raises no second error."""
+    try:
+        print(text, flush=True)
+    except OSError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -502,11 +497,11 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="what to compute per cell",
     )
-    sw.add_argument("--p", type=_int_list, required=True, help="e.g. 1,2 or 1..3")
-    sw.add_argument("--r", type=_int_list, required=True)
-    sw.add_argument("--k", type=_int_list, required=True)
+    sw.add_argument("--p", type=_list_of(int), required=True, help="e.g. 1,2 or 1..3")
+    sw.add_argument("--r", type=_list_of(int), required=True)
+    sw.add_argument("--k", type=_list_of(int), required=True)
     sw.add_argument(
-        "--n", type=_rational_list, required=True, help="e.g. 0..4 or 0,1/2,1"
+        "--n", type=_list_of(_rational), required=True, help="e.g. 0..4 or 0,1/2,1"
     )
     sw.set_defaults(handler=_cmd_sweep, render=_sweep_text)
 
@@ -526,13 +521,13 @@ def main(argv=None) -> int:
             output = json.dumps(envelope, sort_keys=True, indent=2)
         else:
             output = args.render(args, payload)
+        _write_stdout(output)
     except InvariantError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(output)
     if args.timing:
         elapsed = int(1000 * (time.monotonic() - started))
         print(f"timing_ms={elapsed}", file=sys.stderr)

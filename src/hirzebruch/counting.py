@@ -7,8 +7,10 @@ contributes its own Poincare polynomial (`component_factor`) shifted by
 t^(2 * Morse index).  The Morse index has a closed form in terms of the
 diagrams and the k-string, and independently equals the number of
 negative-weight directions of the reduced tangent character.  The closed
-form splits into one term per summand, so `poincare_polynomial` sums
-slot by slot instead of locus by locus.
+form splits into a k-string part and one term per summand (`_pair_terms`,
+`_slot_term`); that one split gives `morse_index_closed`, the per-slot
+tables and `poincare_polynomial`, which sums slot by slot instead of
+locus by locus.
 
 Enumeration orders are deterministic: k-strings ascend lexicographically
 within their search box, box distributions over the diagram slots ascend
@@ -107,35 +109,42 @@ def l_prime(p: int, ka: int, kb: int) -> int:
     return (m - 1) * (p * m + 2) // 2
 
 
-def n_prime(y_alpha: PartitionDiagram, y_beta: PartitionDiagram, diff: int) -> int:
-    """Number of columns whose boxes cancel in the pair's index count.
+@lru_cache(maxsize=None)
+def _pair_terms(p: int, ks: tuple[int, ...]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Sum of `l_prime` over pairs a < b of a k-string, and each slot's thresholds.
 
-    Counts columns of y_alpha strictly longer than diff when diff >= 0,
-    else columns of y_beta strictly longer than -diff - 1.
+    Pair a < b hands the threshold d = k_a - k_b to slot a when d >= 0,
+    else -d - 1 to slot b.  One sorted tuple of thresholds per slot.
     """
-    if diff >= 0:
-        return sum(1 for length in y_alpha.cols if length > diff)
-    return sum(1 for length in y_beta.cols if length > -diff - 1)
+    total = 0
+    thresholds: list[list[int]] = [[] for _ in ks]
+    for a, ka in enumerate(ks):
+        for b in range(a + 1, len(ks)):
+            total += l_prime(p, ka, ks[b])
+            d = ka - ks[b]
+            if d >= 0:
+                thresholds[a].append(d)
+            else:
+                thresholds[b].append(-d - 1)
+    return total, tuple(tuple(sorted(th)) for th in thresholds)
+
+
+def _slot_term(thresholds: tuple[int, ...], y: PartitionDiagram) -> int:
+    """Minus the columns of y, minus its columns longer than each threshold."""
+    return -len(y.cols) - sum(1 for th in thresholds for h in y.cols if h > th)
 
 
 def morse_index_closed(params: ModuliParams, rfp: ReducedFixedPointDatum) -> int:
     """Morse index of a reduced fixed locus, by the closed formula.
 
     Diagonal terms contribute |Y_a| - (number of columns of Y_a); each
-    pair a < b contributes l_prime + |Y_a| + |Y_b| - n_prime.
+    pair a < b contributes l_prime + |Y_a| + |Y_b| minus the columns of one
+    slot longer than its threshold.  Summed: the pair part of `_pair_terms`,
+    plus r * sum |Y_a|, plus one `_slot_term` per slot.
     """
-    total = sum(y.size - len(y.cols) for y in rfp.ys)
-    r = params.r
-    for a in range(r):
-        for b in range(a + 1, r):
-            diff = rfp.ks[a] - rfp.ks[b]
-            total += (
-                l_prime(params.p, rfp.ks[a], rfp.ks[b])
-                + rfp.ys[a].size
-                + rfp.ys[b].size
-                - n_prime(rfp.ys[a], rfp.ys[b], diff)
-            )
-    return total
+    pairs, thresholds = _pair_terms(params.p, rfp.ks)
+    slots = sum(_slot_term(th, y) for th, y in zip(thresholds, rfp.ys))
+    return pairs + params.r * rfp.box_count() + slots
 
 
 def _factor_terms(ys, shift: int = 0) -> dict[int, int]:
@@ -190,18 +199,14 @@ def indexed_points(params: ModuliParams) -> Iterator[IndexedPoint]:
 
 @lru_cache(maxsize=None)
 def _slot_table(thresholds: tuple[int, ...], size: int) -> tuple[tuple[int, int], ...]:
-    """Sum over diagrams Y of `size` boxes of t^(2 f(Y)) times Y's component factor.
+    """Sum over diagrams Y of `size` boxes of t^(2 * _slot_term(thresholds, Y))
+    times Y's component factor.
 
-    f(Y) = -(number of columns) - sum over th in thresholds of the number
-    of columns longer than th: the part of the Morse index that one slot's
-    diagram adds.  Sorted (degree, coefficient) pairs; degrees may be negative.
+    Sorted (degree, coefficient) pairs; degrees may be negative.
     """
     terms: dict[int, int] = {}
     for y in enumerate_partitions(size):
-        f = -len(y.cols)
-        for th in thresholds:
-            f -= sum(1 for length in y.cols if length > th)
-        for deg, coeff in _factor_terms((y,), 2 * f).items():
+        for deg, coeff in _factor_terms((y,), 2 * _slot_term(thresholds, y)).items():
             terms[deg] = terms.get(deg, 0) + coeff
     return tuple(sorted(terms.items()))
 
@@ -220,39 +225,25 @@ def poincare_polynomial(params: ModuliParams) -> TPolynomial:
 
     The sum over reduced fixed loci of t^(2 * Morse index) times the
     locus's component factor, taken one k-string at a time.  With excess e,
-    `morse_index_closed` is L(ks) + r*e + sum_a f_a(Y_a), where L sums
-    `l_prime` over pairs and each pair a < b hands its `n_prime` threshold
-    d = k_a - k_b to slot a when d >= 0, else -d - 1 to slot b.  So the
-    sum over r-tuples of diagrams is a convolution, over sizes adding up
-    to e, of per-slot tables (`_slot_table`).  The zero polynomial means
-    the space is empty.
+    `morse_index_closed` is the k-string's pair part plus r*e plus one
+    `_slot_term` per slot, so the sum over r-tuples of diagrams is a
+    convolution, over sizes adding up to e, of per-slot tables
+    (`_slot_table`).  The zero polynomial means the space is empty.
     """
-    p, r = params.p, params.r
     coeffs: dict[int, int] = {}
     for ks, excess in _k_strings(params):
-        shift = r * excess
-        thresholds: list[list[int]] = [[] for _ in ks]
-        for a in range(r):
-            for b in range(a + 1, r):
-                shift += l_prime(p, ks[a], ks[b])
-                d = ks[a] - ks[b]
-                if d >= 0:
-                    thresholds[a].append(d)
-                else:
-                    thresholds[b].append(-d - 1)
+        pairs, thresholds = _pair_terms(params.p, ks)
         # boxes used by the slots so far -> the terms they give
-        partial = {0: {2 * shift: 1}}
-        for a in range(r - 1):
-            th = tuple(sorted(thresholds[a]))
+        partial = {0: {2 * (pairs + params.r * excess): 1}}
+        for th in thresholds[:-1]:
             grown: dict[int, dict[int, int]] = {}
             for used, terms in partial.items():
                 for size in range(excess - used + 1):
                     into = grown.setdefault(used + size, {})
                     _convolve(terms, _slot_table(th, size), into)
             partial = grown
-        th = tuple(sorted(thresholds[-1]))
         for used, terms in partial.items():
-            _convolve(terms, _slot_table(th, excess - used), coeffs)
+            _convolve(terms, _slot_table(thresholds[-1], excess - used), coeffs)
     return TPolynomial(coeffs)
 
 

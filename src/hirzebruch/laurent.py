@@ -44,7 +44,10 @@ def _rational(value) -> Fraction:
     """
     if not (type(value) is int or isinstance(value, (Fraction, str))):
         raise ValueError(f"expected an exact rational, got {value!r}")
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"expected an exact rational, got {value!r}") from None
 
 
 class Character:

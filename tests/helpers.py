@@ -1,7 +1,7 @@
 """Per-box diagram statistics, the rows enumeration of partitions, the
-per-locus Poincare sum, the Fraction k-string search, series arithmetic
-on one TPolynomial per power of q, and Character operations that only the
-tests use.
+pairwise Morse index, the per-locus Poincare sum, the Fraction k-string
+search, series arithmetic on one TPolynomial per power of q, and
+Character operations that only the tests use.
 
 The library reads arms and legs off a diagram's rows and their conjugate
 (`localization._patch_exponents`) and counts box colors in closed form
@@ -21,7 +21,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from hirzebruch.counting import indexed_points
+from hirzebruch.counting import indexed_points, l_prime
 from hirzebruch.laurent import Character, QSeries, TPolynomial
 from hirzebruch.partitions import compositions
 
@@ -42,16 +42,50 @@ def partition_rows(n, cap=None):
     ]
 
 
+def n_prime(y_alpha, y_beta, diff):
+    """Number of columns whose boxes cancel in the pair's index count.
+
+    Counts columns of y_alpha strictly longer than diff when diff >= 0,
+    else columns of y_beta strictly longer than -diff - 1.
+    """
+    if diff >= 0:
+        return sum(1 for length in y_alpha.cols if length > diff)
+    return sum(1 for length in y_beta.cols if length > -diff - 1)
+
+
+def morse_index_pairwise(params, rfp):
+    """Morse index of a reduced fixed locus, summed pair by pair.
+
+    Diagonal terms contribute |Y_a| - (number of columns of Y_a); each
+    pair a < b contributes l_prime + |Y_a| + |Y_b| - n_prime.  The form the
+    per-slot split of `morse_index_closed` replaced, kept as its oracle.
+    """
+    total = sum(y.size - len(y.cols) for y in rfp.ys)
+    r = params.r
+    for a in range(r):
+        for b in range(a + 1, r):
+            diff = rfp.ks[a] - rfp.ks[b]
+            total += (
+                l_prime(params.p, rfp.ks[a], rfp.ks[b])
+                + rfp.ys[a].size
+                + rfp.ys[b].size
+                - n_prime(rfp.ys[a], rfp.ys[b], diff)
+            )
+    return total
+
+
 def poincare_by_loci(params):
     """Sum over reduced fixed loci of t^(2 * Morse index) times the locus's factor.
 
-    The per-locus engine the per-slot convolution replaced, kept as its oracle.
+    The per-locus engine the per-slot convolution replaced, kept as its
+    oracle; the index is the pairwise one, so the oracle shares no index
+    code with `poincare_polynomial`.
     """
     coeffs = {}
     for point in indexed_points(params):
+        shift = 2 * morse_index_pairwise(params, point.datum)
         for deg, coeff in point.factor.coeffs.items():
-            deg += 2 * point.index
-            coeffs[deg] = coeffs.get(deg, 0) + coeff
+            coeffs[deg + shift] = coeffs.get(deg + shift, 0) + coeff
     return TPolynomial(coeffs)
 
 

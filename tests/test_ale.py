@@ -108,7 +108,7 @@ def test_enumeration_rejects_bad_rank():
         points(True, 1)
 
 
-@pytest.mark.parametrize("n", [0.1, 0.5, 1.0, True, None])
+@pytest.mark.parametrize("n", [0.1, 0.5, 1.0, True, None, "1/0"])
 def test_enumeration_rejects_inexact_n(n):
     with pytest.raises(ValueError):
         points(2, n)

@@ -144,7 +144,8 @@ def test_tangent_reduced_computes_no_closed_index_or_factor(capsys, monkeypatch)
     def refuse(*args):
         raise AssertionError("tangent --reduced computed an index or factor it drops")
 
-    for name in ("morse_index_closed", "component_factor", "_factor_terms"):
+    for name in ("morse_index_closed", "_pair_terms", "_slot_term", "component_factor",
+                 "_factor_terms"):
         monkeypatch.setattr(hirzebruch.counting, name, refuse)
     code, out, _ = run(
         capsys, "tangent", "--p", "1", "--r", "3", "--k", "0", "--n", "2", "--reduced"
@@ -185,14 +186,14 @@ def test_inconsistent_fixed_point_record_exits_3(capsys, tmp_path):
     assert "invariant violation" in err
 
 
-def _hirzebruch(*argv, stdin=""):
+def _hirzebruch(*argv, stdin="", stdout=subprocess.PIPE):
     """Run the command line in a fresh interpreter on this checkout's package."""
     env = dict(os.environ)
     env.pop(CACHE_ENV_VAR, None)
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(hirzebruch.__file__))
     return subprocess.run(
-        [sys.executable, *argv], input=stdin, capture_output=True, text=True, env=env,
-        timeout=60,
+        [sys.executable, *argv], input=stdin, stdout=stdout, stderr=subprocess.PIPE,
+        text=True, env=env, timeout=60,
     )
 
 
@@ -242,6 +243,30 @@ def test_hang_and_recursion_inputs_exit_2(argv, stdin, message):
     assert done.stdout == ""
     assert message in done.stderr
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("sink", ["dev-full", "closed-pipe"])
+def test_unwritable_stdout_exits_2(sink):
+    # the write failed in print(); exit 1 with a traceback, and a second
+    # error from the flush at shutdown
+    if sink == "dev-full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("the system has no /dev/full")
+        stdout = open("/dev/full", "w")
+    else:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        stdout = os.fdopen(write_end, "w")
+    with stdout:
+        done = _hirzebruch(
+            "-m", "hirzebruch", "poincare", "--p", "2", "--r", "2", "--k", "0",
+            "--n", "2", stdout=stdout,
+        )
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: ")
+    assert done.stderr.count("\n") == 1
+    assert "Traceback" not in done.stderr
+    assert "Exception ignored" not in done.stderr
 
 
 def test_cli_import_loads_no_thread_pool():
@@ -470,10 +495,15 @@ PINNED_REQUESTS = [
     ["ale", "--r", "3", "--n", "2"],
     ["check", "--p", "3", "--r", "4", "--k", "2", "--n", "7/2"],
     ["sweep", "--mode", "crosscheck", "--p", "1,2", "--r", "2", "--k", "0", "--n", "0..2"],
+    # six k-strings; some pairs hand their threshold to the second slot,
+    # and one slot takes two thresholds
+    ["fixed-points", "--p", "2", "--r", "3", "--k", "1", "--n", "8/3", "--reduced"],
+    ["sweep", "--mode", "check", "--p", "1..2", "--r", "2,3", "--k=-1,0",
+     "--n", "0,1/2,2/3,1"],
 ]
 PINNED_OUTPUT = (
     "0.1.0",
-    "cc71ae5a0b194c2db6b12aac3f6f7b5901265507f8ab5af09d6d270c19e40071",
+    "a9691fc000c8508268650183fd9b20e561cdee7fb7b431fd1974c46278c78fc8",
 )
 
 

@@ -5,12 +5,20 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from helpers import column_heights, fraction_k_strings, poincare_by_loci, rank2_series_by_products
+from helpers import (
+    column_heights,
+    fraction_k_strings,
+    morse_index_pairwise,
+    n_prime,
+    poincare_by_loci,
+    rank2_series_by_products,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hirzebruch.counting import (
     _k_strings,
+    _pair_terms,
     _slot_table,
     check_nonempty,
     component_factor,
@@ -20,7 +28,6 @@ from hirzebruch.counting import (
     indexed_points,
     l_prime,
     morse_index_closed,
-    n_prime,
     poincare_polynomial,
     rank2_series_closed,
     rank2_series_direct,
@@ -246,6 +253,22 @@ def test_morse_index_frozen_values():
     assert morse_index_closed(two, ReducedFixedPointDatum((0, 0), ((1,), ()))) == 0
 
 
+def test_morse_index_closed_matches_the_pairwise_sum():
+    # every reduced locus with 0 <= 2rn <= 4r, fractional n included
+    loci = 0
+    for p in (1, 2, 3):
+        for r in range(1, 5):
+            for k in (-1, 0, 1):
+                for j in range(4 * r + 1):
+                    params = ModuliParams(p, r, k, Fraction(j, 2 * r))
+                    for rfp in enumerate_reduced_fixed_points(params):
+                        assert morse_index_closed(params, rfp) == morse_index_pairwise(
+                            params, rfp
+                        ), (params, rfp)
+                        loci += 1
+    assert loci > 0
+
+
 def test_morse_index_matches_character_count():
     ordering = main_ordering(2)
     for p in (1, 2):
@@ -367,6 +390,7 @@ def test_cold_results_equal_warm_ones():
     for params, expected in zip(grid, first):
         clear_every_cache()
         assert _slot_table.cache_info().currsize == 0
+        assert _pair_terms.cache_info().currsize == 0
         assert enumerate_partitions.cache_info().currsize == 0
         assert poincare_polynomial(params) == expected, params
 

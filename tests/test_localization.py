@@ -65,6 +65,7 @@ def test_params_validation():
         (1, 1, False, 1),
         (1, 1, 0, None),
         (1, 1, 0, "x"),
+        (1, 2, 0, "1/0"),
     ],
 )
 def test_params_reject_floats_and_bools(p, r, k, n):
