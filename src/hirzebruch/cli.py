@@ -46,6 +46,9 @@ from .localization import (
 )
 
 CACHE_ENV_VAR = "HIRZEBRUCH_CACHE_DIR"
+# The work of a series grows about as the cube of its order; at p = 1 and
+# order 50, `series --method direct` takes 1.3 s and `hilbert` 0.2 s.
+MAX_ORDER = 50
 
 _RATIONAL = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 _RANGE = re.compile(r"^([+-]?\d+)\.\.([+-]?\d+)$")
@@ -265,16 +268,24 @@ def _series_text(args, payload) -> str:
     )
 
 
+def _max_order(args) -> int:
+    if args.max_order > MAX_ORDER:
+        raise ValueError(f"--max-order must be at most {MAX_ORDER}, got {args.max_order}")
+    return args.max_order
+
+
 def _cmd_series(args, cache):
-    request = _request("series", p=args.p, max_order=args.max_order, method=args.method)
+    order = _max_order(args)
+    request = _request("series", p=args.p, max_order=order, method=args.method)
     fn = rank2_series_closed if args.method == "closed" else rank2_series_direct
-    return request, _cached(cache, request, lambda: fn(args.p, args.max_order).to_json())
+    return request, _cached(cache, request, lambda: fn(args.p, order).to_json())
 
 
 def _cmd_hilbert(args, cache):
-    request = _request("hilbert", p=args.p, max_order=args.max_order)
+    order = _max_order(args)
+    request = _request("hilbert", p=args.p, max_order=order)
     return request, _cached(
-        cache, request, lambda: hilbert_series_r1(args.p, args.max_order).to_json()
+        cache, request, lambda: hilbert_series_r1(args.p, order).to_json()
     )
 
 
@@ -327,9 +338,7 @@ def _sweep_cell(mode: str, cache, p: int, r: int, k: int, n: Fraction) -> dict:
             else:
                 row["ale"] = None
                 row["match"] = "n/a"
-    except InvariantError as exc:
-        row["error"] = f"invariant violation: {exc}"
-    except Exception as exc:  # a failing cell must not abort the sweep
+    except ValueError as exc:  # bad input for this cell, such as p = 0
         row["error"] = str(exc)
     return row
 
@@ -414,6 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--n", type=_rational, required=True, help="second Chern datum, a or a/b"
         )
 
+    order_help = f"q-truncation order, at most {MAX_ORDER}"
+
     fp = sub.add_parser(
         "fixed-points", parents=[common], help="list torus fixed points"
     )
@@ -451,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
         "series", parents=[common], help="rank-2, k=0 generating series"
     )
     se.add_argument("--p", type=int, required=True, help="Hirzebruch surface degree")
-    se.add_argument("--max-order", type=int, default=5, help="q-truncation order")
+    se.add_argument("--max-order", type=int, default=5, help=order_help)
     se.add_argument(
         "--method",
         choices=("closed", "direct"),
@@ -464,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
         "hilbert", parents=[common], help="rank-1 (Hilbert scheme) generating series"
     )
     hb.add_argument("--p", type=int, default=1, help="Hirzebruch surface degree")
-    hb.add_argument("--max-order", type=int, default=5, help="q-truncation order")
+    hb.add_argument("--max-order", type=int, default=5, help=order_help)
     hb.set_defaults(handler=_cmd_hilbert, render=_series_text)
 
     al = sub.add_parser(
@@ -490,7 +501,10 @@ def build_parser() -> argparse.ArgumentParser:
     moduli_flags(ck)
     ck.set_defaults(handler=_cmd_check, render=_check_text)
 
-    sw = sub.add_parser("sweep", parents=[common], help="run a parameter grid")
+    sw = sub.add_parser(
+        "sweep", parents=[common], help="run a parameter grid",
+        description="A list that starts with '-' needs '=', as in --k=-1,0.",
+    )
     sw.add_argument(
         "--mode",
         choices=("poincare", "check", "crosscheck"),
@@ -499,9 +513,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sw.add_argument("--p", type=_list_of(int), required=True, help="e.g. 1,2 or 1..3")
     sw.add_argument("--r", type=_list_of(int), required=True)
-    sw.add_argument("--k", type=_list_of(int), required=True)
+    sw.add_argument("--k", type=_list_of(int), required=True, help="e.g. 0,1 or --k=-1,0")
     sw.add_argument(
-        "--n", type=_list_of(_rational), required=True, help="e.g. 0..4 or 0,1/2,1"
+        "--n", type=_list_of(_rational), required=True, help="e.g. 0..4 or --n=-1/2,0,1"
     )
     sw.set_defaults(handler=_cmd_sweep, render=_sweep_text)
 

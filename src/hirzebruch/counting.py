@@ -7,10 +7,12 @@ contributes its own Poincare polynomial (`component_factor`) shifted by
 t^(2 * Morse index).  The Morse index has a closed form in terms of the
 diagrams and the k-string, and independently equals the number of
 negative-weight directions of the reduced tangent character.  The closed
-form splits into a k-string part and one term per summand (`_pair_terms`,
-`_slot_term`); that one split gives `morse_index_closed`, the per-slot
-tables and `poincare_polynomial`, which sums slot by slot instead of
-locus by locus.
+form splits into a k-string part (`_pair_terms`) and one term per column
+of each summand's diagram (`_column_term`).  Since the component factor
+splits over column heights as well, the sum over the loci of one k-string
+is a product over slots and heights of monomial factors
+1/(1 - q^h t^b) (`_slots_series`), and `poincare_polynomial` reads one
+row of it per k-string without visiting a locus.
 
 Enumeration orders are deterministic: k-strings ascend lexicographically
 within their search box, box distributions over the diagram slots ascend
@@ -129,9 +131,14 @@ def _pair_terms(p: int, ks: tuple[int, ...]) -> tuple[int, tuple[tuple[int, ...]
     return total, tuple(tuple(sorted(th)) for th in thresholds)
 
 
+def _column_term(thresholds: tuple[int, ...], h: int) -> int:
+    """Minus one, minus the thresholds below h: the index term of a column of height h."""
+    return -1 - sum(1 for th in thresholds if h > th)
+
+
 def _slot_term(thresholds: tuple[int, ...], y: PartitionDiagram) -> int:
-    """Minus the columns of y, minus its columns longer than each threshold."""
-    return -len(y.cols) - sum(1 for th in thresholds for h in y.cols if h > th)
+    """The index terms of the columns of y."""
+    return sum(_column_term(thresholds, h) for h in y.cols)
 
 
 def morse_index_closed(params: ModuliParams, rfp: ReducedFixedPointDatum) -> int:
@@ -147,13 +154,13 @@ def morse_index_closed(params: ModuliParams, rfp: ReducedFixedPointDatum) -> int
     return pairs + params.r * rfp.box_count() + slots
 
 
-def _factor_terms(ys, shift: int = 0) -> dict[int, int]:
-    """Coefficients of t^shift times the component factors of every diagram in ys.
+def _factor_terms(ys) -> dict[int, int]:
+    """Coefficients of the product of the component factors of every diagram in ys.
 
     A diagram has rows[h-1] - rows[h] columns of height h, so each drop
     m > 0 between consecutive rows multiplies by 1 + t^2 + .. + t^(2m).
     """
-    terms = {shift: 1}
+    terms = {0: 1}
     for y in ys:
         for x, below in zip(y.rows, y.rows[1:] + (0,)):
             m = x - below
@@ -198,26 +205,24 @@ def indexed_points(params: ModuliParams) -> Iterator[IndexedPoint]:
 
 
 @lru_cache(maxsize=None)
-def _slot_table(thresholds: tuple[int, ...], size: int) -> tuple[tuple[int, int], ...]:
-    """Sum over diagrams Y of `size` boxes of t^(2 * _slot_term(thresholds, Y))
-    times Y's component factor.
+def _slots_series(thresholds: tuple[tuple[int, ...], ...], order: int) -> QSeries:
+    """Sum over r-tuples of diagrams Y, r = len(thresholds), of q^|Y| times
+    t^(2 * (r*|Y| + their `_slot_term`s)) times their component factors.
 
-    Sorted (degree, coefficient) pairs; degrees may be negative.
+    A diagram with m_h columns of height h gives x_h^(m_h) [m_h + 1]_(t^2),
+    x_h = q^h t^(2 * (r*h + `_column_term`)), and sum_m x^m [m + 1]_(t^2) is
+    1/((1 - x)(1 - x t^2)).  A slot has at most r - 1 thresholds, so no
+    degree is negative.  The cached series is shared: never modify it.
     """
-    terms: dict[int, int] = {}
-    for y in enumerate_partitions(size):
-        for deg, coeff in _factor_terms((y,), 2 * _slot_term(thresholds, y)).items():
-            terms[deg] = terms.get(deg, 0) + coeff
-    return tuple(sorted(terms.items()))
-
-
-def _convolve(
-    terms: dict[int, int], table: tuple[tuple[int, int], ...], into: dict[int, int]
-) -> None:
-    # count the product of terms and the slot table into `into`
-    for deg, coeff in terms.items():
-        for step, mult in table:
-            into[deg + step] = into.get(deg + step, 0) + coeff * mult
+    r = len(thresholds)
+    series = QSeries(order)
+    series.add_monomial(0, 0)
+    for th in thresholds:
+        for h in range(1, order + 1):
+            low = 2 * (r * h + _column_term(th, h))
+            series.mul_inverse_one_minus(h, low)
+            series.mul_inverse_one_minus(h, low + 2)
+    return series
 
 
 def poincare_polynomial(params: ModuliParams) -> TPolynomial:
@@ -226,24 +231,15 @@ def poincare_polynomial(params: ModuliParams) -> TPolynomial:
     The sum over reduced fixed loci of t^(2 * Morse index) times the
     locus's component factor, taken one k-string at a time.  With excess e,
     `morse_index_closed` is the k-string's pair part plus r*e plus one
-    `_slot_term` per slot, so the sum over r-tuples of diagrams is a
-    convolution, over sizes adding up to e, of per-slot tables
-    (`_slot_table`).  The zero polynomial means the space is empty.
+    `_slot_term` per slot, so a k-string gives t^(2 * pair part) times row
+    e of `_slots_series`.  The zero polynomial means the space is empty.
     """
     coeffs: dict[int, int] = {}
     for ks, excess in _k_strings(params):
         pairs, thresholds = _pair_terms(params.p, ks)
-        # boxes used by the slots so far -> the terms they give
-        partial = {0: {2 * (pairs + params.r * excess): 1}}
-        for th in thresholds[:-1]:
-            grown: dict[int, dict[int, int]] = {}
-            for used, terms in partial.items():
-                for size in range(excess - used + 1):
-                    into = grown.setdefault(used + size, {})
-                    _convolve(terms, _slot_table(th, size), into)
-            partial = grown
-        for used, terms in partial.items():
-            _convolve(terms, _slot_table(thresholds[-1], excess - used), coeffs)
+        for deg, coeff in _slots_series(thresholds, excess).rows[excess].items():
+            deg += 2 * pairs
+            coeffs[deg] = coeffs.get(deg, 0) + coeff
     return TPolynomial(coeffs)
 
 

@@ -1,7 +1,7 @@
 """Per-box diagram statistics, the rows enumeration of partitions, the
-pairwise Morse index, the per-locus Poincare sum, the Fraction k-string
-search, series arithmetic on one TPolynomial per power of q, and
-Character operations that only the tests use.
+pairwise Morse index, the per-locus Poincare sum, the enumerated slot
+tables, the Fraction k-string search, series arithmetic on one TPolynomial
+per power of q, and Character operations that only the tests use.
 
 The library reads arms and legs off a diagram's rows and their conjugate
 (`localization._patch_exponents`) and counts box colors in closed form
@@ -19,11 +19,12 @@ The Character operations at the end are plain functions over
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
-from hirzebruch.counting import indexed_points, l_prime
+from hirzebruch.counting import component_factor, indexed_points, l_prime
 from hirzebruch.laurent import Character, QSeries, TPolynomial
-from hirzebruch.partitions import compositions
+from hirzebruch.partitions import compositions, enumerate_partitions
 
 
 def partition_rows(n, cap=None):
@@ -87,6 +88,40 @@ def poincare_by_loci(params):
         for deg, coeff in point.factor.coeffs.items():
             coeffs[deg + shift] = coeffs.get(deg + shift, 0) + coeff
     return TPolynomial(coeffs)
+
+
+@lru_cache(maxsize=None)
+def slot_table(thresholds, size):
+    """Sum over diagrams Y of `size` boxes of t^(2 * slot term) times Y's
+    component factor, as sorted (degree, coefficient) pairs.
+
+    The slot term is minus the columns of Y, minus its columns longer than
+    each threshold, so degrees may be negative.  The enumerated per-slot
+    table that the closed product `_slots_series` replaced, kept as its
+    oracle.
+    """
+    terms = {}
+    for y in enumerate_partitions(size):
+        shift = 2 * (-len(y.cols) - sum(1 for th in thresholds for h in y.cols if h > th))
+        for deg, coeff in component_factor(y).coeffs.items():
+            terms[deg + shift] = terms.get(deg + shift, 0) + coeff
+    return tuple(sorted(terms.items()))
+
+
+def convolved_slot_tables(thresholds, order):
+    """{boxes: {degree: coeff}} for every box count <= order: the slot tables
+    of every slot's thresholds, convolved over the box counts of the slots."""
+    partial = {0: {0: 1}}
+    for th in thresholds:
+        grown = {}
+        for used, terms in partial.items():
+            for size in range(order - used + 1):
+                into = grown.setdefault(used + size, {})
+                for deg, coeff in terms.items():
+                    for step, mult in slot_table(th, size):
+                        into[deg + step] = into.get(deg + step, 0) + coeff * mult
+        partial = grown
+    return partial
 
 
 def fraction_k_strings(params):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from unittest import mock
 
 import pytest
@@ -12,7 +13,9 @@ from hypothesis import given, settings, strategies as st
 import hirzebruch
 import hirzebruch.counting
 from hirzebruch import __version__
-from hirzebruch.cli import CACHE_ENV_VAR, main
+from hirzebruch.cli import CACHE_ENV_VAR, MAX_ORDER, main
+from hirzebruch.laurent import QSeries
+from hirzebruch.localization import InvariantError
 
 
 def run(capsys, *argv):
@@ -380,6 +383,72 @@ def test_sweep_mixed_rationals(capsys):
     rows = json.loads(out)["result"]
     assert [row["n"] for row in rows] == ["1/2", "3/2"]
     assert rows[0]["poincare"] == [[0, 1], [2, 1]]
+
+
+def test_sweep_keeps_bad_cell_input_as_an_error_row(capsys):
+    code, out, _ = run(
+        capsys, "sweep", "--mode", "poincare", "--format", "json",
+        "--p", "0,1", "--r", "1", "--k", "0", "--n", "1",
+    )
+    assert code == 0
+    assert json.loads(out)["result"] == [
+        {"p": 0, "r": 1, "k": 0, "n": "1", "error": "p must be a positive integer, got 0"},
+        {"p": 1, "r": 1, "k": 0, "n": "1", "poincare": [[0, 1], [2, 1]]},
+    ]
+
+
+def test_sweep_exits_3_on_an_invariant_violation(capsys, monkeypatch):
+    def broken(params):
+        raise InvariantError("2*r*n must be an integer, got 1/2")
+
+    monkeypatch.setattr(hirzebruch.cli, "poincare_polynomial", broken)
+    code, out, err = run(
+        capsys, "sweep", "--mode", "poincare", "--p", "1", "--r", "1", "--k", "0", "--n", "1"
+    )
+    assert (code, out) == (3, "")
+    assert err == "invariant violation: 2*r*n must be an integer, got 1/2\n"
+
+
+def test_sweep_list_starting_with_a_minus_sign_needs_the_equals_form(capsys):
+    code, out, _ = run(
+        capsys, "sweep", "--mode", "check", "--p", "1", "--r", "2", "--k=-1,0", "--n", "1/4,1"
+    )
+    assert code == 0
+    assert out.splitlines()[1:] == [
+        "1\t2\t-1\t1/4\ttrue", "1\t2\t-1\t1\tfalse",
+        "1\t2\t0\t1/4\tfalse", "1\t2\t0\t1\ttrue",
+    ]
+    done = _hirzebruch(
+        "-m", "hirzebruch", "sweep", "--mode", "check", "--p", "1", "--r", "2",
+        "--k", "-1,0", "--n", "1",
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert "argument --k: expected one argument" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["series", "--p", "1"], ["series", "--p", "1", "--method", "direct"], ["hilbert"]],
+    ids=["series-closed", "series-direct", "hilbert"],
+)
+def test_max_order_above_the_limit_exits_2_before_any_series(capsys, monkeypatch, argv):
+    def refuse(self, *args):
+        raise AssertionError("a QSeries was allocated")
+
+    monkeypatch.setattr(QSeries, "__init__", refuse)
+    started = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--max-order", "1000000000")
+    assert time.perf_counter() - started < 0.5
+    assert (code, out) == (2, "")
+    assert err == f"error: --max-order must be at most {MAX_ORDER}, got 1000000000\n"
+
+
+def test_max_order_at_the_limit_is_computed(capsys):
+    code, out, _ = run(capsys, "series", "--p", "1", "--max-order", str(MAX_ORDER))
+    assert code == 0
+    assert out.splitlines()[-1].startswith(f"q^{MAX_ORDER}: 1 + ")
 
 
 def _with_result(entry: bytes, result) -> bytes:

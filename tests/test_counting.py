@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 from collections import Counter
@@ -7,6 +8,7 @@ from functools import lru_cache
 import pytest
 from helpers import (
     column_heights,
+    convolved_slot_tables,
     fraction_k_strings,
     morse_index_pairwise,
     n_prime,
@@ -16,10 +18,12 @@ from helpers import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hirzebruch.counting
+import hirzebruch.partitions
 from hirzebruch.counting import (
     _k_strings,
     _pair_terms,
-    _slot_table,
+    _slots_series,
     check_nonempty,
     component_factor,
     enumerate_fixed_points,
@@ -389,10 +393,53 @@ def test_cold_results_equal_warm_ones():
     assert [poincare_polynomial(params) for params in grid] == first
     for params, expected in zip(grid, first):
         clear_every_cache()
-        assert _slot_table.cache_info().currsize == 0
+        assert _slots_series.cache_info().currsize == 0
         assert _pair_terms.cache_info().currsize == 0
         assert enumerate_partitions.cache_info().currsize == 0
         assert poincare_polynomial(params) == expected, params
+
+
+def test_cold_poincare_polynomial_enumerates_no_diagram(monkeypatch):
+    clear_every_cache()
+    built = []
+    original = PartitionDiagram.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        original(self, *args, **kwargs)
+
+    def refuse(*args):
+        raise AssertionError("the Poincare polynomial enumerated diagrams")
+
+    monkeypatch.setattr(PartitionDiagram, "__init__", counting_init)
+    for module in (hirzebruch.partitions, hirzebruch.counting):
+        monkeypatch.setattr(module, "enumerate_partitions", refuse)
+    monkeypatch.setattr(hirzebruch.counting, "_factor_terms", refuse)
+    got = poincare_polynomial(ModuliParams(1, 3, 0, 8))
+    assert built == []
+    monkeypatch.undo()
+    assert got == poincare_running_sum(ModuliParams(1, 3, 0, 8))
+
+
+def _slot_thresholds(r):
+    # the thresholds of every k-string with entries -2..2, which run over
+    # 0..4, and every sorted tuple of at most r - 1 entries 0..4 in one slot
+    found = {_pair_terms(1, ks)[1] for ks in itertools.product(range(-2, 3), repeat=r)}
+    for size in range(r):
+        for th in itertools.combinations_with_replacement(range(5), size):
+            found.add((th,) + ((),) * (r - 1))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("r", range(1, 5))
+def test_slots_series_rows_match_the_enumerated_slot_tables(r):
+    order = 8
+    for thresholds in _slot_thresholds(r):
+        series = _slots_series(thresholds, order)
+        expected = convolved_slot_tables(thresholds, order)
+        for s in range(order + 1):
+            row = {deg - 2 * r * s: coeff for deg, coeff in series.rows[s].items() if coeff}
+            assert row == {d: c for d, c in expected[s].items() if c}, (thresholds, s)
 
 
 def test_indexed_points_frozen():
