@@ -6,85 +6,77 @@ framed torsion-free sheaves on Hirzebruch surfaces, together with an
 independent instanton-counting oracle on the A1 ALE space.  All
 arithmetic is exact: arbitrary-precision integers and rationals
 throughout.
+
+Importing the package loads none of its submodules: each public name is
+imported from its submodule on first use (PEP 562), so a command-line
+request loads only the layers it runs.
 """
 
 __version__ = "0.1.0"
 
-from .ale import (
-    ColoredFixedPoint,
-    ale_index,
-    ale_poincare,
-    ale_tangent_character,
-    enumerate_colored_fixed_points,
-)
-from .counting import (
-    IndexedPoint,
-    check_nonempty,
-    component_factor,
-    enumerate_fixed_points,
-    enumerate_reduced_fixed_points,
-    hilbert_series_r1,
-    indexed_points,
-    l_prime,
-    morse_index_closed,
-    poincare_polynomial,
-    rank2_series_closed,
-    rank2_series_direct,
-)
-from .laurent import (
-    Character,
-    OrderingSpec,
-    QSeries,
-    TPolynomial,
-    ale_ordering,
-    main_ordering,
-)
-from .localization import (
-    FixedPointDatum,
-    InvariantError,
-    ModuliParams,
-    ReducedFixedPointDatum,
-    l_character,
-    n_character,
-    reduced_tangent_character,
-    tangent_character,
-)
-from .partitions import ColoredDiagram, PartitionDiagram, enumerate_partitions
 
-__all__ = [
-    "__version__",
-    "Character",
-    "ColoredDiagram",
-    "ColoredFixedPoint",
-    "FixedPointDatum",
-    "IndexedPoint",
-    "InvariantError",
-    "ModuliParams",
-    "OrderingSpec",
-    "PartitionDiagram",
-    "QSeries",
-    "ReducedFixedPointDatum",
-    "TPolynomial",
-    "ale_index",
-    "ale_ordering",
-    "ale_poincare",
-    "ale_tangent_character",
-    "check_nonempty",
-    "component_factor",
-    "enumerate_colored_fixed_points",
-    "enumerate_fixed_points",
-    "enumerate_partitions",
-    "enumerate_reduced_fixed_points",
-    "hilbert_series_r1",
-    "indexed_points",
-    "l_character",
-    "l_prime",
-    "main_ordering",
-    "morse_index_closed",
-    "n_character",
-    "poincare_polynomial",
-    "rank2_series_closed",
-    "rank2_series_direct",
-    "reduced_tangent_character",
-    "tangent_character",
-]
+class InvariantError(Exception):
+    """A structural invariant failed; signals inconsistent data or a bug."""
+
+
+# The public names of each submodule.
+_EXPORTS = {
+    "ale": (
+        "ColoredFixedPoint",
+        "ale_index",
+        "ale_poincare",
+        "ale_tangent_character",
+        "enumerate_colored_fixed_points",
+    ),
+    "counting": (
+        "IndexedPoint",
+        "check_nonempty",
+        "component_factor",
+        "enumerate_fixed_points",
+        "enumerate_reduced_fixed_points",
+        "hilbert_series_r1",
+        "indexed_points",
+        "l_prime",
+        "morse_index_closed",
+        "poincare_polynomial",
+        "rank2_series_closed",
+        "rank2_series_direct",
+    ),
+    "laurent": (
+        "Character",
+        "OrderingSpec",
+        "QSeries",
+        "TPolynomial",
+        "ale_ordering",
+        "main_ordering",
+    ),
+    "localization": (
+        "FixedPointDatum",
+        "ModuliParams",
+        "ReducedFixedPointDatum",
+        "l_character",
+        "n_character",
+        "reduced_tangent_character",
+        "tangent_character",
+    ),
+    "partitions": ("ColoredDiagram", "PartitionDiagram", "enumerate_partitions"),
+}
+_SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *sorted(["InvariantError", *_SUBMODULE])]
+
+
+def __getattr__(name: str):
+    # Called only for names not in the module's namespace.  An unknown name,
+    # such as a submodule not yet imported, raises AttributeError, so that
+    # `from hirzebruch import ale` falls back to importing the submodule.
+    module = _SUBMODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list:
+    return sorted(set(globals()) | set(__all__))

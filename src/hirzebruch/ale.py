@@ -28,8 +28,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
+from . import InvariantError
 from .laurent import Character, OrderingSpec, TPolynomial, _rational, ale_ordering
-from .localization import InvariantError, _framing_ratio, _patch_exponents
+from .localization import _framing_ratio, _patch_exponents
 from .partitions import ColoredDiagram, compositions, enumerate_partitions
 
 

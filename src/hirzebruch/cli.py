@@ -23,27 +23,9 @@ import time
 from collections import Counter
 from fractions import Fraction
 
-from . import __version__
-from .ale import ale_index, ale_tangent_character, ale_poincare, enumerate_colored_fixed_points
-from .counting import (
-    check_nonempty,
-    enumerate_fixed_points,
-    enumerate_reduced_fixed_points,
-    hilbert_series_r1,
-    indexed_points,
-    poincare_polynomial,
-    rank2_series_closed,
-    rank2_series_direct,
-)
-from .laurent import TPolynomial, ale_ordering, main_ordering
-from .localization import (
-    FixedPointDatum,
-    InvariantError,
-    ModuliParams,
-    ReducedFixedPointDatum,
-    reduced_tangent_character,
-    tangent_character,
-)
+# The math layers are imported by the functions that call them, so a cache
+# hit, --help and --version load none of them.
+from . import InvariantError, __version__
 
 CACHE_ENV_VAR = "HIRZEBRUCH_CACHE_DIR"
 # The work of a series grows about as the cube of its order; at p = 1 and
@@ -52,6 +34,13 @@ MAX_ORDER = 50
 
 _RATIONAL = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 _RANGE = re.compile(r"^([+-]?\d+)\.\.([+-]?\d+)$")
+
+
+def __getattr__(name: str):
+    # Code outside the package that reads a public name through this module,
+    # such as `cli.poincare_polynomial`, gets the package's current binding.
+    # The handlers never use this: they import what they call.
+    return getattr(sys.modules[__package__], name)
 
 
 def _rational(text: str) -> Fraction:
@@ -158,32 +147,43 @@ def _cached(cache: Cache | None, request: dict, compute):
 
 
 def _ordering(name: str, rank: int):
+    from .laurent import ale_ordering, main_ordering
+
     return main_ordering(rank) if name == "main" else ale_ordering(rank)
 
 
 def _params(args) -> ModuliParams:
+    from .localization import ModuliParams
+
     return ModuliParams(args.p, args.r, args.k, args.n)
 
 
 def _poincare_payload(cache, p: int, r: int, k: int, n: Fraction):
     request = _request("poincare", p=p, r=r, k=k, n=n)
-    return request, _cached(
-        cache,
-        request,
-        lambda: poincare_polynomial(ModuliParams(p, r, k, n)).to_pairs(),
-    )
+
+    def compute():
+        from .counting import poincare_polynomial
+        from .localization import ModuliParams
+
+        return poincare_polynomial(ModuliParams(p, r, k, n)).to_pairs()
+
+    return request, _cached(cache, request, compute)
 
 
 def _ale_payload(cache, r: int, n: Fraction, ordering_name: str):
     request = _request("ale", r=r, n=n, ordering=ordering_name)
-    return request, _cached(
-        cache,
-        request,
-        lambda: ale_poincare(r, n, _ordering(ordering_name, r)).to_pairs(),
-    )
+
+    def compute():
+        from .ale import ale_poincare
+
+        return ale_poincare(r, n, _ordering(ordering_name, r)).to_pairs()
+
+    return request, _cached(cache, request, compute)
 
 
 def _cmd_fixed_points(args, cache):
+    from .counting import enumerate_fixed_points, indexed_points
+
     params = _params(args)
     request = _request(
         "fixed-points", p=args.p, r=args.r, k=args.k, n=args.n, reduced=args.reduced
@@ -227,6 +227,14 @@ def _character_record(point, x, ordering=None) -> dict:
 
 
 def _cmd_tangent(args, cache):
+    from .counting import enumerate_fixed_points, enumerate_reduced_fixed_points
+    from .localization import (
+        FixedPointDatum,
+        ReducedFixedPointDatum,
+        reduced_tangent_character,
+        tangent_character,
+    )
+
     params = _params(args)
     request = _request(
         "tangent", p=args.p, r=args.r, k=args.k, n=args.n,
@@ -258,10 +266,14 @@ def _cmd_poincare(args, cache):
 
 
 def _poly_text(args, pairs) -> str:
+    from .laurent import TPolynomial
+
     return TPolynomial.from_pairs(pairs).text()
 
 
 def _series_text(args, payload) -> str:
+    from .laurent import TPolynomial
+
     return "\n".join(
         f"q^{item['q']}: {TPolynomial.from_pairs(item['poly']).text()}"
         for item in payload
@@ -277,20 +289,33 @@ def _max_order(args) -> int:
 def _cmd_series(args, cache):
     order = _max_order(args)
     request = _request("series", p=args.p, max_order=order, method=args.method)
-    fn = rank2_series_closed if args.method == "closed" else rank2_series_direct
-    return request, _cached(cache, request, lambda: fn(args.p, order).to_json())
+
+    def compute():
+        from .counting import rank2_series_closed, rank2_series_direct
+
+        fn = rank2_series_closed if args.method == "closed" else rank2_series_direct
+        return fn(args.p, order).to_json()
+
+    return request, _cached(cache, request, compute)
 
 
 def _cmd_hilbert(args, cache):
     order = _max_order(args)
     request = _request("hilbert", p=args.p, max_order=order)
-    return request, _cached(
-        cache, request, lambda: hilbert_series_r1(args.p, order).to_json()
-    )
+
+    def compute():
+        from .counting import hilbert_series_r1
+
+        return hilbert_series_r1(args.p, order).to_json()
+
+    return request, _cached(cache, request, compute)
 
 
 def _cmd_ale(args, cache):
     if args.points:
+        from .ale import ale_tangent_character, enumerate_colored_fixed_points
+        from .laurent import TPolynomial
+
         request = _request("ale", r=args.r, n=args.n, ordering=args.ordering, points=True)
         ordering = _ordering(args.ordering, args.r)
         points = [
@@ -311,9 +336,13 @@ def _ale_text(args, payload) -> str:
 
 def _cmd_check(args, cache):
     request = _request("check", p=args.p, r=args.r, k=args.k, n=args.n)
-    return request, _cached(
-        cache, request, lambda: {"nonempty": check_nonempty(_params(args))}
-    )
+
+    def compute():
+        from .counting import check_nonempty
+
+        return {"nonempty": check_nonempty(_params(args))}
+
+    return request, _cached(cache, request, compute)
 
 
 def _check_text(args, payload) -> str:
@@ -327,6 +356,9 @@ def _sweep_cell(mode: str, cache, p: int, r: int, k: int, n: Fraction) -> dict:
             _, pairs = _poincare_payload(cache, p, r, k, n)
             row["poincare"] = pairs
         elif mode == "check":
+            from .counting import check_nonempty
+            from .localization import ModuliParams
+
             row["nonempty"] = check_nonempty(ModuliParams(p, r, k, n))
         else:  # crosscheck applies where the orbifold oracle exists: p=2, k=0 mod r
             _, pairs = _poincare_payload(cache, p, r, k, n)
@@ -344,6 +376,8 @@ def _sweep_cell(mode: str, cache, p: int, r: int, k: int, n: Fraction) -> dict:
 
 
 def _sweep_text(args, rows: list[dict]) -> str:
+    from .laurent import TPolynomial
+
     columns = {
         "poincare": ["p", "r", "k", "n", "poincare"],
         "check": ["p", "r", "k", "n", "nonempty"],

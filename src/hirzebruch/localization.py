@@ -39,12 +39,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from . import InvariantError
 from .laurent import Character, Matrix2, _integers, _rational
 from .partitions import EMPTY, PartitionDiagram
-
-
-class InvariantError(Exception):
-    """A structural invariant failed; signals inconsistent data or a bug."""
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -280,6 +281,61 @@ def test_cli_import_loads_no_thread_pool():
     assert done.stdout == "False\n"
 
 
+# Runs the command line as `python -m hirzebruch` does, then prints the sorted
+# hirzebruch modules of the process as the last line of stderr.
+_LOADED = (
+    "import atexit, json, runpy, sys\n"
+    "atexit.register(lambda: print(json.dumps(sorted(m for m in sys.modules"
+    " if m.split('.')[0] == 'hirzebruch')), file=sys.stderr))\n"
+    "sys.argv[0] = 'hirzebruch'\n"
+    "runpy.run_module('hirzebruch', run_name='__main__', alter_sys=True)\n"
+)
+CLI_ONLY = ["hirzebruch", "hirzebruch.cli"]
+
+
+def _loaded(*argv):
+    """The hirzebruch modules a fresh `hirzebruch argv` process loads, and its stdout."""
+    done = _hirzebruch("-c", _LOADED, *argv)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stderr.splitlines()[-1]), done.stdout
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["--help"], ["poincare", "--help"]])
+def test_version_and_help_load_no_math_layer(argv):
+    assert _loaded(*argv)[0] == CLI_ONLY
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["poincare", "--p", "2", "--r", "2", "--k", "0", "--n", "2"],
+        ["series", "--p", "1", "--max-order", "3"],
+        ["ale", "--r", "2", "--n", "1"],
+    ],
+)
+def test_json_cache_hit_loads_no_math_layer(tmp_path, argv):
+    argv = [*argv, "--format", "json", "--cache-dir", str(tmp_path)]
+    cold, computed = _loaded(*argv)
+    hit, served = _loaded(*argv)
+    assert "hirzebruch.laurent" in cold
+    assert hit == CLI_ONLY
+    assert served == computed
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["poincare", "--p", "2", "--r", "2", "--k", "0", "--n", "2"],
+        ["check", "--p", "1", "--r", "3", "--k", "1", "--n", "1/2"],
+        ["series", "--p", "1", "--max-order", "3"],
+    ],
+)
+def test_cold_surface_request_loads_no_ale_oracle(argv):
+    loaded, _ = _loaded(*argv, "--format", "json")
+    assert "hirzebruch.counting" in loaded
+    assert "hirzebruch.ale" not in loaded
+
+
 def test_missing_fixed_point_file_exits_2(capsys, tmp_path):
     code, _, err = run(
         capsys, "tangent", "--p", "2", "--r", "1", "--k", "0", "--n", "1",
@@ -401,7 +457,7 @@ def test_sweep_exits_3_on_an_invariant_violation(capsys, monkeypatch):
     def broken(params):
         raise InvariantError("2*r*n must be an integer, got 1/2")
 
-    monkeypatch.setattr(hirzebruch.cli, "poincare_polynomial", broken)
+    monkeypatch.setattr(hirzebruch.counting, "poincare_polynomial", broken)
     code, out, err = run(
         capsys, "sweep", "--mode", "poincare", "--p", "1", "--r", "1", "--k", "0", "--n", "1"
     )
@@ -468,7 +524,7 @@ def test_cache_round_trip(capsys, tmp_path, monkeypatch):
     def no_compute(params):
         raise AssertionError("a cached result was recomputed")
 
-    monkeypatch.setattr(hirzebruch.cli, "poincare_polynomial", no_compute)
+    monkeypatch.setattr(hirzebruch.counting, "poincare_polynomial", no_compute)
     assert run(capsys, *args) == (0, first, "")
 
     # an entry whose result was altered is neither served nor kept
@@ -518,6 +574,17 @@ def test_timing_goes_to_stderr(capsys):
     assert code == 0
     assert out == "1 + t^2\n"
     assert err.startswith("timing_ms=")
+
+
+def test_timing_of_a_cache_hit_leaves_stdout_unchanged(capsys, tmp_path):
+    args = ("poincare", "--p", "2", "--r", "2", "--k", "0", "--n", "2",
+            "--format", "json", "--cache-dir", str(tmp_path))
+    code, computed, _ = run(capsys, *args)
+    assert code == 0
+    code, served, err = run(capsys, *args, "--timing")
+    assert code == 0
+    assert served == computed
+    assert re.fullmatch(r"timing_ms=\d+\n", err)
 
 
 def test_version_flag(capsys):
