@@ -24,27 +24,26 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterator
 from fractions import Fraction
-from typing import Iterator
 
 from . import InvariantError
-from .laurent import Character, OrderingSpec, TPolynomial, _rational, ale_ordering
+from .laurent import Character, OrderingSpec, TPolynomial, _Frozen, _rational, ale_ordering
 from .localization import _framing_ratio, _patch_exponents
 from .partitions import ColoredDiagram, compositions, enumerate_partitions
 
 
-@dataclass(frozen=True)
-class ColoredFixedPoint:
+class ColoredFixedPoint(_Frozen):
     """A fixed point: one checkerboard-colored diagram per summand."""
 
-    tableaux: tuple[ColoredDiagram, ...]
+    __slots__ = ("tableaux",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "tableaux", tuple(self.tableaux))
-        for t in self.tableaux:
+    def __init__(self, tableaux):
+        tableaux = tuple(tableaux)
+        for t in tableaux:
             if not isinstance(t, ColoredDiagram):
                 raise ValueError(f"expected ColoredDiagram entries, got {t!r}")
+        object.__setattr__(self, "tableaux", tableaux)
 
     @property
     def rank(self) -> int:

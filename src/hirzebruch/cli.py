@@ -21,7 +21,6 @@ import sys
 import tempfile
 import time
 from collections import Counter
-from fractions import Fraction
 
 # The math layers are imported by the functions that call them, so a cache
 # hit, --help and --version load none of them.
@@ -48,6 +47,9 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(
             f"expected an integer or a fraction a/b, got {text!r}"
         )
+    # imported here, so that requests which parse no --n never load fractions
+    from fractions import Fraction
+
     return Fraction(text)
 
 

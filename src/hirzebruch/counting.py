@@ -23,12 +23,11 @@ lexicographic order with the rightmost slot varying fastest.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
 
-from .laurent import QSeries, TPolynomial
+from .laurent import QSeries, TPolynomial, _Frozen
 from .localization import (
     FixedPointDatum,
     ModuliParams,
@@ -182,13 +181,15 @@ def component_factor(y: PartitionDiagram) -> TPolynomial:
     return TPolynomial(_factor_terms((y,)))
 
 
-@dataclass(frozen=True)
-class IndexedPoint:
+class IndexedPoint(_Frozen):
     """A reduced fixed locus with its Morse index and component factor."""
 
-    datum: ReducedFixedPointDatum
-    index: int
-    factor: TPolynomial
+    __slots__ = ("datum", "index", "factor")
+
+    def __init__(self, datum: ReducedFixedPointDatum, index: int, factor: TPolynomial):
+        object.__setattr__(self, "datum", datum)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "factor", factor)
 
     def to_json(self) -> dict:
         record = self.datum.to_json()

@@ -16,8 +16,8 @@ monomials, used to count negative-weight directions.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
 
 Exponent = tuple[int, int, tuple[int, ...]]
 Matrix2 = tuple[tuple[int, int], tuple[int, int]]
@@ -48,6 +48,43 @@ def _rational(value) -> Fraction:
         return Fraction(value)
     except ZeroDivisionError:
         raise ValueError(f"expected an exact rational, got {value!r}") from None
+
+
+class _Frozen:
+    """Base of the immutable records: their fields are their `__slots__`.
+
+    A subclass checks its arguments in `__init__` and stores each field with
+    `object.__setattr__`; after that no attribute can be set or deleted.
+    Records are equal when they are of one class with equal fields, hash as
+    their field tuple, print as a dataclass does, and pickle and copy back
+    through the constructor, so a copy is checked again.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable, cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable, cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
 
 
 class Character:
@@ -103,7 +140,7 @@ class Character:
     def __neg__(self) -> "Character":
         return Character(self.rank, {k: -v for k, v in self.terms.items()})
 
-    def __mul__(self, other: Union["Character", int]) -> "Character":
+    def __mul__(self, other: Character | int) -> "Character":
         if isinstance(other, int):
             return Character(self.rank, {k: other * v for k, v in self.terms.items()})
         if not isinstance(other, Character):
@@ -215,7 +252,7 @@ class OrderingSpec:
 
     __slots__ = ("keys", "rank", "_positions")
 
-    def __init__(self, keys: Iterable[Union[str, Iterable[str]]]):
+    def __init__(self, keys: Iterable[str | Iterable[str]]):
         self.keys = tuple((key,) if isinstance(key, str) else tuple(key) for key in keys)
         # each key as its positions in the flat exponent vector (t1, t2, e1, .., er)
         self._positions = tuple(tuple(map(self._position, group)) for group in self.keys)
@@ -303,7 +340,7 @@ class TPolynomial:
     def __neg__(self) -> "TPolynomial":
         return TPolynomial({d: -c for d, c in self.coeffs.items()})
 
-    def __mul__(self, other: Union["TPolynomial", int]) -> "TPolynomial":
+    def __mul__(self, other: TPolynomial | int) -> "TPolynomial":
         if isinstance(other, int):
             return TPolynomial({d: other * c for d, c in self.coeffs.items()})
         if not isinstance(other, TPolynomial):

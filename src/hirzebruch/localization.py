@@ -35,32 +35,30 @@ Every patch term comes from one per-box arm/leg formula, `_patch_exponents`
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from . import InvariantError
-from .laurent import Character, Matrix2, _integers, _rational
+from .laurent import Character, Matrix2, _Frozen, _integers, _rational
 from .partitions import EMPTY, PartitionDiagram
 
 
-@dataclass(frozen=True)
-class ModuliParams:
+class ModuliParams(_Frozen):
     """Numerical parameters (p, r, k, n) of a moduli space."""
 
-    p: int
-    r: int
-    k: int
-    n: Fraction
+    __slots__ = ("p", "r", "k", "n")
 
-    def __post_init__(self):
-        if type(self.p) is not int or self.p < 1:
-            raise ValueError(f"p must be a positive integer, got {self.p!r}")
-        if type(self.r) is not int or self.r < 1:
-            raise ValueError(f"r must be a positive integer, got {self.r!r}")
-        if type(self.k) is not int:
-            raise ValueError(f"k must be an integer, got {self.k!r}")
-        object.__setattr__(self, "n", _rational(self.n))
+    def __init__(self, p: int, r: int, k: int, n: Fraction | int | str):
+        if type(p) is not int or p < 1:
+            raise ValueError(f"p must be a positive integer, got {p!r}")
+        if type(r) is not int or r < 1:
+            raise ValueError(f"r must be a positive integer, got {r!r}")
+        if type(k) is not int:
+            raise ValueError(f"k must be an integer, got {k!r}")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "n", _rational(n))
 
     def pair_weight(self, ks: tuple[int, ...]) -> Fraction:
         """(p / 2r) * sum over pairs of squared k-differences."""
@@ -83,9 +81,10 @@ def _as_diagrams(items) -> tuple[PartitionDiagram, ...]:
     return tuple(out)
 
 
-class _Datum:
+class _Datum(_Frozen):
     """What both fixed-point records share: a k-string, diagrams and JSON keys."""
 
+    __slots__ = ()
     _keys: tuple[str, ...]
 
     def validate(self, params: ModuliParams) -> None:
@@ -112,22 +111,21 @@ class _Datum:
             raise ValueError(f"malformed fixed-point record {data!r}: {exc}") from None
 
 
-@dataclass(frozen=True)
 class FixedPointDatum(_Datum):
     """A torus fixed point: k-string plus one diagram pair per summand."""
 
-    ks: tuple[int, ...]
-    y1: tuple[PartitionDiagram, ...]
-    y2: tuple[PartitionDiagram, ...]
-
+    __slots__ = ("ks", "y1", "y2")
     _keys = ("k", "Y1", "Y2")
 
-    def __post_init__(self):
-        object.__setattr__(self, "ks", _integers(self.ks))
-        object.__setattr__(self, "y1", _as_diagrams(self.y1))
-        object.__setattr__(self, "y2", _as_diagrams(self.y2))
-        if not (len(self.ks) == len(self.y1) == len(self.y2)):
+    def __init__(self, ks, y1, y2):
+        ks = _integers(ks)
+        y1 = _as_diagrams(y1)
+        y2 = _as_diagrams(y2)
+        if not (len(ks) == len(y1) == len(y2)):
             raise ValueError("ks, y1 and y2 must all have one entry per summand")
+        object.__setattr__(self, "ks", ks)
+        object.__setattr__(self, "y1", y1)
+        object.__setattr__(self, "y2", y2)
 
     def box_count(self) -> int:
         return sum(y.size for y in self.y1) + sum(y.size for y in self.y2)
@@ -140,20 +138,19 @@ class FixedPointDatum(_Datum):
         }
 
 
-@dataclass(frozen=True)
 class ReducedFixedPointDatum(_Datum):
     """A fixed-locus label for the reduced action: k-string plus one diagram each."""
 
-    ks: tuple[int, ...]
-    ys: tuple[PartitionDiagram, ...]
-
+    __slots__ = ("ks", "ys")
     _keys = ("k", "Y")
 
-    def __post_init__(self):
-        object.__setattr__(self, "ks", _integers(self.ks))
-        object.__setattr__(self, "ys", _as_diagrams(self.ys))
-        if len(self.ks) != len(self.ys):
+    def __init__(self, ks, ys):
+        ks = _integers(ks)
+        ys = _as_diagrams(ys)
+        if len(ks) != len(ys):
             raise ValueError("ks and ys must have one entry per summand")
+        object.__setattr__(self, "ks", ks)
+        object.__setattr__(self, "ys", ys)
 
     def box_count(self) -> int:
         return sum(y.size for y in self.ys)

@@ -18,13 +18,13 @@ be negative.  `localization._patch_exponents` implements this formula.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import lru_cache
-from typing import Iterator
 
-from .laurent import _integers
+from .laurent import _Frozen, _integers
 
 
-class PartitionDiagram:
+class PartitionDiagram(_Frozen):
     """A Young diagram: weakly decreasing positive row lengths and their conjugate.
 
     Immutable once built, because `enumerate_partitions` and the tables
@@ -46,12 +46,6 @@ class PartitionDiagram:
             cols += [height] * (x - len(cols))
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", tuple(cols))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"PartitionDiagram is immutable, cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"PartitionDiagram is immutable, cannot delete {name!r}")
 
     def __reduce__(self):
         # pickle and copy rebuild from the rows instead of setting the slots

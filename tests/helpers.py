@@ -15,13 +15,17 @@ diagram iff r <= column_length(c).  They are the oracles for the closed forms.
 
 The Character operations at the end are plain functions over
 `Character.terms`, used to state symmetries of the tangent characters.
+`check_record` states what the package's immutable records promise.
 """
 
+import copy
 import math
+import pickle
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
+import pytest
 from hirzebruch.counting import component_factor, indexed_points, l_prime
 from hirzebruch.laurent import Character, QSeries, TPolynomial
 from hirzebruch.partitions import compositions, enumerate_partitions
@@ -316,3 +320,38 @@ def invariant_part(x, eps):
 def zero_weight_count(x, ordering):
     """Number of terms, with multiplicity, whose every key-exponent vanishes."""
     return sum(c for key, c in x.terms.items() if ordering.sign(key) == 0)
+
+
+def check_record(record, expected_repr):
+    """Check what an immutable record promises, as its dataclass form did.
+
+    Its fields are its `__slots__`.  A copy built from them by keyword is
+    equal to it and hashes like their tuple.  A record of another class
+    with the same fields is unequal.  It prints as `expected_repr`, rejects
+    setting and deleting attributes, and pickles and copies to an equal
+    record.
+    """
+    cls = type(record)
+    fields = cls.__slots__
+    values = tuple(getattr(record, name) for name in fields)
+
+    class Other(cls):
+        __slots__ = ()
+
+    twin = cls(**dict(zip(fields, values)))
+    assert twin == record and not twin != record
+    assert hash(twin) == hash(record) == hash(values)
+    assert record != Other(*values) and Other(*values) != record
+    assert record != values
+    assert repr(record) == expected_repr
+    for name in (*fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert tuple(getattr(record, name) for name in fields) == values
+    # pickle and copy call the constructor, which checks the fields again
+    assert record.__reduce__() == (cls, values)
+    copies = (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record))
+    for copied in copies:
+        assert type(copied) is cls and copied == record

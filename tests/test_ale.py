@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from helpers import invariant_part, permute_framing, swap_t
+from helpers import check_record, invariant_part, permute_framing, swap_t
 
 from hirzebruch.ale import (
     ColoredFixedPoint,
@@ -236,3 +236,15 @@ def test_tangent_character_matches_pairwise_oracle(r, n, corner_counts):
 def test_colored_point_json_round_trip():
     fp = cfp(([2, 1], 1), ([], 0))
     assert ColoredFixedPoint.from_json(fp.to_json()) == fp
+
+
+def test_colored_point_keeps_the_dataclass_contract():
+    fp = next(enumerate_colored_fixed_points(2, 1))
+    check_record(
+        fp,
+        "ColoredFixedPoint(tableaux=(ColoredDiagram([], eps=0), ColoredDiagram([2], eps=0)))",
+    )
+    assert ColoredFixedPoint(tableaux=list(fp.tableaux)) == fp
+    with pytest.raises(ValueError) as caught:
+        ColoredFixedPoint((1,))
+    assert str(caught.value) == "expected ColoredDiagram entries, got 1"

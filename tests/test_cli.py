@@ -281,28 +281,35 @@ def test_cli_import_loads_no_thread_pool():
     assert done.stdout == "False\n"
 
 
-# Runs the command line as `python -m hirzebruch` does, then prints the sorted
-# hirzebruch modules of the process as the last line of stderr.
+# Runs the command line as `python -m hirzebruch` does, then prints as the last
+# line of stderr the sorted hirzebruch modules of the process and which of the
+# WATCHED standard-library modules it loaded.
+WATCHED = ("dataclasses", "fractions", "inspect", "typing")
 _LOADED = (
     "import atexit, json, runpy, sys\n"
-    "atexit.register(lambda: print(json.dumps(sorted(m for m in sys.modules"
-    " if m.split('.')[0] == 'hirzebruch')), file=sys.stderr))\n"
+    "atexit.register(lambda: print(json.dumps(["
+    "sorted(m for m in sys.modules if m.split('.')[0] == 'hirzebruch'),"
+    f" sorted(m for m in {WATCHED!r} if m in sys.modules)]), file=sys.stderr))\n"
     "sys.argv[0] = 'hirzebruch'\n"
     "runpy.run_module('hirzebruch', run_name='__main__', alter_sys=True)\n"
 )
 CLI_ONLY = ["hirzebruch", "hirzebruch.cli"]
 
 
-def _loaded(*argv):
-    """The hirzebruch modules a fresh `hirzebruch argv` process loads, and its stdout."""
-    done = _hirzebruch("-c", _LOADED, *argv)
+def _loaded(*argv, flags=()):
+    """The hirzebruch modules and the WATCHED ones that a fresh `python flags -m
+    hirzebruch argv` process loads, and its stdout."""
+    done = _hirzebruch(*flags, "-c", _LOADED, *argv)
     assert done.returncode == 0, done.stderr
-    return json.loads(done.stderr.splitlines()[-1]), done.stdout
+    ours, stdlib = json.loads(done.stderr.splitlines()[-1])
+    return ours, stdlib, done.stdout
 
 
 @pytest.mark.parametrize("argv", [["--version"], ["--help"], ["poincare", "--help"]])
 def test_version_and_help_load_no_math_layer(argv):
-    assert _loaded(*argv)[0] == CLI_ONLY
+    ours, stdlib, _ = _loaded(*argv)
+    assert ours == CLI_ONLY
+    assert "fractions" not in stdlib
 
 
 @pytest.mark.parametrize(
@@ -315,11 +322,14 @@ def test_version_and_help_load_no_math_layer(argv):
 )
 def test_json_cache_hit_loads_no_math_layer(tmp_path, argv):
     argv = [*argv, "--format", "json", "--cache-dir", str(tmp_path)]
-    cold, computed = _loaded(*argv)
-    hit, served = _loaded(*argv)
+    cold, _, computed = _loaded(*argv)
+    hit, hit_stdlib, served = _loaded(*argv)
     assert "hirzebruch.laurent" in cold
     assert hit == CLI_ONLY
     assert served == computed
+    if "--n" not in argv:
+        # only parsing --n needs fractions
+        assert "fractions" not in hit_stdlib
 
 
 @pytest.mark.parametrize(
@@ -331,9 +341,28 @@ def test_json_cache_hit_loads_no_math_layer(tmp_path, argv):
     ],
 )
 def test_cold_surface_request_loads_no_ale_oracle(argv):
-    loaded, _ = _loaded(*argv, "--format", "json")
+    loaded, _, _ = _loaded(*argv, "--format", "json")
     assert "hirzebruch.counting" in loaded
     assert "hirzebruch.ale" not in loaded
+
+
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (["poincare", "--p", "2", "--r", "2", "--k", "0", "--n", "2"], ()),
+        (["check", "--p", "1", "--r", "3", "--k", "1", "--n", "1/2"], ()),
+        (["series", "--p", "1", "--max-order", "3"], ()),
+        # -S: no site module, whose start-up hooks may import typing themselves
+        (["ale", "--r", "2", "--n", "1"], ("-S",)),
+    ],
+)
+def test_cold_request_loads_no_dataclasses(argv, flags):
+    loaded, stdlib, _ = _loaded(*argv, "--format", "json", flags=flags)
+    assert "hirzebruch.laurent" in loaded
+    assert "dataclasses" not in stdlib
+    assert "inspect" not in stdlib
+    if "-S" in flags:
+        assert "typing" not in stdlib
 
 
 def test_missing_fixed_point_file_exits_2(capsys, tmp_path):

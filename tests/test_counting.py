@@ -7,6 +7,7 @@ from functools import lru_cache
 
 import pytest
 from helpers import (
+    check_record,
     column_heights,
     convolved_slot_tables,
     fraction_k_strings,
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 import hirzebruch.counting
 import hirzebruch.partitions
 from hirzebruch.counting import (
+    IndexedPoint,
     _k_strings,
     _pair_terms,
     _slots_series,
@@ -448,6 +450,19 @@ def test_indexed_points_frozen():
         {"k": [0, 0], "Y": [[], [1]], "index": 1, "factor": [[0, 1], [2, 1]]},
         {"k": [0, 0], "Y": [[1], []], "index": 0, "factor": [[0, 1], [2, 1]]},
     ]
+
+
+def test_indexed_point_keeps_the_dataclass_contract():
+    first = next(indexed_points(ModuliParams(1, 2, 0, 1)))
+    check_record(
+        first,
+        "IndexedPoint(datum=ReducedFixedPointDatum(ks=(-1, 1),"
+        " ys=(PartitionDiagram([]), PartitionDiagram([]))), index=2, factor=<TPolynomial 1>)",
+    )
+    made = IndexedPoint(
+        datum=ReducedFixedPointDatum((-1, 1), ((), ())), index=2, factor=TPolynomial({0: 1})
+    )
+    assert made == first
 
 
 def test_poincare_polynomial_frozen():

@@ -1,7 +1,15 @@
 from fractions import Fraction
 
 import pytest
-from helpers import boxes, conjugate, promote, relative_arm, relative_leg, swap_t
+from helpers import (
+    boxes,
+    check_record,
+    conjugate,
+    promote,
+    relative_arm,
+    relative_leg,
+    swap_t,
+)
 from hypothesis import given, strategies as st
 
 from hirzebruch.counting import enumerate_fixed_points, enumerate_reduced_fixed_points
@@ -52,6 +60,52 @@ def test_params_validation():
     assert params.expected_dimension() == 2
     with pytest.raises(InvariantError):
         ModuliParams(1, 1, 0, Fraction(1, 3)).expected_dimension()
+
+
+def test_records_keep_the_dataclass_contract():
+    check_record(ModuliParams(2, 2, 0, 3), "ModuliParams(p=2, r=2, k=0, n=Fraction(3, 1))")
+    check_record(
+        FixedPointDatum((0, 1), ((1,), ()), ((), (2, 1))),
+        "FixedPointDatum(ks=(0, 1), y1=(PartitionDiagram([1]), PartitionDiagram([])),"
+        " y2=(PartitionDiagram([]), PartitionDiagram([2, 1])))",
+    )
+    check_record(
+        ReducedFixedPointDatum((0, 1), ((1,), ())),
+        "ReducedFixedPointDatum(ks=(0, 1), ys=(PartitionDiagram([1]), PartitionDiagram([])))",
+    )
+    assert ModuliParams(p=1, r=2, k=0, n="1/2") == ModuliParams(1, 2, 0, Fraction(1, 2))
+    assert FixedPointDatum(ks=[0], y1=[[1]], y2=[[]]) == FixedPointDatum((0,), ((1,),), ((),))
+    assert ReducedFixedPointDatum(ks=[0], ys=[[1]]) == ReducedFixedPointDatum((0,), ((1,),))
+    # the two fixed-point records never compare equal, even on equal k-strings
+    assert FixedPointDatum((0,), ((),), ((),)) != ReducedFixedPointDatum((0,), ((),))
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: ModuliParams(0, 1, 0, 1), "p must be a positive integer, got 0"),
+        (lambda: ModuliParams(1, 0, 0, 1), "r must be a positive integer, got 0"),
+        (lambda: ModuliParams(1, 1, True, 1), "k must be an integer, got True"),
+        (lambda: ModuliParams(1, 1, 0, 0.5), "expected an exact rational, got 0.5"),
+        (lambda: FixedPointDatum((0.5,), ((),), ((),)), "expected integers, got 0.5"),
+        (
+            lambda: FixedPointDatum((0,), ((),), ()),
+            "ks, y1 and y2 must all have one entry per summand",
+        ),
+        (
+            lambda: ReducedFixedPointDatum((0, 1), ((1,),)),
+            "ks and ys must have one entry per summand",
+        ),
+        (
+            lambda: ReducedFixedPointDatum((0,), ((1, 2),)),
+            "row lengths must be weakly decreasing, got (1, 2)",
+        ),
+    ],
+)
+def test_record_error_messages(make, message):
+    with pytest.raises(ValueError) as caught:
+        make()
+    assert str(caught.value) == message
 
 
 @pytest.mark.parametrize(
