@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -160,29 +161,6 @@ def _params(args) -> ModuliParams:
     return ModuliParams(args.p, args.r, args.k, args.n)
 
 
-def _poincare_payload(cache, p: int, r: int, k: int, n: Fraction):
-    request = _request("poincare", p=p, r=r, k=k, n=n)
-
-    def compute():
-        from .counting import poincare_polynomial
-        from .localization import ModuliParams
-
-        return poincare_polynomial(ModuliParams(p, r, k, n)).to_pairs()
-
-    return request, _cached(cache, request, compute)
-
-
-def _ale_payload(cache, r: int, n: Fraction, ordering_name: str):
-    request = _request("ale", r=r, n=n, ordering=ordering_name)
-
-    def compute():
-        from .ale import ale_poincare
-
-        return ale_poincare(r, n, _ordering(ordering_name, r)).to_pairs()
-
-    return request, _cached(cache, request, compute)
-
-
 def _cmd_fixed_points(args, cache):
     from .counting import enumerate_fixed_points, indexed_points
 
@@ -190,11 +168,8 @@ def _cmd_fixed_points(args, cache):
     request = _request(
         "fixed-points", p=args.p, r=args.r, k=args.k, n=args.n, reduced=args.reduced
     )
-    if args.reduced:
-        payload = [point.to_json() for point in indexed_points(params)]
-    else:
-        payload = [fp.to_json() for fp in enumerate_fixed_points(params)]
-    return request, payload
+    points = indexed_points(params) if args.reduced else enumerate_fixed_points(params)
+    return request, [point.to_json() for point in points]
 
 
 def _records_text(args, records) -> str:
@@ -242,29 +217,32 @@ def _cmd_tangent(args, cache):
         "tangent", p=args.p, r=args.r, k=args.k, n=args.n,
         reduced=args.reduced, ordering=args.ordering,
     )
+    if args.reduced:
+        datum, character = ReducedFixedPointDatum, reduced_tangent_character
+        enumerate_points = enumerate_reduced_fixed_points
+        ordering = _ordering(args.ordering, params.r)
+    else:
+        datum, character = FixedPointDatum, tangent_character
+        enumerate_points, ordering = enumerate_fixed_points, None
     if args.fixed_points:
         records = _load_fixed_point_records(args.fixed_points)
-        if args.reduced:
-            points = [ReducedFixedPointDatum.from_json(r) for r in records]
-        else:
-            points = [FixedPointDatum.from_json(r) for r in records]
-    elif args.reduced:
-        points = list(enumerate_reduced_fixed_points(params))
+        points = [datum.from_json(record) for record in records]
     else:
-        points = list(enumerate_fixed_points(params))
-    if args.reduced:
-        ordering = _ordering(args.ordering, params.r)
-        records = [
-            _character_record(point, reduced_tangent_character(params, point), ordering)
-            for point in points
-        ]
-    else:
-        records = [_character_record(fp, tangent_character(params, fp)) for fp in points]
-    return request, records
+        points = list(enumerate_points(params))
+    return request, [
+        _character_record(point, character(params, point), ordering) for point in points
+    ]
 
 
 def _cmd_poincare(args, cache):
-    return _poincare_payload(cache, args.p, args.r, args.k, args.n)
+    request = _request("poincare", p=args.p, r=args.r, k=args.k, n=args.n)
+
+    def compute():
+        from .counting import poincare_polynomial
+
+        return poincare_polynomial(_params(args)).to_pairs()
+
+    return request, _cached(cache, request, compute)
 
 
 def _poly_text(args, pairs) -> str:
@@ -274,59 +252,52 @@ def _poly_text(args, pairs) -> str:
 
 
 def _series_text(args, payload) -> str:
-    from .laurent import TPolynomial
-
     return "\n".join(
-        f"q^{item['q']}: {TPolynomial.from_pairs(item['poly']).text()}"
-        for item in payload
+        f"q^{item['q']}: {_poly_text(args, item['poly'])}" for item in payload
     )
 
 
-def _max_order(args) -> int:
+def _cmd_series(args, cache):
+    """`series` and `hilbert`; only a `series` request names its method."""
     if args.max_order > MAX_ORDER:
         raise ValueError(f"--max-order must be at most {MAX_ORDER}, got {args.max_order}")
-    return args.max_order
-
-
-def _cmd_series(args, cache):
-    order = _max_order(args)
-    request = _request("series", p=args.p, max_order=order, method=args.method)
+    request = _request(args.subcommand, p=args.p, max_order=args.max_order)
+    if args.subcommand == "series":
+        request["method"] = args.method
 
     def compute():
-        from .counting import rank2_series_closed, rank2_series_direct
+        from .counting import hilbert_series_r1, rank2_series_closed, rank2_series_direct
 
-        fn = rank2_series_closed if args.method == "closed" else rank2_series_direct
-        return fn(args.p, order).to_json()
-
-    return request, _cached(cache, request, compute)
-
-
-def _cmd_hilbert(args, cache):
-    order = _max_order(args)
-    request = _request("hilbert", p=args.p, max_order=order)
-
-    def compute():
-        from .counting import hilbert_series_r1
-
-        return hilbert_series_r1(args.p, order).to_json()
+        if args.subcommand == "hilbert":
+            fn = hilbert_series_r1
+        else:
+            fn = rank2_series_closed if args.method == "closed" else rank2_series_direct
+        return fn(args.p, args.max_order).to_json()
 
     return request, _cached(cache, request, compute)
 
 
 def _cmd_ale(args, cache):
-    if args.points:
-        from .ale import ale_tangent_character, enumerate_colored_fixed_points
-        from .laurent import TPolynomial
+    request = _request("ale", r=args.r, n=args.n, ordering=args.ordering)
 
-        request = _request("ale", r=args.r, n=args.n, ordering=args.ordering, points=True)
-        ordering = _ordering(args.ordering, args.r)
-        points = [
-            _character_record(fp, ale_tangent_character(fp), ordering)
-            for fp in enumerate_colored_fixed_points(args.r, args.n)
-        ]
-        poly = TPolynomial(Counter(2 * record["index"] for record in points))
-        return request, {"poly": poly.to_pairs(), "points": points}
-    return _ale_payload(cache, args.r, args.n, args.ordering)
+    def compute():
+        from .ale import ale_poincare
+
+        return ale_poincare(args.r, args.n, _ordering(args.ordering, args.r)).to_pairs()
+
+    if not args.points:
+        return request, _cached(cache, request, compute)
+    from .ale import ale_tangent_character, enumerate_colored_fixed_points
+    from .laurent import TPolynomial
+
+    request["points"] = True
+    ordering = _ordering(args.ordering, args.r)
+    points = [
+        _character_record(fp, ale_tangent_character(fp), ordering)
+        for fp in enumerate_colored_fixed_points(args.r, args.n)
+    ]
+    poly = TPolynomial(Counter(2 * record["index"] for record in points))
+    return request, {"poly": poly.to_pairs(), "points": points}
 
 
 def _ale_text(args, payload) -> str:
@@ -351,68 +322,47 @@ def _check_text(args, payload) -> str:
     return _compact(payload)
 
 
-def _sweep_cell(mode: str, cache, p: int, r: int, k: int, n: Fraction) -> dict:
-    row = {"p": p, "r": r, "k": k, "n": str(n)}
-    try:
-        if mode == "poincare":
-            _, pairs = _poincare_payload(cache, p, r, k, n)
-            row["poincare"] = pairs
-        elif mode == "check":
-            from .counting import check_nonempty
-            from .localization import ModuliParams
-
-            row["nonempty"] = check_nonempty(ModuliParams(p, r, k, n))
-        else:  # crosscheck applies where the orbifold oracle exists: p=2, k=0 mod r
-            _, pairs = _poincare_payload(cache, p, r, k, n)
-            row["poincare"] = pairs
-            if p == 2 and k % r == 0:
-                _, ale_pairs = _ale_payload(cache, r, n, "ale")
-                row["ale"] = ale_pairs
-                row["match"] = ale_pairs == pairs
-            else:
-                row["ale"] = None
-                row["match"] = "n/a"
-    except ValueError as exc:  # bad input for this cell, such as p = 0
-        row["error"] = str(exc)
-    return row
-
-
 def _sweep_text(args, rows: list[dict]) -> str:
-    from .laurent import TPolynomial
+    def text(value) -> str:
+        if isinstance(value, list):  # a polynomial's pairs
+            return _poly_text(args, value)
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        return "-" if value is None else str(value)
 
-    columns = {
-        "poincare": ["p", "r", "k", "n", "poincare"],
-        "check": ["p", "r", "k", "n", "nonempty"],
-        "crosscheck": ["p", "r", "k", "n", "poincare", "ale", "match"],
-    }[args.mode]
-    lines = ["\t".join(columns)]
+    columns = ["nonempty"] if args.mode == "check" else ["poincare"]
+    if args.mode == "crosscheck":
+        columns += ["ale", "match"]
+    lines = ["\t".join(["p", "r", "k", "n", *columns])]
     for row in rows:
-        cells = []
-        for col in columns:
-            if "error" in row and col not in ("p", "r", "k", "n"):
-                cells.append(f"error:{row['error']}")
-                break
-            value = row.get(col)
-            if col in ("poincare", "ale"):
-                value = (
-                    TPolynomial.from_pairs(value).text() if value is not None else "-"
-                )
-            elif isinstance(value, bool):
-                value = "true" if value else "false"
-            cells.append(str(value))
+        cells = [str(row[key]) for key in ("p", "r", "k", "n")]
+        if "error" in row:
+            cells.append(f"error:{row['error']}")
+        else:
+            cells.extend(text(row[col]) for col in columns)
         lines.append("\t".join(cells))
     return "\n".join(lines)
 
 
 def _cmd_sweep(args, cache):
     request = _request("sweep", mode=args.mode, p=args.p, r=args.r, k=args.k, n=args.n)
-    rows = [
-        _sweep_cell(args.mode, cache, p, r, k, n)
-        for p in args.p
-        for r in args.r
-        for k in args.k
-        for n in args.n
-    ]
+    rows = []
+    for p, r, k, n in itertools.product(args.p, args.r, args.k, args.n):
+        # a cell is a poincare, ale or check request; check cells are not cached
+        cell = argparse.Namespace(p=p, r=r, k=k, n=n, ordering="ale", points=False)
+        row = {"p": p, "r": r, "k": k, "n": str(n)}
+        try:
+            if args.mode == "check":
+                row.update(_cmd_check(cell, None)[1])
+            else:
+                row["poincare"] = _cmd_poincare(cell, cache)[1]
+            if args.mode == "crosscheck":  # the ALE oracle exists at p=2, k=0 mod r
+                ale = _cmd_ale(cell, cache)[1] if p == 2 and k % r == 0 else None
+                row["ale"] = ale
+                row["match"] = "n/a" if ale is None else ale == row["poincare"]
+        except ValueError as exc:  # bad input for this cell, such as p = 0
+            row["error"] = str(exc)
+        rows.append(row)
     return request, rows
 
 
@@ -430,6 +380,8 @@ def _write_stdout(text: str) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # Flags shared by several subcommands live on parent parsers: argparse
+    # builds them once, instead of once per subcommand that takes them.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("text", "json"), default="text", help="output format"
@@ -442,6 +394,13 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--timing", action="store_true", help="report elapsed milliseconds on stderr"
     )
+    moduli = argparse.ArgumentParser(add_help=False)
+    moduli.add_argument("--p", type=int, required=True, help="Hirzebruch surface degree")
+    moduli.add_argument("--r", type=int, required=True, help="sheaf rank")
+    moduli.add_argument("--k", type=int, required=True, help="first Chern datum")
+    moduli.add_argument(
+        "--n", type=_rational, required=True, help="second Chern datum, a or a/b"
+    )
 
     parser = argparse.ArgumentParser(
         prog="hirzebruch",
@@ -451,31 +410,27 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def moduli_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--p", type=int, required=True, help="Hirzebruch surface degree")
-        p.add_argument("--r", type=int, required=True, help="sheaf rank")
-        p.add_argument("--k", type=int, required=True, help="first Chern datum")
-        p.add_argument(
-            "--n", type=_rational, required=True, help="second Chern datum, a or a/b"
-        )
+    def command(name: str, summary: str, handler, render, *extra, **kwargs):
+        child = sub.add_parser(name, parents=[common, *extra], help=summary, **kwargs)
+        child.set_defaults(handler=handler, render=render)
+        return child
 
     order_help = f"q-truncation order, at most {MAX_ORDER}"
 
-    fp = sub.add_parser(
-        "fixed-points", parents=[common], help="list torus fixed points"
+    fp = command(
+        "fixed-points", "list torus fixed points", _cmd_fixed_points, _records_text,
+        moduli,
     )
-    moduli_flags(fp)
     fp.add_argument(
         "--reduced",
         action="store_true",
         help="list reduced fixed loci with Morse index and component factor",
     )
-    fp.set_defaults(handler=_cmd_fixed_points, render=_records_text)
 
-    tg = sub.add_parser(
-        "tangent", parents=[common], help="tangent characters at fixed points"
+    tg = command(
+        "tangent", "tangent characters at fixed points", _cmd_tangent, _records_text,
+        moduli,
     )
-    moduli_flags(tg)
     tg.add_argument("--reduced", action="store_true", help="reduced characters")
     tg.add_argument(
         "--fixed-points",
@@ -486,17 +441,13 @@ def build_parser() -> argparse.ArgumentParser:
     tg.add_argument(
         "--ordering", choices=("main", "ale"), default="main", help="index ordering"
     )
-    tg.set_defaults(handler=_cmd_tangent, render=_records_text)
 
-    pc = sub.add_parser(
-        "poincare", parents=[common], help="Poincare polynomial of a moduli space"
+    pc = command(
+        "poincare", "Poincare polynomial of a moduli space", _cmd_poincare, _poly_text,
+        moduli,
     )
-    moduli_flags(pc)
-    pc.set_defaults(handler=_cmd_poincare, render=_poly_text)
 
-    se = sub.add_parser(
-        "series", parents=[common], help="rank-2, k=0 generating series"
-    )
+    se = command("series", "rank-2, k=0 generating series", _cmd_series, _series_text)
     se.add_argument("--p", type=int, required=True, help="Hirzebruch surface degree")
     se.add_argument("--max-order", type=int, default=5, help=order_help)
     se.add_argument(
@@ -505,18 +456,15 @@ def build_parser() -> argparse.ArgumentParser:
         default="closed",
         help="closed product/bracket form or term-by-term summation",
     )
-    se.set_defaults(handler=_cmd_series, render=_series_text)
 
-    hb = sub.add_parser(
-        "hilbert", parents=[common], help="rank-1 (Hilbert scheme) generating series"
+    hb = command(
+        "hilbert", "rank-1 (Hilbert scheme) generating series", _cmd_series,
+        _series_text,
     )
     hb.add_argument("--p", type=int, default=1, help="Hirzebruch surface degree")
     hb.add_argument("--max-order", type=int, default=5, help=order_help)
-    hb.set_defaults(handler=_cmd_hilbert, render=_series_text)
 
-    al = sub.add_parser(
-        "ale", parents=[common], help="A1 orbifold Poincare polynomial"
-    )
+    al = command("ale", "A1 orbifold Poincare polynomial", _cmd_ale, _ale_text)
     al.add_argument("--r", type=int, required=True, help="instanton rank")
     al.add_argument(
         "--n", type=_rational, required=True, help="instanton number, a or a/b"
@@ -529,16 +477,14 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also list fixed points with characters and indexes",
     )
-    al.set_defaults(handler=_cmd_ale, render=_ale_text)
 
-    ck = sub.add_parser(
-        "check", parents=[common], help="decide whether the moduli space is nonempty"
+    ck = command(
+        "check", "decide whether the moduli space is nonempty", _cmd_check, _check_text,
+        moduli,
     )
-    moduli_flags(ck)
-    ck.set_defaults(handler=_cmd_check, render=_check_text)
 
-    sw = sub.add_parser(
-        "sweep", parents=[common], help="run a parameter grid",
+    sw = command(
+        "sweep", "run a parameter grid", _cmd_sweep, _sweep_text,
         description="A list that starts with '-' needs '=', as in --k=-1,0.",
     )
     sw.add_argument(
@@ -553,7 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument(
         "--n", type=_list_of(_rational), required=True, help="e.g. 0..4 or --n=-1/2,0,1"
     )
-    sw.set_defaults(handler=_cmd_sweep, render=_sweep_text)
 
     return parser
 

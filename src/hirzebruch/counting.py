@@ -22,6 +22,7 @@ lexicographic order with the rightmost slot varying fastest.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterator
 from fractions import Fraction
@@ -74,31 +75,28 @@ def _k_strings(params: ModuliParams) -> Iterator[tuple[tuple[int, ...], int]]:
             yield ks, scaled // (2 * r)
 
 
-def _diagram_tuples(sizes: tuple[int, ...]) -> Iterator[tuple[PartitionDiagram, ...]]:
-    if not sizes:
-        yield ()
-        return
-    for head in enumerate_partitions(sizes[0]):
-        for tail in _diagram_tuples(sizes[1:]):
-            yield (head,) + tail
+def _labels(
+    params: ModuliParams, slots: int
+) -> Iterator[tuple[tuple[int, ...], tuple[PartitionDiagram, ...]]]:
+    """Each k-string with each tuple of `slots` diagrams that holds its excess."""
+    for ks, excess in _k_strings(params):
+        for sizes in compositions(excess, slots):
+            for diagrams in itertools.product(*map(enumerate_partitions, sizes)):
+                yield ks, diagrams
 
 
 def enumerate_fixed_points(params: ModuliParams) -> Iterator[FixedPointDatum]:
     """All torus fixed points of the moduli space, in deterministic order."""
-    for ks, excess in _k_strings(params):
-        for sizes in compositions(excess, 2 * params.r):
-            for diagrams in _diagram_tuples(sizes):
-                yield FixedPointDatum(ks, diagrams[: params.r], diagrams[params.r :])
+    for ks, diagrams in _labels(params, 2 * params.r):
+        yield FixedPointDatum(ks, diagrams[: params.r], diagrams[params.r :])
 
 
 def enumerate_reduced_fixed_points(
     params: ModuliParams,
 ) -> Iterator[ReducedFixedPointDatum]:
     """All fixed-locus labels of the reduced action, in deterministic order."""
-    for ks, excess in _k_strings(params):
-        for sizes in compositions(excess, params.r):
-            for diagrams in _diagram_tuples(sizes):
-                yield ReducedFixedPointDatum(ks, diagrams)
+    for ks, diagrams in _labels(params, params.r):
+        yield ReducedFixedPointDatum(ks, diagrams)
 
 
 def l_prime(p: int, ka: int, kb: int) -> int:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hirzebruch
+import hirzebruch.ale
 import hirzebruch.counting
 from hirzebruch import __version__
 from hirzebruch.cli import CACHE_ENV_VAR, MAX_ORDER, main
@@ -589,6 +590,37 @@ def test_unreadable_cache_entry_is_recomputed(capsys, tmp_path, damage):
     assert entry.read_bytes() == intact
 
 
+def test_crosscheck_sweep_shares_cache_entries_with_poincare_and_ale(
+    capsys, tmp_path, monkeypatch
+):
+    cache = str(tmp_path / "cache")
+    code, _, _ = run(
+        capsys, "sweep", "--mode", "crosscheck", "--p", "1,2", "--r", "2", "--k", "0",
+        "--n", "1,2", "--cache-dir", cache,
+    )
+    assert code == 0
+
+    def refuse(*args):
+        raise AssertionError("a result the sweep cached was recomputed")
+
+    monkeypatch.setattr(hirzebruch.counting, "poincare_polynomial", refuse)
+    monkeypatch.setattr(hirzebruch.ale, "ale_poincare", refuse)
+    served = (0, "1 + 2*t^2 + 5*t^4 + 5*t^6 + 3*t^8\n", "")
+    poincare = ("poincare", "--p", "2", "--r", "2", "--k", "0", "--n", "2")
+    assert run(capsys, *poincare, "--cache-dir", cache) == served
+    assert run(capsys, "ale", "--r", "2", "--n", "2", "--cache-dir", cache) == served
+
+
+def test_check_sweep_writes_no_cache_entry(capsys, tmp_path):
+    cache = tmp_path / "cache"
+    code, _, _ = run(
+        capsys, "sweep", "--mode", "check", "--p", "1,2", "--r", "2", "--k", "0,1",
+        "--n", "0..2", "--cache-dir", str(cache),
+    )
+    assert code == 0
+    assert list(cache.iterdir()) == []
+
+
 def test_cache_env_var(capsys, tmp_path, monkeypatch):
     cache = tmp_path / "envcache"
     monkeypatch.setenv(CACHE_ENV_VAR, str(cache))
@@ -624,19 +656,12 @@ def test_version_flag(capsys):
 
 
 def test_module_entry_point_subprocess():
-    env = dict(os.environ)
-    env.pop(CACHE_ENV_VAR, None)
-    done = subprocess.run(
-        [sys.executable, "-m", "hirzebruch",
-         "poincare", "--p", "2", "--r", "2", "--k", "0", "--n", "1"],
-        capture_output=True, text=True, env=env,
+    done = _hirzebruch(
+        "-m", "hirzebruch", "poincare", "--p", "2", "--r", "2", "--k", "0", "--n", "1"
     )
     assert done.returncode == 0
     assert done.stdout == "1 + 2*t^2 + t^4\n"
-    bad = subprocess.run(
-        [sys.executable, "-m", "hirzebruch", "poincare", "--p", "2"],
-        capture_output=True, text=True, env=env,
-    )
+    bad = _hirzebruch("-m", "hirzebruch", "poincare", "--p", "2")
     assert bad.returncode == 2
 
 
@@ -679,6 +704,27 @@ def test_output_digest_is_pinned_to_the_version(capsys):
         assert code == 0
         digest.update(out.encode())
     assert (__version__, digest.hexdigest()) == PINNED_OUTPUT
+
+
+# The text renderers are pinned apart from the JSON: the pinned requests plus
+# one sweep per mode with a bad cell (p = 0), whose row prints its error.
+PINNED_TEXT_REQUESTS = PINNED_REQUESTS + [
+    ["sweep", "--mode", mode, "--p", "0,2", "--r", "2", "--k", "0,1", "--n", "1/2,1"]
+    for mode in ("poincare", "check", "crosscheck")
+]
+PINNED_TEXT = (
+    "0.1.0",
+    "c62eddbb4edd9238dad16c947f0a9687c4cc476b6121198801eba9bf32457142",
+)
+
+
+def test_text_output_digest_is_pinned(capsys):
+    digest = hashlib.sha256()
+    for argv in PINNED_TEXT_REQUESTS:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        digest.update(out.encode())
+    assert (__version__, digest.hexdigest()) == PINNED_TEXT
 
 
 def test_json_output_renders_no_text(capsys, monkeypatch):
