@@ -31,6 +31,10 @@ CACHE_ENV_VAR = "HIRZEBRUCH_CACHE_DIR"
 # The work of a series grows about as the cube of its order; at p = 1 and
 # order 50, `series --method direct` takes 1.3 s and `hilbert` 0.2 s.
 MAX_ORDER = 50
+# A sweep runs one request per cell of its grid, and a range a..b in one of
+# its lists is expanded into its values: both are bounded, so an absurd grid
+# is refused before any work.
+MAX_CELLS = 10_000
 
 _RATIONAL = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 _RANGE = re.compile(r"^([+-]?\d+)\.\.([+-]?\d+)$")
@@ -55,7 +59,8 @@ def _rational(text: str) -> Fraction:
 
 
 def _list_of(convert):
-    """An argparse type: comma-separated `convert` values and integer ranges a..b."""
+    """An argparse type: comma-separated `convert` values and integer ranges a..b,
+    at most MAX_CELLS values in all."""
 
     def parse(text: str) -> list:
         out = []
@@ -64,6 +69,11 @@ def _list_of(convert):
             matched = _RANGE.match(token)
             if matched:
                 lo, hi = int(matched.group(1)), int(matched.group(2))
+                count = len(out) + max(0, hi - lo + 1)
+                if count > MAX_CELLS:
+                    raise argparse.ArgumentTypeError(
+                        f"{token!r} makes the list {count} values long, more than {MAX_CELLS}"
+                    )
                 out.extend(convert(str(x)) for x in range(lo, hi + 1))
             else:
                 out.append(convert(token))
@@ -345,6 +355,9 @@ def _sweep_text(args, rows: list[dict]) -> str:
 
 
 def _cmd_sweep(args, cache):
+    cells = len(args.p) * len(args.r) * len(args.k) * len(args.n)
+    if cells > MAX_CELLS:
+        raise ValueError(f"the sweep grid has {cells} cells, more than {MAX_CELLS}")
     request = _request("sweep", mode=args.mode, p=args.p, r=args.r, k=args.k, n=args.n)
     rows = []
     for p, r, k, n in itertools.product(args.p, args.r, args.k, args.n):

@@ -14,10 +14,13 @@ is a product over slots and heights of monomial factors
 1/(1 - q^h t^b) (`_slots_series`), and `poincare_polynomial` reads one
 row of it per k-string without visiting a locus.
 
-Enumeration orders are deterministic: k-strings ascend lexicographically
-within their search box, box distributions over the diagram slots ascend
-lexicographically, and each slot runs over partitions in decreasing
-lexicographic order with the rightmost slot varying fastest.
+Enumeration orders are deterministic: k-strings ascend lexicographically,
+box distributions over the diagram slots ascend lexicographically, and
+each slot runs over partitions in decreasing lexicographic order with the
+rightmost slot varying fastest.  The k-string search (`_k_strings`)
+streams: it grows each prefix one entry at a time and drops a prefix as
+soon as no completion can have a nonnegative excess, so it never builds a
+string that it then throws away for its squares.
 """
 
 from __future__ import annotations
@@ -51,6 +54,37 @@ def check_nonempty(params: ModuliParams) -> bool:
     return params.n >= bound
 
 
+def _grow(
+    prefixes: Iterator[tuple[tuple[int, ...], int, int]],
+    k: int,
+    left: int,
+    lo: int,
+    hi: int,
+    budget: int,
+) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """Each (prefix, sum, sum of squares) of `prefixes`, one entry longer.
+
+    The new entry x runs over lo..hi in ascending order, and a grown prefix
+    is kept only if the `left` entries still to come, each in lo..hi, can
+    reach the sum k with the squares of the whole string at most `budget`.
+    Those entries must sum to y = k - sum - x, and add the fewest squares
+    when they are as equal as y allows: with q, rem = divmod(y, left), rem
+    entries q + 1 and the others q.  They lie in lo..hi whenever y lies in
+    left*lo..left*hi, as the range of x ensures, and add left*q^2 +
+    rem*(2q + 1) = (y^2 + rem*(left - rem)) / left squares.  The test
+    multiplies through by `left`, so it needs no q.
+    """
+    cap = left * budget
+    for prefix, total, squares in prefixes:
+        rest = k - total
+        for x in range(max(lo, rest - left * hi), min(hi, rest - left * lo) + 1):
+            y = rest - x
+            rem = y % left
+            grown = squares + x * x
+            if left * grown + y * y + rem * (left - rem) <= cap:
+                yield prefix + (x,), total + x, grown
+
+
 def _k_strings(params: ModuliParams) -> Iterator[tuple[tuple[int, ...], int]]:
     """All k-strings compatible with params, with their integer box excess.
 
@@ -58,21 +92,37 @@ def _k_strings(params: ModuliParams) -> Iterator[tuple[tuple[int, ...], int]]:
     sum_{a<b} (k_a - k_b)^2, a string has excess (N - p*s) / 2r, which
     must be a nonnegative integer.  Since r*k_a - k = sum_b (k_a - k_b),
     Cauchy-Schwarz gives p * (r*k_a - k)^2 <= (r-1) * p*s <= (r-1) * N,
-    an exact bound on each entry.
+    an exact bound on each entry.  Since s is an integer, the excess is
+    nonnegative iff sum k_a^2 <= (N // p + k^2) // r, the squares budget.
+    Since x^2 and x have the same parity, sum k_a^2 - k is even, so
+    r * sum k_a^2 = r*k mod 2r: whether the excess is an integer depends on
+    params alone, and is decided before the search.
+
+    The search streams: a chain of r - 1 `_grow` generators extends each
+    prefix by one entry and drops it as soon as no completion keeps within
+    the budget, and the last entry is what the others leave of k.  Strings
+    come out in ascending lexicographic order, and every one is kept.
     """
-    r, k = params.r, params.k
+    r, k, p = params.r, params.k, params.p
     dim = 2 * r * params.n
     if dim < 0 or dim.denominator != 1:
         return
     dim = int(dim)
     # |r*k_a - k| <= spread
-    spread = math.isqrt((r - 1) * dim // params.p)
+    spread = math.isqrt((r - 1) * dim // p)
     lo = -((spread - k) // r)
     hi = (k + spread) // r
-    for ks in compositions(k, r, lo, hi):
-        scaled = dim - params.p * (r * sum(x * x for x in ks) - k * k)
-        if scaled >= 0 and scaled % (2 * r) == 0:
-            yield ks, scaled // (2 * r)
+    # a string's excess is (top - pr * sum k_a^2) / twice
+    top, pr, twice = dim + p * k * k, p * r, 2 * r
+    if (top - pr * k) % twice:
+        return
+    budget = (dim // p + k * k) // r
+    strings = iter((((), 0, 0),))
+    for left in range(r - 1, 0, -1):
+        strings = _grow(strings, k, left, lo, hi, budget)
+    for prefix, total, squares in strings:
+        last = k - total
+        yield prefix + (last,), (top - pr * (squares + last * last)) // twice
 
 
 def _labels(

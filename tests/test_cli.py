@@ -15,7 +15,7 @@ import hirzebruch
 import hirzebruch.ale
 import hirzebruch.counting
 from hirzebruch import __version__
-from hirzebruch.cli import CACHE_ENV_VAR, MAX_ORDER, main
+from hirzebruch.cli import CACHE_ENV_VAR, MAX_CELLS, MAX_ORDER, main
 from hirzebruch.laurent import QSeries
 from hirzebruch.localization import InvariantError
 
@@ -535,6 +535,55 @@ def test_max_order_at_the_limit_is_computed(capsys):
     code, out, _ = run(capsys, "series", "--p", "1", "--max-order", str(MAX_ORDER))
     assert code == 0
     assert out.splitlines()[-1].startswith(f"q^{MAX_ORDER}: 1 + ")
+
+
+def _sweep_check(capsys, *lists):
+    """(exit code, stdout, stderr) of a check sweep, with argparse's exit as a code."""
+    argv = ["sweep", "--mode", "check"]
+    for flag, values in zip(("--p", "--r", "--k", "--n"), lists):
+        argv.append(f"{flag}={values}")
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_sweep_range_above_the_cell_limit_exits_2_before_expanding(capsys, monkeypatch):
+    code, out, err = _sweep_check(capsys, "1", "1", "0", f"0..{MAX_CELLS}")
+    assert (code, out) == (2, "")
+    limit = f"makes the list {MAX_CELLS + 1} values long, more than {MAX_CELLS}"
+    assert f"argument --n: '0..{MAX_CELLS}' {limit}" in err
+
+    monkeypatch.setattr(hirzebruch.cli, "MAX_CELLS", 5)
+    # ranges and single values add up within one list
+    code, _, err = _sweep_check(capsys, "1,2,3,4..6", "1", "0", "0")
+    assert code == 2
+    assert "argument --p: '4..6' makes the list 6 values long, more than 5" in err
+
+    def refuse(text):
+        raise AssertionError("a value of a refused range was converted")
+
+    monkeypatch.setattr(hirzebruch.cli, "_rational", refuse)
+    code, out, err = _sweep_check(capsys, "1", "1", "0", "0..5")
+    assert (code, out) == (2, "")
+    assert "argument --n: '0..5' makes the list 6 values long, more than 5" in err
+
+
+def test_sweep_grid_above_the_cell_limit_exits_2_before_any_cell(capsys, monkeypatch):
+    monkeypatch.setattr(hirzebruch.cli, "MAX_CELLS", 5)
+    monkeypatch.setattr(hirzebruch.cli, "_cmd_check", mock.Mock(side_effect=AssertionError))
+    code, out, err = _sweep_check(capsys, "1,2", "1,2", "0", "0..1")
+    assert (code, out) == (2, "")
+    assert err == "error: the sweep grid has 8 cells, more than 5\n"
+
+
+def test_sweep_at_the_cell_limit_runs_every_cell(capsys, monkeypatch):
+    monkeypatch.setattr(hirzebruch.cli, "MAX_CELLS", 6)
+    code, out, _ = _sweep_check(capsys, "1", "1,2", "0", "0..2")
+    assert code == 0
+    assert len(out.splitlines()) == 1 + 6
 
 
 def _with_result(entry: bytes, result) -> bytes:

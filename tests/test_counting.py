@@ -1,6 +1,7 @@
 import itertools
 import math
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -23,6 +24,7 @@ import hirzebruch.counting
 import hirzebruch.partitions
 from hirzebruch.counting import (
     IndexedPoint,
+    _grow,
     _k_strings,
     _pair_terms,
     _slots_series,
@@ -215,6 +217,107 @@ def test_k_strings_match_the_fraction_search_at_random(p, r, k, num, den):
     # n need not make 2rn an integer; then both searches find nothing
     params = ModuliParams(p, r, k, Fraction(num, den) / r)
     assert list(_k_strings(params)) == fraction_k_strings(params)
+
+
+def test_k_strings_match_box_filter_at_ranks_7_and_8():
+    # n < p/2, where the box filter's box has at most three values per entry
+    nonempty = 0
+    for p in (1, 2, 3):
+        for r in (7, 8):
+            for k in range(-2, r + 2):
+                for j in range(-1, p * r):
+                    params = ModuliParams(p, r, k, Fraction(j, 2 * r))
+                    got = list(_k_strings(params))
+                    assert got == box_filter_k_strings(params), params
+                    nonempty += bool(got)
+    assert nonempty > 20
+
+
+def completions(k, left, lo, hi):
+    """Every tuple of `left` entries in lo..hi that sums to k."""
+    return [t for t in itertools.product(range(lo, hi + 1), repeat=left) if sum(t) == k]
+
+
+@pytest.mark.parametrize("r", range(2, 6))
+def test_grow_keeps_exactly_the_prefixes_with_a_completion_in_budget(r, monkeypatch):
+    # every prefix that a `_grow` yields has a completion in lo..hi within the
+    # budget, and every prefix in lo..hi that has one is yielded, in order
+    levels = []
+
+    def recording_grow(prefixes, k, left, lo, hi, budget):
+        grown = []
+        levels.append((grown, k, left, lo, hi, budget))
+        for item in _grow(prefixes, k, left, lo, hi, budget):
+            grown.append(item)
+            yield item
+
+    monkeypatch.setattr(hirzebruch.counting, "_grow", recording_grow)
+    kept = 0
+    for p in (1, 2):
+        for k in (-1, 0, 1, r):
+            for j in range(0, 6 * r + 1, 2):
+                params = ModuliParams(p, r, k, Fraction(j, 2 * r))
+                levels.clear()
+                list(_k_strings(params))
+                # a space whose excesses are not integers is never searched
+                integral = (params.n - params.pair_weight((k,) + (0,) * (r - 1))).denominator
+                assert len(levels) == (r - 1 if integral == 1 else 0)
+                for grown, goal, left, lo, hi, budget in levels:
+                    expected = [
+                        head
+                        for head in itertools.product(range(lo, hi + 1), repeat=r - left)
+                        if any(
+                            sum(x * x for x in head + tail) <= budget
+                            for tail in completions(goal - sum(head), left, lo, hi)
+                        )
+                    ]
+                    assert [prefix for prefix, _, _ in grown] == expected
+                    for prefix, total, squares in grown:
+                        assert (total, squares) == (sum(prefix), sum(x * x for x in prefix))
+                    kept += len(grown)
+    assert kept > 20 * r
+
+
+def test_k_strings_stream_without_a_list_per_level():
+    # a search that finished a level before starting the next, or that built
+    # whole strings before testing their squares, would not return
+    first = list(itertools.islice(_k_strings(ModuliParams(1, 8, 0, 10**4)), 5))
+    assert len(first) == 5
+    assert first == sorted(first)
+    assert all(sum(ks) == 0 and excess >= 0 for ks, excess in first)
+
+
+def drained_peak(params):
+    """Peak bytes allocated while draining `_k_strings(params)`, keeping nothing."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in _k_strings(params):
+            pass
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_k_string_search_memory_does_not_grow_with_the_strings():
+    small, large = ModuliParams(1, 6, 0, 1), ModuliParams(1, 6, 0, 2)
+    assert len(list(_k_strings(large))) > 2 * len(list(_k_strings(small)))
+    drained_peak(large)  # the first drain allocates what later ones reuse
+    assert drained_peak(large) <= drained_peak(small) + 1024
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.integers(1, 8),
+    st.integers(-20, 20),
+    st.integers(-3, 48),
+    st.integers(1, 16),
+)
+def test_check_nonempty_agrees_with_the_k_string_search(p, r, k, num, den):
+    # the closed form and the search are independent: each checks the other
+    params = ModuliParams(p, r, k, Fraction(num, den))
+    assert check_nonempty(params) == any(True for _ in _k_strings(params))
 
 
 def test_enumerated_points_satisfy_constraints():
