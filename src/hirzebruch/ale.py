@@ -9,6 +9,11 @@ for instanton number n are cut out by
     N1 + 2*(k0 - k1) = 0        and        n = k0 + N1/4.
 
 Both constraints together force the total box count to be exactly 2n.
+Give each colored diagram the charge eps + 2*(k0 - k1) of its own corner
+and boxes: a tuple of 2n boxes is then valid exactly when its charges sum
+to 0, and its instanton number is then n.  The enumeration builds only
+those tuples, taking a diagram in a slot only while the later slots can
+still bring the charge sum to 0.
 
 The tangent character at a fixed point is the Z/2-invariant part of the
 flat-space character: each summand-pair block keeps only the monomials
@@ -22,10 +27,10 @@ for the p = 2, k = 0 spaces.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from collections.abc import Iterator
 from fractions import Fraction
+from functools import lru_cache
 
 from . import InvariantError
 from .laurent import Character, OrderingSpec, TPolynomial, _Frozen, _rational, ale_ordering
@@ -86,13 +91,38 @@ class ColoredFixedPoint(_Frozen):
         return cls(tuple(ColoredDiagram.from_json(item) for item in data["tableaux"]))
 
 
-def _colored_tuples(sizes: tuple[int, ...]) -> Iterator[tuple[ColoredDiagram, ...]]:
-    return itertools.product(
-        *(
-            [ColoredDiagram(d, eps) for d in enumerate_partitions(size) for eps in (0, 1)]
-            for size in sizes
-        )
-    )
+@lru_cache(maxsize=None)
+def _colored_table(size: int) -> tuple[tuple[ColoredDiagram, int], ...]:
+    """Each colored diagram of `size` boxes with its charge eps + 2*(k0 - k1).
+
+    Diagrams come in `enumerate_partitions` order, each with eps 0 before
+    eps 1.  Cached: every call shares the same immutable diagrams.
+    """
+    table = []
+    for diagram in enumerate_partitions(size):
+        for eps in (0, 1):
+            colored = ColoredDiagram(diagram, eps)
+            k0, k1 = colored.color_counts()
+            table.append((colored, eps + 2 * (k0 - k1)))
+    return tuple(table)
+
+
+def _extend(
+    prefixes: Iterator[tuple[tuple[ColoredDiagram, ...], int]],
+    table: tuple[tuple[ColoredDiagram, int], ...],
+    reachable: set[int],
+) -> Iterator[tuple[tuple[ColoredDiagram, ...], int]]:
+    """Each (prefix, charge sum) of `prefixes`, one slot longer.
+
+    The new slot's entries run in `table` order, and a grown prefix is kept
+    only if its charge sum lies in `reachable`: the sums that the later
+    slots can still bring to 0.  So every prefix kept completes to a tuple
+    that is kept.
+    """
+    for prefix, total in prefixes:
+        for colored, charge in table:
+            if total + charge in reachable:
+                yield prefix + (colored,), total + charge
 
 
 def enumerate_colored_fixed_points(r: int, n) -> Iterator[ColoredFixedPoint]:
@@ -101,6 +131,14 @@ def enumerate_colored_fixed_points(r: int, n) -> Iterator[ColoredFixedPoint]:
     The total box count of a valid tuple is 2n, so a non-integer or
     negative 2n yields an empty stream.  n may be an exact rational; a
     float or a bool is a ValueError.
+
+    For each composition of 2n into r slot sizes, the charge sums that the
+    later slots can reach are computed first; the slots are then filled in
+    order from the cached per-size tables, and an entry is taken only if
+    the rest of the tuple can still balance its charge.  No tuple is built
+    and then thrown away.  Points come in lexicographic order: by
+    composition, ascending, then slot by slot in `enumerate_partitions`
+    order with eps 0 before eps 1.
     """
     if type(r) is not int or r < 1:
         raise ValueError(f"r must be a positive integer, got {r!r}")
@@ -109,10 +147,17 @@ def enumerate_colored_fixed_points(r: int, n) -> Iterator[ColoredFixedPoint]:
     if boxes.denominator != 1 or boxes < 0:
         return
     for sizes in compositions(int(boxes), r):
-        for tableaux in _colored_tuples(sizes):
-            fp = ColoredFixedPoint(tableaux)
-            if fp.is_valid() and fp.instanton_number() == n:
-                yield fp
+        # from the last slot back: the charge sums after each slot that the
+        # slots after it can still bring to 0
+        reachable = [{0}]
+        for size in reversed(sizes[1:]):
+            charges = {charge for _, charge in _colored_table(size)}
+            reachable.append({total - c for total in reachable[-1] for c in charges})
+        walk = iter((((), 0),))
+        for size, sums in zip(sizes, reversed(reachable)):
+            walk = _extend(walk, _colored_table(size), sums)
+        for tableaux, _ in walk:
+            yield ColoredFixedPoint(tableaux)
 
 
 def ale_tangent_character(fp: ColoredFixedPoint) -> Character:

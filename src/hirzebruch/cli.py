@@ -35,6 +35,9 @@ MAX_ORDER = 50
 # its lists is expanded into its values: both are bounded, so an absurd grid
 # is refused before any work.
 MAX_CELLS = 10_000
+# The fixed-point searches nest one generator per summand, so near rank 1000
+# they pass the interpreter's recursion limit; larger ranks are refused.
+MAX_RANK = 256
 
 _RATIONAL = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 _RANGE = re.compile(r"^([+-]?\d+)\.\.([+-]?\d+)$")
@@ -165,6 +168,11 @@ def _ordering(name: str, rank: int):
     return main_ordering(rank) if name == "main" else ale_ordering(rank)
 
 
+def _check_rank(r: int) -> None:
+    if r > MAX_RANK:
+        raise ValueError(f"--r must be at most {MAX_RANK}, got {r}")
+
+
 def _params(args) -> ModuliParams:
     from .localization import ModuliParams
 
@@ -174,6 +182,7 @@ def _params(args) -> ModuliParams:
 def _cmd_fixed_points(args, cache):
     from .counting import enumerate_fixed_points, indexed_points
 
+    _check_rank(args.r)
     params = _params(args)
     request = _request(
         "fixed-points", p=args.p, r=args.r, k=args.k, n=args.n, reduced=args.reduced
@@ -222,6 +231,7 @@ def _cmd_tangent(args, cache):
         tangent_character,
     )
 
+    _check_rank(args.r)
     params = _params(args)
     request = _request(
         "tangent", p=args.p, r=args.r, k=args.k, n=args.n,
@@ -245,6 +255,7 @@ def _cmd_tangent(args, cache):
 
 
 def _cmd_poincare(args, cache):
+    _check_rank(args.r)
     request = _request("poincare", p=args.p, r=args.r, k=args.k, n=args.n)
 
     def compute():
@@ -288,6 +299,7 @@ def _cmd_series(args, cache):
 
 
 def _cmd_ale(args, cache):
+    _check_rank(args.r)
     request = _request("ale", r=args.r, n=args.n, ordering=args.ordering)
 
     def compute():
@@ -318,6 +330,7 @@ def _ale_text(args, payload) -> str:
 
 
 def _cmd_check(args, cache):
+    _check_rank(args.r)
     request = _request("check", p=args.p, r=args.r, k=args.k, n=args.n)
 
     def compute():

@@ -128,11 +128,13 @@ def compositions(
             yield (head,) + tail
 
 
-class ColoredDiagram:
+class ColoredDiagram(_Frozen):
     """A Young diagram with a checkerboard 2-coloring.
 
     The corner box carries color eps; colors alternate along rows and
     columns, so the box in row i and column j has color (eps + i + j) mod 2.
+    Immutable once built, because the ALE enumeration shares one object per
+    colored diagram among all its fixed points and calls.
     """
 
     __slots__ = ("diagram", "eps")
@@ -142,8 +144,8 @@ class ColoredDiagram:
             diagram = PartitionDiagram(diagram)
         if type(eps) is not int or eps not in (0, 1):
             raise ValueError(f"color of the corner box must be 0 or 1, got {eps!r}")
-        self.diagram = diagram
-        self.eps = eps
+        object.__setattr__(self, "diagram", diagram)
+        object.__setattr__(self, "eps", eps)
 
     def color_counts(self) -> tuple[int, int]:
         """Number of boxes of color 0 and of color 1."""

@@ -1,7 +1,15 @@
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 import pytest
-from helpers import check_record, invariant_part, permute_framing, swap_t
+from helpers import (
+    check_record,
+    color_counts_by_box,
+    invariant_part,
+    permute_framing,
+    swap_t,
+)
+from hypothesis import given, strategies as st
 
 from hirzebruch.ale import (
     ColoredFixedPoint,
@@ -10,8 +18,9 @@ from hirzebruch.ale import (
     ale_tangent_character,
     enumerate_colored_fixed_points,
 )
+from hirzebruch.counting import poincare_polynomial
 from hirzebruch.laurent import Character, OrderingSpec, TPolynomial
-from hirzebruch.localization import n_character
+from hirzebruch.localization import ModuliParams, n_character
 from hirzebruch.partitions import ColoredDiagram, PartitionDiagram, enumerate_partitions
 
 
@@ -95,10 +104,36 @@ def recursive_colored_points(r, n):
 
 
 def test_enumeration_order_matches_recursive_oracle():
-    for r in range(1, 5):
-        for boxes in range(9):
+    for r, max_boxes in ((1, 10), (2, 10), (3, 8), (4, 8), (5, 6)):
+        for boxes in range(max_boxes + 1):
             n = Fraction(boxes, 2)
             assert points(r, n) == recursive_colored_points(r, n), (r, n)
+
+
+def charge(colored):
+    k0, k1 = color_counts_by_box(colored)
+    return colored.eps + 2 * (k0 - k1)
+
+
+@st.composite
+def colored_tuples(draw):
+    r = draw(st.integers(1, 4))
+    return tuple(
+        ColoredDiagram(
+            draw(st.sampled_from(enumerate_partitions(draw(st.integers(0, 4))))),
+            draw(st.integers(0, 1)),
+        )
+        for _ in range(r)
+    )
+
+
+@given(colored_tuples())
+def test_charges_balance_exactly_on_valid_tuples(tableaux):
+    # a tuple of 2n boxes has instanton number n and is valid iff its charges sum to 0
+    fp = ColoredFixedPoint(tableaux)
+    n = Fraction(sum(t.diagram.size for t in tableaux), 2)
+    balanced = sum(charge(t) for t in tableaux) == 0
+    assert (fp.is_valid() and fp.instanton_number() == n) == balanced
 
 
 def test_enumeration_rejects_bad_rank():
@@ -153,6 +188,43 @@ def test_rank_one_frozen_characters():
     )
     assert ale_index(flat) == 0
     assert ale_index(tall) == 1
+
+
+def sector_polynomials(r, n):
+    """The points of (r, n) split by their corner-color vector, each part summed."""
+    sectors = defaultdict(Counter)
+    for fp in points(r, n):
+        sectors[fp.eps()][2 * ale_index(fp)] += 1
+    return {vector: TPolynomial(counts) for vector, counts in sectors.items()}
+
+
+@pytest.mark.parametrize("r, n", [(2, 2), (3, 2), (4, 1), (4, 2), (5, 2)])
+def test_all_zero_corner_sector_matches_the_surface(r, n):
+    polys = sector_polynomials(r, n)
+    assert polys[(0,) * r] == poincare_polynomial(ModuliParams(2, r, 0, n))
+
+
+@pytest.mark.parametrize(
+    "r, n",
+    [(5, 2), (3, Fraction(3, 2)), (4, Fraction(3, 2)), (3, Fraction(5, 2)), (4, Fraction(1, 2))],
+)
+def test_permuted_corner_vectors_give_equal_polynomials(r, n):
+    by_class = defaultdict(dict)
+    for vector, poly in sector_polynomials(r, n).items():
+        by_class[tuple(sorted(vector))][vector] = poly
+    assert any(len(sectors) > 1 for sectors in by_class.values())
+    for sectors in by_class.values():
+        first, *others = sectors.values()
+        assert all(poly == first for poly in others), sectors
+
+
+def test_rank_four_sum_still_counts_the_all_one_sector():
+    # ale_poincare(4, 1) also sums the (1,1,1,1) sector, so it is not the surface's
+    polys = sector_polynomials(4, 1)
+    assert set(polys) == {(0, 0, 0, 0), (1, 1, 1, 1)}
+    surface = poincare_polynomial(ModuliParams(2, 4, 0, 1))
+    assert ale_poincare(4, 1) == polys[(0, 0, 0, 0)] + polys[(1, 1, 1, 1)]
+    assert ale_poincare(4, 1) != surface
 
 
 def test_transpose_matches_t_swap():

@@ -15,7 +15,7 @@ import hirzebruch
 import hirzebruch.ale
 import hirzebruch.counting
 from hirzebruch import __version__
-from hirzebruch.cli import CACHE_ENV_VAR, MAX_CELLS, MAX_ORDER, main
+from hirzebruch.cli import CACHE_ENV_VAR, MAX_CELLS, MAX_ORDER, MAX_RANK, main
 from hirzebruch.laurent import QSeries
 from hirzebruch.localization import InvariantError
 
@@ -535,6 +535,49 @@ def test_max_order_at_the_limit_is_computed(capsys):
     code, out, _ = run(capsys, "series", "--p", "1", "--max-order", str(MAX_ORDER))
     assert code == 0
     assert out.splitlines()[-1].startswith(f"q^{MAX_ORDER}: 1 + ")
+
+
+RANKED_COMMANDS = {
+    "fixed-points": ["fixed-points", "--p", "1", "--k", "0"],
+    "fixed-points-reduced": ["fixed-points", "--reduced", "--p", "1", "--k", "0"],
+    "tangent": ["tangent", "--p", "1", "--k", "0"],
+    "tangent-reduced": ["tangent", "--reduced", "--p", "1", "--k", "0"],
+    "poincare": ["poincare", "--p", "1", "--k", "0"],
+    "check": ["check", "--p", "1", "--k", "0"],
+    "ale": ["ale"],
+    "ale-points": ["ale", "--points"],
+}
+
+
+@pytest.mark.parametrize("argv", RANKED_COMMANDS.values(), ids=RANKED_COMMANDS)
+def test_rank_above_the_limit_exits_2(capsys, argv):
+    started = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--r", str(MAX_RANK + 1), "--n", "0")
+    assert time.perf_counter() - started < 0.5
+    assert (code, out) == (2, "")
+    assert err == f"error: --r must be at most {MAX_RANK}, got {MAX_RANK + 1}\n"
+
+
+@pytest.mark.parametrize("argv", RANKED_COMMANDS.values(), ids=RANKED_COMMANDS)
+def test_rank_at_the_limit_is_computed(capsys, argv):
+    # each summand nests one generator; at this rank they stay under the recursion limit
+    code, out, err = run(capsys, *argv, "--r", str(MAX_RANK), "--n", "0")
+    assert (code, err) == (0, "")
+    assert out
+
+
+@pytest.mark.parametrize("mode", ["poincare", "check", "crosscheck"])
+def test_sweep_cell_above_the_rank_limit_is_an_error_cell(capsys, mode):
+    code, out, _ = run(
+        capsys, "sweep", "--mode", mode, "--p", "2", "--r", f"1,{MAX_RANK + 1}",
+        "--k", "0", "--n", "0",
+    )
+    assert code == 0
+    header, first, refused = out.splitlines()
+    assert "error" not in first
+    assert refused == (
+        f"2\t{MAX_RANK + 1}\t0\t0\terror:--r must be at most {MAX_RANK}, got {MAX_RANK + 1}"
+    )
 
 
 def _sweep_check(capsys, *lists):

@@ -281,3 +281,28 @@ def test_transpose_preserves_coloring(y, eps):
     d = ColoredDiagram(y, eps)
     assert d.transpose().color_counts() == d.color_counts()
     assert d.transpose().eps == eps
+
+
+def test_colored_diagrams_cannot_be_changed():
+    d = ColoredDiagram(PartitionDiagram([2, 1]), 0)
+    with pytest.raises(AttributeError):
+        d.eps = 1
+    with pytest.raises(AttributeError):
+        d.diagram = PartitionDiagram([3])
+    with pytest.raises(AttributeError):
+        d.extra = 1
+    with pytest.raises(AttributeError):
+        del d.eps
+    assert (d.diagram.rows, d.eps) == ((2, 1), 0)
+    assert repr(d) == "ColoredDiagram([2, 1], eps=0)"
+
+
+@given(diagrams(), st.integers(0, 1))
+def test_colored_pickle_and_copies_round_trip(y, eps):
+    d = ColoredDiagram(y, eps)
+    for twin in (pickle.loads(pickle.dumps(d)), copy.deepcopy(d), copy.copy(d)):
+        assert type(twin) is ColoredDiagram
+        assert twin == d and hash(twin) == hash(d)
+        assert twin.to_json() == d.to_json()
+        with pytest.raises(AttributeError):
+            twin.eps = 1 - eps
