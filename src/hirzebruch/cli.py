@@ -35,8 +35,9 @@ MAX_ORDER = 50
 # its lists is expanded into its values: both are bounded, so an absurd grid
 # is refused before any work.
 MAX_CELLS = 10_000
-# The fixed-point searches nest one generator per summand, so near rank 1000
-# they pass the interpreter's recursion limit; larger ranks are refused.
+# The k-string search and the ALE enumeration chain one generator per summand
+# (`counting._grow`, `ale._extend`), so near rank 1000 they pass the
+# interpreter's recursion limit; larger ranks are refused.
 MAX_RANK = 256
 
 _RATIONAL = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
@@ -465,7 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="read fixed-point records from FILE ('-' for stdin) instead of enumerating",
     )
     tg.add_argument(
-        "--ordering", choices=("main", "ale"), default="main", help="index ordering"
+        "--ordering", choices=("main", "ale"), default="main",
+        help="index ordering (with --reduced)",
     )
 
     pc = command(

@@ -174,7 +174,6 @@ def merge_t_matrix() -> Matrix2:
     return ((1, 1), (0, 0))
 
 
-@lru_cache(maxsize=None)
 def l_character(p: int, d: int) -> Character:
     """Boundary contribution of a summand pair with k-difference d.
 
@@ -188,20 +187,21 @@ def l_character(p: int, d: int) -> Character:
     * d < 0: the H^1 of O(-p*d') for d' = 1..-d contributes monomials
       t1^a t2^b over a, b >= 1 with a + b = p*d'.
 
-    Dimensions of the d and -d blocks sum to p*d^2.
+    Dimensions of the d and -d blocks sum to p*d^2.  Each call builds a
+    new Character, so a caller may change it freely.
     """
+    return Character(0, {(x, y, ()): 1 for x, y in _l_exponents(p, d)})
+
+
+@lru_cache(maxsize=None)
+def _l_exponents(p: int, d: int) -> tuple[tuple[int, int], ...]:
+    # the (t1, t2) exponents of the monomials of `l_character`, each with
+    # coefficient 1; a tuple, so the cached value cannot be changed
     if p < 1:
         raise ValueError(f"p must be a positive integer, got {p}")
-    terms: dict = {}
     if d > 0:
-        for dp in range(d):
-            for i in range(p * dp + 1):
-                terms[(-i, -(p * dp - i), ())] = 1
-    elif d < 0:
-        for dp in range(1, -d + 1):
-            for a in range(1, p * dp):
-                terms[(a, p * dp - a, ())] = 1
-    return Character(0, terms)
+        return tuple((-i, i - p * dp) for dp in range(d) for i in range(p * dp + 1))
+    return tuple((a, p * dp - a) for dp in range(1, -d + 1) for a in range(1, p * dp))
 
 
 def _framing_ratio(rank: int, beta: int, alpha: int) -> tuple[int, ...]:
@@ -277,8 +277,8 @@ def tangent_character(params: ModuliParams, fp: FixedPointDatum) -> Character:
     for a in range(r):
         for b in range(r):
             es = _framing_ratio(r, b + 1, a + 1)
-            for (x, y, _), c in l_character(p, ks[a] - ks[b]).terms.items():
-                terms[x, y, es] = terms.get((x, y, es), 0) + c
+            for x, y in _l_exponents(p, ks[a] - ks[b]):
+                terms[x, y, es] = terms.get((x, y, es), 0) + 1
             shift = p * (ks[b] - ks[a])
             for ys, ((m11, m12), (m21, m22)), (s1, s2) in patches:
                 for x, y in _patch_exponents(ys[a], ys[b]):

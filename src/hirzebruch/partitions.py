@@ -1,4 +1,4 @@
-"""Young diagrams, checkerboard 2-colorings, compositions.
+"""Young diagrams, checkerboard 2-colorings, and splits of a box count over slots.
 
 A diagram is its weakly decreasing tuple of row lengths `rows` together
 with their conjugate `cols`, the column heights, computed once when the
@@ -14,12 +14,15 @@ to its right in row i:
 
 Against X itself both are nonnegative; against another diagram they may
 be negative.  `localization._patch_exponents` implements this formula.
+
+`compositions(e, s)` splits e boxes over s slots: a fixed point's diagram sizes.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from functools import lru_cache
+from itertools import combinations_with_replacement
 
 from .laurent import _Frozen, _integers
 
@@ -66,15 +69,6 @@ class PartitionDiagram(_Frozen):
     def from_json(cls, data) -> "PartitionDiagram":
         return cls(data)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PartitionDiagram) and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(("PartitionDiagram", self.rows))
-
-    def __lt__(self, other: "PartitionDiagram") -> bool:
-        return self.rows < other.rows
-
     def __repr__(self) -> str:
         return f"PartitionDiagram({list(self.rows)})"
 
@@ -101,31 +95,20 @@ def enumerate_partitions(n: int) -> tuple[PartitionDiagram, ...]:
     )
 
 
-def compositions(
-    total: int, parts: int, lo: int = 0, hi: int | None = None
-) -> Iterator[tuple[int, ...]]:
-    """Tuples of `parts` integers in lo..hi summing to total, ascending lexicographically.
+def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """Tuples of `parts` nonnegative integers summing to total, ascending lexicographically.
 
-    hi=None bounds each entry only by what the others leave of the total.
-    Only heads from which the remaining entries can still reach the total
-    are tried, so no tuple is built and then thrown away.
+    Stars and bars: the entries are the gaps between the cuts 0 <= c_1 <= ..
+    <= c_(parts-1) <= total, and cuts in ascending order give them in order.
     """
     if parts < 0:
         raise ValueError(f"number of parts must be nonnegative, got {parts}")
-    if parts == 0:
+    if parts == 0 or total < 0:
         if total == 0:
             yield ()
         return
-    if hi is None:
-        hi = total - (parts - 1) * lo
-    if parts == 1:
-        if lo <= total <= hi:
-            yield (total,)
-        return
-    rest = parts - 1
-    for head in range(max(lo, total - rest * hi), min(hi, total - rest * lo) + 1):
-        for tail in compositions(total - head, rest, lo, hi):
-            yield (head,) + tail
+    for cuts in combinations_with_replacement(range(total + 1), parts - 1):
+        yield tuple([b - a for a, b in zip((0,) + cuts, cuts + (total,))])
 
 
 class ColoredDiagram(_Frozen):
@@ -141,7 +124,7 @@ class ColoredDiagram(_Frozen):
 
     def __init__(self, diagram: PartitionDiagram, eps: int):
         if not isinstance(diagram, PartitionDiagram):
-            diagram = PartitionDiagram(diagram)
+            raise ValueError(f"expected a PartitionDiagram, got {diagram!r}")
         if type(eps) is not int or eps not in (0, 1):
             raise ValueError(f"color of the corner box must be 0 or 1, got {eps!r}")
         object.__setattr__(self, "diagram", diagram)
@@ -168,16 +151,6 @@ class ColoredDiagram(_Frozen):
     @classmethod
     def from_json(cls, data) -> "ColoredDiagram":
         return cls(PartitionDiagram(data["rows"]), data["eps"])
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ColoredDiagram)
-            and self.diagram == other.diagram
-            and self.eps == other.eps
-        )
-
-    def __hash__(self) -> int:
-        return hash(("ColoredDiagram", self.diagram.rows, self.eps))
 
     def __repr__(self) -> str:
         return f"ColoredDiagram({list(self.diagram.rows)}, eps={self.eps})"

@@ -1,7 +1,8 @@
 """Per-box diagram statistics, the rows enumeration of partitions, the
 pairwise Morse index, the per-locus Poincare sum, the enumerated slot
-tables, the Fraction k-string search, series arithmetic on one TPolynomial
-per power of q, and Character operations that only the tests use.
+tables, the Fraction k-string search over bounded compositions, series
+arithmetic on one TPolynomial per power of q, and Character operations
+that only the tests use.
 
 The library reads arms and legs off a diagram's rows and their conjugate
 (`localization._patch_exponents`) and counts box colors in closed form
@@ -28,7 +29,7 @@ from typing import NamedTuple
 import pytest
 from hirzebruch.counting import component_factor, indexed_points, l_prime
 from hirzebruch.laurent import Character, QSeries, TPolynomial
-from hirzebruch.partitions import compositions, enumerate_partitions
+from hirzebruch.partitions import enumerate_partitions
 
 
 def partition_rows(n, cap=None):
@@ -128,6 +129,32 @@ def convolved_slot_tables(thresholds, order):
     return partial
 
 
+def bounded_compositions(total, parts, lo=0, hi=None):
+    """Tuples of `parts` integers in lo..hi summing to total, ascending lexicographically.
+
+    hi=None bounds each entry only by what the others leave of the total.
+    One generator per part, trying only heads from which the rest can still
+    reach the total.  The bounded search `fraction_k_strings` runs on, and
+    the oracle of the stars-and-bars `compositions` at lo=0.
+    """
+    if parts < 0:
+        raise ValueError(f"number of parts must be nonnegative, got {parts}")
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    if hi is None:
+        hi = total - (parts - 1) * lo
+    if parts == 1:
+        if lo <= total <= hi:
+            yield (total,)
+        return
+    rest = parts - 1
+    for head in range(max(lo, total - rest * hi), min(hi, total - rest * lo) + 1):
+        for tail in bounded_compositions(total - head, rest, lo, hi):
+            yield (head,) + tail
+
+
 def fraction_k_strings(params):
     """(k-string, excess) pairs by the rational search the integer one replaced.
 
@@ -141,7 +168,7 @@ def fraction_k_strings(params):
     lo = math.ceil(center - radius)
     hi = math.floor(center + radius)
     out = []
-    for ks in compositions(params.k, params.r, lo, hi):
+    for ks in bounded_compositions(params.k, params.r, lo, hi):
         excess = params.n - params.pair_weight(ks)
         if excess >= 0 and excess.denominator == 1:
             out.append((ks, int(excess)))

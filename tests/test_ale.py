@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 from helpers import (
+    bounded_compositions,
     check_record,
     color_counts_by_box,
     invariant_part,
@@ -68,19 +69,6 @@ def test_empty_sectors():
         assert ale_poincare(r, n) == TPolynomial.zero()
 
 
-def _compositions(total, parts):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
-
-
 def _colored_tuples(sizes):
     if not sizes:
         yield ()
@@ -95,7 +83,7 @@ def _colored_tuples(sizes):
 def recursive_colored_points(r, n):
     """The enumeration as it was before the shared generators, as an order oracle."""
     out = []
-    for sizes in _compositions(int(2 * n), r):
+    for sizes in bounded_compositions(int(2 * n), r):
         for tableaux in _colored_tuples(sizes):
             fp = ColoredFixedPoint(tableaux)
             if fp.is_valid() and fp.instanton_number() == n:

@@ -333,6 +333,12 @@ def test_enumerated_points_satisfy_constraints():
         assert len(seen) == full_count(params)  # no duplicates
 
 
+def test_deep_rank_enumerates_without_recursion_error():
+    # 1,200 diagram slots, more than the recursion limit allows frames
+    points = list(enumerate_fixed_points(ModuliParams(1, 600, 0, 0)))
+    assert [(fp.ks, fp.box_count()) for fp in points] == [((0,) * 600, 0)]
+
+
 def test_l_prime_frozen_values():
     assert l_prime(1, 2, 0) == 3
     assert l_prime(1, 0, 2) == 2

@@ -180,6 +180,21 @@ def test_l_character_recurrences():
             assert l_character(p, d - 1) == l_character(p, d) + step
 
 
+def test_changing_an_l_character_changes_no_later_character():
+    params = ModuliParams(2, 2, 1, Fraction(5, 2))
+    points = list(enumerate_fixed_points(params))
+    before = [dict(tangent_character(params, fp).terms) for fp in points]
+    kept = {d: dict(l_character(2, d).terms) for d in range(-3, 4)}
+    for d in kept:
+        x = l_character(2, d)
+        assert x is not l_character(2, d)
+        x.terms.clear()
+        x.terms[(9, 9, ())] = 5
+    assert {d: l_character(2, d).terms for d in kept} == kept
+    assert [tangent_character(params, fp).terms for fp in points] == before
+    assert len(points) == 28
+
+
 def test_l_character_rejects_bad_p():
     with pytest.raises(ValueError):
         l_character(0, 1)

@@ -6,7 +6,9 @@ from collections import Counter
 import pytest
 from helpers import (
     Box,
+    bounded_compositions,
     boxes,
+    check_record,
     color_counts_by_box,
     column_heights,
     contains,
@@ -144,8 +146,26 @@ def test_pickle_and_copies_round_trip(y):
     for twin in (pickle.loads(pickle.dumps(y)), copy.deepcopy(y), copy.copy(y)):
         assert type(twin) is PartitionDiagram
         assert (twin.rows, twin.cols) == (y.rows, y.cols)
+        assert twin == y and hash(twin) == hash(y)
         with pytest.raises(AttributeError):
             twin.rows = ()
+
+
+@given(diagrams())
+def test_diagrams_are_records_of_rows_and_cols(y):
+    class Other(PartitionDiagram):
+        __slots__ = ()
+
+    assert PartitionDiagram(y.rows) == y and hash(y) == hash((y.rows, y.cols))
+    assert Other(y.rows) != y and y != Other(y.rows)
+    assert y != y.rows
+    # pickle and copy rebuild from the rows alone
+    assert y.__reduce__() == (PartitionDiagram, (y.rows,))
+
+
+def test_diagrams_have_no_order():
+    with pytest.raises(TypeError):
+        PartitionDiagram([2]) < PartitionDiagram([1, 1])
 
 
 def test_enumeration_order_is_decreasing_lex():
@@ -163,21 +183,18 @@ def test_enumeration_rejects_negative():
 def test_compositions_edge_cases():
     assert list(compositions(0, 0)) == [()]
     assert list(compositions(3, 0)) == []
-    assert list(compositions(0, 0, 1, 2)) == [()]
     assert list(compositions(4, 1)) == [(4,)]
-    assert list(compositions(4, 1, 0, 3)) == []
-    assert list(compositions(4, 1, 5)) == []
-    assert list(compositions(-2, 1, -3, 3)) == [(-2,)]
+    assert list(compositions(0, 3)) == [(0, 0, 0)]
     assert list(compositions(-1, 2)) == []
-    assert list(compositions(3, 2, 2, 1)) == []
-    assert list(compositions(0, 2, -1, 1)) == [(-1, 1), (0, 0), (1, -1)]
-    # hi=None leaves each entry what the others do not take: (-1, 2) is reachable
-    assert list(compositions(1, 2, -1)) == [(-1, 2), (0, 1), (1, 0), (2, -1)]
+    assert list(compositions(-2, 1)) == []
+    assert list(compositions(-1, 0)) == []
     assert list(compositions(2, 3)) == [
         (0, 0, 2), (0, 1, 1), (0, 2, 0), (1, 0, 1), (1, 1, 0), (2, 0, 0),
     ]
     with pytest.raises(ValueError):
         list(compositions(0, -1))
+    with pytest.raises(TypeError):
+        compositions(1, 2, -1)
 
 
 @given(
@@ -187,11 +204,32 @@ def test_compositions_edge_cases():
     width=st.integers(-1, 5),
 )
 def test_compositions_match_filtered_box(total, parts, lo, width):
+    # the bounded oracle, against every tuple of its box that sums to total
     hi = lo + width
     box = [
         xs for xs in itertools.product(range(lo, hi + 1), repeat=parts) if sum(xs) == total
     ]
-    assert list(compositions(total, parts, lo, hi)) == box
+    assert list(bounded_compositions(total, parts, lo, hi)) == box
+
+
+@given(total=st.integers(-2, 6), parts=st.integers(0, 5))
+def test_compositions_match_the_filtered_product(total, parts):
+    product = [
+        xs for xs in itertools.product(range(total + 1), repeat=parts) if sum(xs) == total
+    ]
+    assert list(compositions(total, parts)) == product
+
+
+def test_compositions_match_the_bounded_oracle():
+    for total in range(-2, 10):
+        for parts in range(7):
+            assert list(compositions(total, parts)) == list(bounded_compositions(total, parts))
+
+
+def test_compositions_do_not_nest_a_generator_per_part():
+    # more parts than the recursion limit allows frames
+    assert list(compositions(0, 5000)) == [(0,) * 5000]
+    assert len(list(compositions(1, 3000))) == 3000
 
 
 def test_arm_and_leg_reference_values():
@@ -295,6 +333,18 @@ def test_colored_diagrams_cannot_be_changed():
         del d.eps
     assert (d.diagram.rows, d.eps) == ((2, 1), 0)
     assert repr(d) == "ColoredDiagram([2, 1], eps=0)"
+
+
+def test_colored_diagram_keeps_the_record_contract():
+    check_record(ColoredDiagram(PartitionDiagram([2, 1]), 0), "ColoredDiagram([2, 1], eps=0)")
+    check_record(ColoredDiagram(PartitionDiagram(()), 1), "ColoredDiagram([], eps=1)")
+
+
+@pytest.mark.parametrize("diagram", [[2, 1], (1,), None])
+def test_colored_diagram_takes_only_a_diagram(diagram):
+    with pytest.raises(ValueError):
+        ColoredDiagram(diagram, 0)
+    assert ColoredDiagram.from_json({"rows": [2, 1], "eps": 0}).diagram == PartitionDiagram([2, 1])
 
 
 @given(diagrams(), st.integers(0, 1))
