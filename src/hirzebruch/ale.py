@@ -18,7 +18,12 @@ still bring the charge sum to 0.
 The tangent character at a fixed point is the Z/2-invariant part of the
 flat-space character: each summand-pair block keeps only the monomials
 t1^a t2^b e... whose weight a + b + sum_i c_i*eps_i is even.  Morse
-indexes are counted against the ordering t2 >> e1 > .. > er >> t1.
+indexes are counted against the ordering t2 >> e1 > .. > er >> t1 by
+default.  A point's index and dimension are sums over its ordered summand
+pairs of two cached tallies, the pair's term count and its negative terms
+(`_pair_tally`), so `ale_index` and `ale_poincare` build no character;
+`ale_tangent_character`, which `ale --points` prints, assembles the same
+pair terms (`_pair_exponents`) into one.
 
 This route shares only the flat pair formula (`localization._patch_exponents`)
 with the Hirzebruch-surface counting, and serves as an independent oracle
@@ -33,9 +38,18 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import InvariantError
-from .laurent import Character, OrderingSpec, TPolynomial, _Frozen, _rational, ale_ordering
+from .laurent import (
+    Character,
+    Forms,
+    OrderingSpec,
+    TPolynomial,
+    _Frozen,
+    _rational,
+    ale_ordering,
+    form_sign,
+)
 from .localization import _framing_ratio, _patch_exponents
-from .partitions import ColoredDiagram, compositions, enumerate_partitions
+from .partitions import ColoredDiagram, PartitionDiagram, compositions, enumerate_partitions
 
 
 class ColoredFixedPoint(_Frozen):
@@ -160,6 +174,49 @@ def enumerate_colored_fixed_points(r: int, n) -> Iterator[ColoredFixedPoint]:
             yield ColoredFixedPoint(tableaux)
 
 
+@lru_cache(maxsize=None)
+def _pair_exponents(
+    y_a: PartitionDiagram, y_b: PartitionDiagram, parity: int
+) -> tuple[tuple[int, int], ...]:
+    """(t1, t2) exponents of the Z/2-invariant terms of a summand pair.
+
+    The flat pair terms t1^x t2^y e_b/e_a of `_patch_exponents(y_a, y_b)`
+    whose weight x + y + eps_b - eps_a is even; `parity` is
+    (eps_b - eps_a) mod 2.  Cached: every caller shares the same tuple.
+    """
+    return tuple((x, y) for x, y in _patch_exponents(y_a, y_b) if (x + y + parity) % 2 == 0)
+
+
+@lru_cache(maxsize=None)
+def _pair_tally(
+    y_a: PartitionDiagram, y_b: PartitionDiagram, parity: int, forms: Forms
+) -> tuple[int, int]:
+    """(terms, negative terms) of a pair's invariant character under `forms`.
+
+    `forms` are the ordering's forms at the pair's framing vector e_b/e_a
+    (`OrderingSpec.forms`).  Every coefficient is +1 and merging equal
+    monomials keeps their sign, so both numbers add up over the pairs of a
+    point to its dimension and its Morse index.
+    """
+    exponents = _pair_exponents(y_a, y_b, parity)
+    return len(exponents), sum(1 for x, y in exponents if form_sign(forms, x, y) < 0)
+
+
+def _check_dimension(fp: ColoredFixedPoint, dimension: int) -> None:
+    """InvariantError unless `dimension` is 2rn - (r - N1)*N1/2 at `fp`.
+
+    With n = k0 + N1/4 this is the integer identity 2*dim = 4r*k0 + N1^2,
+    read off the point's own color counts.
+    """
+    n1 = fp.corner_color_count()
+    k0, _ = fp.box_color_counts()
+    twice = 4 * fp.rank * k0 + n1 * n1
+    if 2 * dimension != twice:
+        raise InvariantError(
+            f"ALE tangent character has dimension {dimension}, expected {Fraction(twice, 2)}"
+        )
+
+
 def ale_tangent_character(fp: ColoredFixedPoint) -> Character:
     """Torus character of the tangent space at an ALE fixed point.
 
@@ -170,31 +227,48 @@ def ale_tangent_character(fp: ColoredFixedPoint) -> Character:
     the point's stratum; the correction vanishes whenever all corner
     labels agree (in particular for every r <= 2 sector).
     """
-    r = fp.rank
-    eps = fp.eps()
+    r, tableaux = fp.rank, fp.tableaux
     terms: dict = {}
-    for a in range(r):
-        for b in range(r):
-            es, parity = _framing_ratio(r, b + 1, a + 1), eps[b] - eps[a]
-            for x, y in _patch_exponents(fp.tableaux[a].diagram, fp.tableaux[b].diagram):
-                if (x + y + parity) % 2 == 0:
-                    terms[x, y, es] = terms.get((x, y, es), 0) + 1
+    for a, colored_a in enumerate(tableaux):
+        for b, colored_b in enumerate(tableaux):
+            es, parity = _framing_ratio(r, b + 1, a + 1), (colored_b.eps - colored_a.eps) % 2
+            for x, y in _pair_exponents(colored_a.diagram, colored_b.diagram, parity):
+                terms[x, y, es] = terms.get((x, y, es), 0) + 1
     total = Character(r, terms)
-    n1 = fp.corner_color_count()
-    expected = 2 * r * fp.instanton_number() - Fraction((r - n1) * n1, 2)
-    if expected.denominator != 1 or total.dimension() != int(expected):
-        raise InvariantError(
-            f"ALE tangent character has dimension {total.dimension()},"
-            f" expected {expected}"
-        )
+    _check_dimension(fp, total.dimension())
     return total
 
 
+def _pair_forms(ordering: OrderingSpec, r: int) -> tuple[tuple[Forms, ...], ...]:
+    """Entry [a][b]: the ordering's forms at the framing vector e_b/e_a of pair (a, b)."""
+    return tuple(
+        tuple(ordering.forms(_framing_ratio(r, b + 1, a + 1)) for b in range(r))
+        for a in range(r)
+    )
+
+
+def _counted_index(fp: ColoredFixedPoint, pair_forms: tuple[tuple[Forms, ...], ...]) -> int:
+    """Morse index of `fp` summed from the pair tallies; the dimension is checked."""
+    dimension = index = 0
+    for colored_a, forms_a in zip(fp.tableaux, pair_forms):
+        for colored_b, forms in zip(fp.tableaux, forms_a):
+            terms, negative = _pair_tally(
+                colored_a.diagram, colored_b.diagram, (colored_b.eps - colored_a.eps) % 2, forms
+            )
+            dimension += terms
+            index += negative
+    _check_dimension(fp, dimension)
+    return index
+
+
 def ale_index(fp: ColoredFixedPoint, ordering: OrderingSpec | None = None) -> int:
-    """Morse index: negative-weight directions of the tangent character."""
+    """Morse index: negative-weight directions of the tangent character.
+
+    Counted from the pair tallies, without building the character.
+    """
     if ordering is None:
         ordering = ale_ordering(fp.rank)
-    return ale_tangent_character(fp).negative_count(ordering)
+    return _counted_index(fp, _pair_forms(ordering, fp.rank))
 
 
 def ale_poincare(r: int, n, ordering: OrderingSpec | None = None) -> TPolynomial:
@@ -205,6 +279,10 @@ def ale_poincare(r: int, n, ordering: OrderingSpec | None = None) -> TPolynomial
     """
     if ordering is None:
         ordering = ale_ordering(r)
-    return TPolynomial(
-        Counter(2 * ale_index(fp, ordering) for fp in enumerate_colored_fixed_points(r, n))
-    )
+    counts: Counter = Counter()
+    pair_forms = None
+    for fp in enumerate_colored_fixed_points(r, n):
+        # read at the first point, so that an empty space takes any ordering
+        pair_forms = pair_forms or _pair_forms(ordering, r)
+        counts[2 * _counted_index(fp, pair_forms)] += 1
+    return TPolynomial(counts)

@@ -11,7 +11,9 @@ Three rings cover everything the fixed-point computations need:
   q-exponents and one {t-degree: coeff} table per power of q.
 
 `OrderingSpec` fixes a lexicographic sign convention on Character
-monomials, used to count negative-weight directions.
+monomials, used to count negative-weight directions.  At a fixed framing
+vector its keys are linear forms in the t-exponents (`OrderingSpec.forms`),
+and `form_sign` reads a sign off them.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from collections.abc import Iterable, Mapping
 from fractions import Fraction
 
 Exponent = tuple[int, int, tuple[int, ...]]
+# (u, v, w): the linear form u*x + v*y + w in the exponents x of t1 and y of t2
+Forms = tuple[tuple[int, int, int], ...]
 Matrix2 = tuple[tuple[int, int], tuple[int, int]]
 
 
@@ -250,7 +254,7 @@ class OrderingSpec:
     Every torus and framing variable must appear in exactly one key.
     """
 
-    __slots__ = ("keys", "rank", "_positions")
+    __slots__ = ("keys", "rank", "_positions", "_forms")
 
     def __init__(self, keys: Iterable[str | Iterable[str]]):
         self.keys = tuple((key,) if isinstance(key, str) else tuple(key) for key in keys)
@@ -265,6 +269,7 @@ class OrderingSpec:
         if e_indices != list(range(1, len(e_indices) + 1)):
             raise ValueError(f"framing variables must be e1..er, got {names}")
         self.rank = len(e_indices)
+        self._forms: dict[tuple[int, ...], Forms] = {}
 
     @staticmethod
     def _position(name: str) -> int:
@@ -275,22 +280,54 @@ class OrderingSpec:
             return int(name[1:]) + 1
         raise ValueError(f"unknown variable name {name!r}")
 
+    def forms(self, es: tuple[int, ...]) -> Forms:
+        """The keys, at framing exponents `es`, as linear forms in the t-exponents.
+
+        At the monomial t1^x t2^y e^es a key's value is u*x + v*y + w, where
+        u and v count t1 and t2 in the key and w sums its framing exponents.
+        Forms that are identically 0 are dropped, and the list ends at the
+        first constant one: every monomial that reaches it takes its sign
+        there.  Cached per framing vector.
+        """
+        forms = self._forms.get(es)
+        if forms is None:
+            if len(es) != self.rank:
+                raise ValueError(f"ordering covers rank {self.rank}, monomial has rank {len(es)}")
+            flat = (0, 0) + es
+            kept = []
+            for group in self._positions:
+                u, v, w = group.count(0), group.count(1), sum(map(flat.__getitem__, group))
+                if u or v or w:
+                    kept.append((u, v, w))
+                    if not (u or v):
+                        break
+            forms = self._forms[es] = tuple(kept)
+        return forms
+
     def sign(self, key: Exponent) -> int:
+        """Sign of the first nonzero key value at the monomial `key`, or 0."""
         a, b, es = key
-        if len(es) != self.rank:
-            raise ValueError(f"ordering covers rank {self.rank}, monomial has rank {len(es)}")
-        flat = (a, b) + es
-        for group in self._positions:
-            value = sum(map(flat.__getitem__, group))
-            if value:
-                return 1 if value > 0 else -1
-        return 0
+        # a cached vector passed the rank check, and its forms are never empty
+        return form_sign(self._forms.get(es) or self.forms(es), a, b)
 
     def __repr__(self) -> str:
         parts = []
         for group in self.keys:
             parts.append(group[0] if len(group) == 1 else "{" + "+".join(group) + "}")
         return f"OrderingSpec({' > '.join(parts)})"
+
+
+def form_sign(forms: Forms, x: int, y: int) -> int:
+    """Sign of the first nonzero u*x + v*y + w over `forms`, or 0 if there is none.
+
+    The one sign rule of the package: `OrderingSpec.sign` applies it to the
+    forms of a monomial's framing vector.
+    """
+    for u, v, w in forms:
+        value = u * x + v * y + w
+        if value:
+            return 1 if value > 0 else -1
+    return 0
 
 
 def main_ordering(rank: int) -> OrderingSpec:

@@ -54,6 +54,11 @@ class PartitionDiagram(_Frozen):
         # pickle and copy rebuild from the rows instead of setting the slots
         return PartitionDiagram, (self.rows,)
 
+    def __hash__(self) -> int:
+        # the field-tuple hash of `_Frozen`, without its getattr loop: diagrams
+        # are cache keys of the ALE pair tallies
+        return hash((self.rows, self.cols))
+
     @property
     def size(self) -> int:
         """Total number of boxes."""

@@ -15,7 +15,8 @@ diagram iff r <= column_length(c).  They are the oracles for the closed forms.
     leg(Y, s) = row_length(Y, s.r) - s.c
 
 The Character operations at the end are plain functions over
-`Character.terms`, used to state symmetries of the tangent characters.
+`Character.terms`, used to state symmetries of the tangent characters;
+`flat_sign` is the ordering sign as a sum over the flat exponent vector.
 `check_record` states what the package's immutable records promise.
 """
 
@@ -347,6 +348,25 @@ def invariant_part(x, eps):
 def zero_weight_count(x, ordering):
     """Number of terms, with multiplicity, whose every key-exponent vanishes."""
     return sum(c for key, c in x.terms.items() if ordering.sign(key) == 0)
+
+
+def flat_sign(ordering, key):
+    """Sign of a monomial as a sum over the flat exponent vector (a, b, c1, .., cr).
+
+    Each key of the ordering sums the entries at its variables' positions,
+    and the first nonzero sum gives the sign.  The rule `OrderingSpec.sign`
+    followed before it read linear forms per framing vector, kept as its
+    oracle.
+    """
+    a, b, es = key
+    if len(es) != ordering.rank:
+        raise ValueError(f"ordering covers rank {ordering.rank}, monomial has rank {len(es)}")
+    flat = (a, b) + tuple(es)
+    for group in ordering.keys:
+        value = sum(flat[int(name[1:]) + 1 if name[0] == "e" else int(name[1]) - 1] for name in group)
+        if value:
+            return 1 if value > 0 else -1
+    return 0
 
 
 def check_record(record, expected_repr):

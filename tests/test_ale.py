@@ -12,6 +12,7 @@ from helpers import (
 )
 from hypothesis import given, strategies as st
 
+from hirzebruch import InvariantError, ale
 from hirzebruch.ale import (
     ColoredFixedPoint,
     ale_index,
@@ -20,7 +21,7 @@ from hirzebruch.ale import (
     enumerate_colored_fixed_points,
 )
 from hirzebruch.counting import poincare_polynomial
-from hirzebruch.laurent import Character, OrderingSpec, TPolynomial
+from hirzebruch.laurent import Character, OrderingSpec, TPolynomial, ale_ordering, main_ordering
 from hirzebruch.localization import ModuliParams, n_character
 from hirzebruch.partitions import ColoredDiagram, PartitionDiagram, enumerate_partitions
 
@@ -291,6 +292,91 @@ def test_tangent_character_matches_pairwise_oracle(r, n, corner_counts):
     assert {fp.corner_color_count() for fp in found} == corner_counts
     for fp in found:
         assert ale_tangent_character(fp) == ale_tangent_character_oracle(fp)
+
+
+def orderings_for(r):
+    es = [f"e{i}" for i in range(1, r + 1)]
+    return [
+        ale_ordering(r),
+        main_ordering(r),  # grouped {t1+t2}
+        OrderingSpec([es[-1], "t1"] + es[:-1] + ["t2"]),  # led by a framing variable
+        OrderingSpec(["t1"] + es + ["t2"]),  # led by t1
+        OrderingSpec(["t2"] + es[::-1] + ["t1"]),  # permuted e's
+        OrderingSpec([("t2", "e1")] + es[1:] + ["t1"]),  # t2 grouped with e1
+    ]
+
+
+# a sector whose points do not all share one corner color, per rank
+MIXED_SECTOR = {3: Fraction(5, 2), 4: Fraction(3, 2), 5: Fraction(1)}
+
+
+@pytest.mark.parametrize("r, max_boxes", [(1, 8), (2, 8), (3, 8), (4, 8), (5, 2)])
+def test_counted_index_matches_the_character(r, max_boxes):
+    # every sector up to 2n = max_boxes, mixed corner colors included
+    orderings = orderings_for(r)
+    mixed = set()
+    for boxes in range(max_boxes + 1):
+        n = Fraction(boxes, 2)
+        counts = [Counter() for _ in orderings]
+        for fp in points(r, n):
+            x = ale_tangent_character(fp)
+            if 0 < fp.corner_color_count() < r:
+                mixed.add(n)
+            for ordering, count in zip(orderings, counts):
+                index = x.negative_count(ordering)
+                assert ale_index(fp, ordering) == index, (fp, ordering)
+                count[2 * index] += 1
+        for ordering, count in zip(orderings, counts):
+            assert ale_poincare(r, n, ordering) == TPolynomial(count), (n, ordering)
+    assert (MIXED_SECTOR[r] in mixed) if r in MIXED_SECTOR else not mixed
+
+
+def test_wrong_rank_ordering_is_rejected_on_a_nonempty_space():
+    fp = points(2, 1)[0]
+    for ordering in (ale_ordering(1), ale_ordering(3), main_ordering(3)):
+        with pytest.raises(ValueError):
+            ale_poincare(2, 1, ordering)
+        with pytest.raises(ValueError):
+            ale_index(fp, ordering)
+    # an empty space has no monomial to read the ordering at
+    assert ale_poincare(2, Fraction(1, 4), ale_ordering(3)) == TPolynomial.zero()
+
+
+@pytest.fixture
+def drop_one_pair_term(monkeypatch):
+    """Make `ale._pair_exponents` lose one term, at the first nonempty pair after each reset."""
+    original = ale._pair_exponents
+    dropped = []
+
+    def drop_one(y_a, y_b, parity):
+        exponents = original(y_a, y_b, parity)
+        if exponents and not dropped:
+            dropped.append((y_a, y_b, parity))
+            return exponents[1:]
+        return exponents
+
+    def reset():
+        dropped.clear()
+        ale._pair_tally.cache_clear()
+
+    monkeypatch.setattr(ale, "_pair_exponents", drop_one)
+    reset()
+    yield reset
+    # the cached tallies were counted from the broken pairs
+    ale._pair_tally.cache_clear()
+
+
+@pytest.mark.parametrize("r, n", [(1, 1), (2, Fraction(1, 2)), (3, Fraction(5, 2))])
+def test_a_dropped_pair_term_fails_the_dimension_check(drop_one_pair_term, r, n):
+    fp = points(r, n)[0]
+    n1 = fp.corner_color_count()
+    expected = 2 * r * n - Fraction((r - n1) * n1, 2)
+    message = f"ALE tangent character has dimension {expected - 1}, expected {expected}"
+    for call in (lambda: ale_poincare(r, n), lambda: ale_index(fp), lambda: ale_tangent_character(fp)):
+        drop_one_pair_term()
+        with pytest.raises(InvariantError) as caught:
+            call()
+        assert str(caught.value) == message
 
 
 def test_colored_point_json_round_trip():

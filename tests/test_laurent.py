@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from helpers import (
     conjugate,
+    flat_sign,
     invariant_part,
     permute_framing,
     promote,
@@ -185,6 +186,51 @@ def test_ordering_sign_matches_the_name_lookup(names, split, exps):
     ordering = OrderingSpec(keys)
     key = (exps[0], exps[1], exps[2:])
     assert ordering.sign(key) == sign_by_name(ordering, key)
+
+
+@st.composite
+def orderings_and_keys(draw):
+    """A random ordering of rank 0..4, its names cut into groups, and monomials for it."""
+    rank = draw(st.integers(0, 4))
+    names = draw(st.permutations(["t1", "t2"] + [f"e{i}" for i in range(1, rank + 1)]))
+    cuts = sorted(draw(st.sets(st.integers(1, len(names) - 1))))
+    bounds = [0] + cuts + [len(names)]
+    ordering = OrderingSpec([tuple(names[i:j]) for i, j in zip(bounds, bounds[1:])])
+    small = st.integers(-2, 2)
+    keys = draw(
+        st.lists(st.tuples(small, small, st.tuples(*[small] * rank)), min_size=1, max_size=8)
+    )
+    return ordering, keys
+
+
+@given(orderings_and_keys())
+def test_ordering_sign_matches_the_flat_sum(case):
+    # keys repeat their framing vectors, so cached forms are read back too
+    ordering, keys = case
+    for key in keys + keys:
+        assert ordering.sign(key) == flat_sign(ordering, key), (ordering, key)
+
+
+@given(orderings_and_keys())
+def test_ordering_rejects_a_framing_vector_of_another_rank(case):
+    ordering, keys = case
+    a, b, es = keys[0]
+    for wrong in [es + (0,)] + ([es[1:]] if es else []):
+        with pytest.raises(ValueError):
+            ordering.sign((a, b, wrong))
+        with pytest.raises(ValueError):
+            flat_sign(ordering, (a, b, wrong))
+
+
+def test_ordering_forms_reference():
+    # zero forms are dropped and the list ends at the first constant form
+    assert main_ordering(2).forms((1, -1)) == ((1, 1, 0), (0, 0, 1))
+    assert main_ordering(2).forms((0, 0)) == ((1, 1, 0),)
+    assert ale_ordering(2).forms((0, 0)) == ((0, 1, 0), (1, 0, 0))
+    assert ale_ordering(3).forms((0, -1, 1)) == ((0, 1, 0), (0, 0, -1))
+    grouped = OrderingSpec([("t2", "e2"), "e1", ("t1", "e3")])
+    assert grouped.forms((1, -1, 1)) == ((0, 1, -1), (0, 0, 1))
+    assert grouped.forms((0, 0, 1)) == ((0, 1, 0), (1, 0, 1))
 
 
 def test_ale_ordering_reference():
