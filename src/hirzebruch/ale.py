@@ -18,9 +18,9 @@ still bring the charge sum to 0.
 The tangent character at a fixed point is the Z/2-invariant part of the
 flat-space character: each summand-pair block keeps only the monomials
 t1^a t2^b e... whose weight a + b + sum_i c_i*eps_i is even.  Morse
-indexes are counted against the ordering t2 >> e1 > .. > er >> t1 by
-default.  A point's index and dimension are sums over its ordered summand
-pairs of two cached tallies, the pair's term count and its negative terms
+indexes are always counted against the ordering t2 >> e1 > .. > er >> t1.
+A point's index and dimension are sums over its ordered summand pairs of
+two cached tallies, the pair's term count and its negative terms
 (`_pair_tally`), so `ale_index` and `ale_poincare` build no character;
 `ale_tangent_character`, which `ale --points` prints, assembles the same
 pair terms (`_pair_exponents`) into one.
@@ -262,27 +262,24 @@ def _counted_index(fp: ColoredFixedPoint, pair_forms: tuple[tuple[Forms, ...], .
 
 
 def ale_index(fp: ColoredFixedPoint, ordering: OrderingSpec | None = None) -> int:
-    """Morse index: negative-weight directions of the tangent character.
+    """Negative-weight terms of the tangent character under `ordering`.
 
-    Counted from the pair tallies, without building the character.
+    This is the Morse index only under an ordering that gives no term
+    weight 0, such as the default `ale_ordering`.  Counted from the pair
+    tallies, without building the character.
     """
     if ordering is None:
         ordering = ale_ordering(fp.rank)
     return _counted_index(fp, _pair_forms(ordering, fp.rank))
 
 
-def ale_poincare(r: int, n, ordering: OrderingSpec | None = None) -> TPolynomial:
+def ale_poincare(r: int, n) -> TPolynomial:
     """Poincare polynomial of the rank-r, instanton-number-n moduli space.
 
-    Sum of t^(2 * Morse index) over all fixed points.  The choice of
-    admissible ordering changes individual indexes but not the sum.
+    Sum of t^(2 * Morse index) over all fixed points, the indexes counted
+    under `ale_ordering(r)`.
     """
-    if ordering is None:
-        ordering = ale_ordering(r)
-    counts: Counter = Counter()
-    pair_forms = None
-    for fp in enumerate_colored_fixed_points(r, n):
-        # read at the first point, so that an empty space takes any ordering
-        pair_forms = pair_forms or _pair_forms(ordering, r)
-        counts[2 * _counted_index(fp, pair_forms)] += 1
-    return TPolynomial(counts)
+    pair_forms = _pair_forms(ale_ordering(r), r)
+    return TPolynomial(
+        Counter(2 * _counted_index(fp, pair_forms) for fp in enumerate_colored_fixed_points(r, n))
+    )

@@ -147,9 +147,13 @@ class Cache:
         handle = tempfile.NamedTemporaryFile(
             "w", dir=self.root, suffix=".tmp", delete=False, encoding="utf-8"
         )
-        with handle:
-            handle.write(blob)
-        os.replace(handle.name, path)
+        try:
+            with handle:
+                handle.write(blob)
+            os.replace(handle.name, path)
+        except BaseException:
+            os.unlink(handle.name)
+            raise
 
 
 def _cached(cache: Cache | None, request: dict, compute):
@@ -161,12 +165,6 @@ def _cached(cache: Cache | None, request: dict, compute):
     if cache is not None:
         cache.put(request, payload)
     return payload
-
-
-def _ordering(name: str, rank: int):
-    from .laurent import ale_ordering, main_ordering
-
-    return main_ordering(rank) if name == "main" else ale_ordering(rank)
 
 
 def _check_rank(r: int) -> None:
@@ -225,6 +223,7 @@ def _character_record(point, x, ordering=None) -> dict:
 
 def _cmd_tangent(args, cache):
     from .counting import enumerate_fixed_points, enumerate_reduced_fixed_points
+    from .laurent import main_ordering
     from .localization import (
         FixedPointDatum,
         ReducedFixedPointDatum,
@@ -235,13 +234,11 @@ def _cmd_tangent(args, cache):
     _check_rank(args.r)
     params = _params(args)
     request = _request(
-        "tangent", p=args.p, r=args.r, k=args.k, n=args.n,
-        reduced=args.reduced, ordering=args.ordering,
+        "tangent", p=args.p, r=args.r, k=args.k, n=args.n, reduced=args.reduced, ordering="main"
     )
     if args.reduced:
         datum, character = ReducedFixedPointDatum, reduced_tangent_character
-        enumerate_points = enumerate_reduced_fixed_points
-        ordering = _ordering(args.ordering, params.r)
+        enumerate_points, ordering = enumerate_reduced_fixed_points, main_ordering(params.r)
     else:
         datum, character = FixedPointDatum, tangent_character
         enumerate_points, ordering = enumerate_fixed_points, None
@@ -301,20 +298,20 @@ def _cmd_series(args, cache):
 
 def _cmd_ale(args, cache):
     _check_rank(args.r)
-    request = _request("ale", r=args.r, n=args.n, ordering=args.ordering)
+    request = _request("ale", r=args.r, n=args.n, ordering="ale")
 
     def compute():
         from .ale import ale_poincare
 
-        return ale_poincare(args.r, args.n, _ordering(args.ordering, args.r)).to_pairs()
+        return ale_poincare(args.r, args.n).to_pairs()
 
     if not args.points:
         return request, _cached(cache, request, compute)
     from .ale import ale_tangent_character, enumerate_colored_fixed_points
-    from .laurent import TPolynomial
+    from .laurent import TPolynomial, ale_ordering
 
     request["points"] = True
-    ordering = _ordering(args.ordering, args.r)
+    ordering = ale_ordering(args.r)
     points = [
         _character_record(fp, ale_tangent_character(fp), ordering)
         for fp in enumerate_colored_fixed_points(args.r, args.n)
@@ -376,7 +373,7 @@ def _cmd_sweep(args, cache):
     rows = []
     for p, r, k, n in itertools.product(args.p, args.r, args.k, args.n):
         # a cell is a poincare, ale or check request; check cells are not cached
-        cell = argparse.Namespace(p=p, r=r, k=k, n=n, ordering="ale", points=False)
+        cell = argparse.Namespace(p=p, r=r, k=k, n=n, points=False)
         row = {"p": p, "r": r, "k": k, "n": str(n)}
         try:
             if args.mode == "check":
@@ -465,10 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="read fixed-point records from FILE ('-' for stdin) instead of enumerating",
     )
-    tg.add_argument(
-        "--ordering", choices=("main", "ale"), default="main",
-        help="index ordering (with --reduced)",
-    )
 
     pc = command(
         "poincare", "Poincare polynomial of a moduli space", _cmd_poincare, _poly_text,
@@ -496,9 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
     al.add_argument("--r", type=int, required=True, help="instanton rank")
     al.add_argument(
         "--n", type=_rational, required=True, help="instanton number, a or a/b"
-    )
-    al.add_argument(
-        "--ordering", choices=("main", "ale"), default="ale", help="index ordering"
     )
     al.add_argument(
         "--points",

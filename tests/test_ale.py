@@ -9,6 +9,7 @@ from helpers import (
     invariant_part,
     permute_framing,
     swap_t,
+    zero_weight_count,
 )
 from hypothesis import given, strategies as st
 
@@ -243,10 +244,12 @@ def test_poincare_ordering_invariance():
         OrderingSpec(["t1", "e2", "e1", "t2"]),
     ]
     for r, n in ((2, 1), (2, 2)):
-        reference = ale_poincare(r, n, orderings[0])
-        assert ale_poincare(r, n) == reference
-        for ordering in orderings[1:]:
-            assert ale_poincare(r, n, ordering) == reference
+        # each ordering gives no term weight 0, so its counts are Morse indexes
+        for ordering in orderings:
+            assert not any(zero_weight_count(ale_tangent_character(fp), ordering)
+                           for fp in points(r, n))
+            counts = Counter(2 * ale_index(fp, ordering) for fp in points(r, n))
+            assert TPolynomial(counts) == ale_poincare(r, n), ordering
 
 
 def test_poincare_at_one_counts_points():
@@ -317,17 +320,16 @@ def test_counted_index_matches_the_character(r, max_boxes):
     mixed = set()
     for boxes in range(max_boxes + 1):
         n = Fraction(boxes, 2)
-        counts = [Counter() for _ in orderings]
+        count = Counter()
         for fp in points(r, n):
             x = ale_tangent_character(fp)
             if 0 < fp.corner_color_count() < r:
                 mixed.add(n)
-            for ordering, count in zip(orderings, counts):
-                index = x.negative_count(ordering)
+            indexes = [x.negative_count(ordering) for ordering in orderings]
+            for ordering, index in zip(orderings, indexes):
                 assert ale_index(fp, ordering) == index, (fp, ordering)
-                count[2 * index] += 1
-        for ordering, count in zip(orderings, counts):
-            assert ale_poincare(r, n, ordering) == TPolynomial(count), (n, ordering)
+            count[2 * indexes[0]] += 1  # orderings[0] is the one ale_poincare counts under
+        assert ale_poincare(r, n) == TPolynomial(count), n
     assert (MIXED_SECTOR[r] in mixed) if r in MIXED_SECTOR else not mixed
 
 
@@ -335,11 +337,17 @@ def test_wrong_rank_ordering_is_rejected_on_a_nonempty_space():
     fp = points(2, 1)[0]
     for ordering in (ale_ordering(1), ale_ordering(3), main_ordering(3)):
         with pytest.raises(ValueError):
-            ale_poincare(2, 1, ordering)
-        with pytest.raises(ValueError):
             ale_index(fp, ordering)
-    # an empty space has no monomial to read the ordering at
-    assert ale_poincare(2, Fraction(1, 4), ale_ordering(3)) == TPolynomial.zero()
+
+
+def test_main_ordering_is_not_admissible_on_the_ale_space():
+    # at r = 1, n = 1 the point [2] has the invariant term t1^-1 t2, which
+    # main_ordering weighs 0: its negative-term count is no Morse index there
+    [fp] = [fp for fp in points(1, 1) if fp.tableaux[0].diagram == PartitionDiagram((2,))]
+    x = ale_tangent_character(fp)
+    assert x.terms.get((-1, 1, (0,))) == 1
+    assert zero_weight_count(x, main_ordering(1)) == 1
+    assert zero_weight_count(x, ale_ordering(1)) == 0
 
 
 @pytest.fixture

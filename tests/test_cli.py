@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import io
 import json
@@ -415,21 +416,23 @@ def test_ale_poly_and_points(capsys):
     assert all(record["dimension"] == 4 for record in records)
 
 
-def test_ale_ordering_flag_is_wired_through(capsys):
-    _, default, _ = run(capsys, "ale", "--r", "2", "--n", "2")
-    _, explicit, _ = run(capsys, "ale", "--r", "2", "--n", "2", "--ordering", "ale")
-    assert default == explicit
-    _, ale_json, _ = run(capsys, "ale", "--r", "2", "--n", "2", "--format", "json")
-    _, main_json, _ = run(
-        capsys, "ale", "--r", "2", "--n", "2", "--ordering", "main",
-        "--format", "json",
-    )
-    ale_pairs = json.loads(ale_json)["result"]
-    main_pairs = json.loads(main_json)["result"]
-    # a different chamber redistributes indexes but never changes the point count
-    assert ale_pairs != main_pairs
-    assert sum(c for _, c in ale_pairs) == 16
-    assert sum(c for _, c in main_pairs) == 16
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ale", "--r", "2", "--n", "2", "--ordering", "ale"],
+        ["tangent", "--p", "1", "--r", "2", "--k", "0", "--n", "2", "--reduced",
+         "--ordering", "main"],
+    ],
+)
+def test_ordering_option_is_refused(capsys, argv):
+    # each index is counted in the one ordering it is defined for; there is no knob
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unrecognized arguments: --ordering" in err
+    assert "Traceback" not in err
 
 
 def test_sweep_check_mode(capsys):
@@ -682,6 +685,20 @@ def test_unreadable_cache_entry_is_recomputed(capsys, tmp_path, damage):
     assert entry.read_bytes() == intact
 
 
+def test_failed_cache_write_leaves_no_temp_file(capsys, tmp_path, monkeypatch):
+    def full_disk(src, dst):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(hirzebruch.cli.os, "replace", full_disk)
+    code, out, err = run(
+        capsys, "check", "--p", "1", "--r", "1", "--k", "0", "--n", "1",
+        "--cache-dir", str(tmp_path),
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and os.strerror(errno.ENOSPC) in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_crosscheck_sweep_shares_cache_entries_with_poincare_and_ale(
     capsys, tmp_path, monkeypatch
 ):
@@ -867,8 +884,8 @@ def test_package_version_matches_pyproject():
             {"subcommand": "ale", "r": 2, "n": "1/2", "ordering": "ale"},
         ),
         (
-            ["ale", "--r", "2", "--n", "1", "--ordering", "main", "--points"],
-            {"subcommand": "ale", "r": 2, "n": "1", "ordering": "main", "points": True},
+            ["ale", "--r", "2", "--n", "1", "--points"],
+            {"subcommand": "ale", "r": 2, "n": "1", "ordering": "ale", "points": True},
         ),
         (
             ["check", "--p", "2", "--r", "2", "--k", "1", "--n", "1/2"],
@@ -902,18 +919,18 @@ def _argvs(draw):
     sub = draw(st.sampled_from(_SUBCOMMANDS))
     flags = {
         "fixed-points": ["p", "r", "k", "n", "reduced"],
-        "tangent": ["p", "r", "k", "n", "reduced", "ordering"],
+        "tangent": ["p", "r", "k", "n", "reduced"],
         "poincare": ["p", "r", "k", "n"],
         "series": ["p", "max-order", "method"],
         "hilbert": ["p", "max-order"],
-        "ale": ["r", "n", "ordering", "points"],
+        "ale": ["r", "n", "points"],
         "check": ["p", "r", "k", "n"],
         "sweep": ["mode", "p", "r", "k", "n"],
     }[sub]
     values = {
         "p": _INTEGERS, "r": _INTEGERS, "k": _INTEGERS + ["-2"], "n": _RATIONALS,
         "max-order": _INTEGERS + ["4"], "method": ["closed", "direct"],
-        "ordering": ["main", "ale"], "mode": ["poincare", "check", "crosscheck"],
+        "mode": ["poincare", "check", "crosscheck"],
     }
     argv = [sub]
     for flag in flags:
