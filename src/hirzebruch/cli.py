@@ -23,9 +23,11 @@ import tempfile
 import time
 from collections import Counter
 
-# The math layers are imported by the functions that call them, so a cache
-# hit, --help and --version load none of them.
 from . import InvariantError, __version__
+
+# The handlers and renderers read each math name from the package when they
+# run, so a cache hit, --help and --version load no math layer.
+_lib = sys.modules[__package__]
 
 CACHE_ENV_VAR = "HIRZEBRUCH_CACHE_DIR"
 # The work of a series grows about as the cube of its order; at p = 1 and
@@ -47,8 +49,7 @@ _RANGE = re.compile(r"^([+-]?\d+)\.\.([+-]?\d+)$")
 def __getattr__(name: str):
     # Code outside the package that reads a public name through this module,
     # such as `cli.poincare_polynomial`, gets the package's current binding.
-    # The handlers never use this: they import what they call.
-    return getattr(sys.modules[__package__], name)
+    return getattr(_lib, name)
 
 
 def _rational(text: str) -> Fraction:
@@ -88,7 +89,11 @@ def _list_of(convert):
 
 
 def _request(subcommand: str, **fields) -> dict:
-    """The JSON request of a subcommand, with n (sweep: every n) as exact text."""
+    """The JSON request of a subcommand, with n (sweep: every n) as exact text.
+    Refuses a rank r above MAX_RANK; a sweep's list of ranks is checked per cell."""
+    r = fields.get("r")
+    if isinstance(r, int) and r > MAX_RANK:
+        raise ValueError(f"--r must be at most {MAX_RANK}, got {r}")
     n = fields.get("n")
     if n is not None:
         fields["n"] = [str(x) for x in n] if isinstance(n, list) else str(n)
@@ -167,26 +172,16 @@ def _cached(cache: Cache | None, request: dict, compute):
     return payload
 
 
-def _check_rank(r: int) -> None:
-    if r > MAX_RANK:
-        raise ValueError(f"--r must be at most {MAX_RANK}, got {r}")
-
-
 def _params(args) -> ModuliParams:
-    from .localization import ModuliParams
-
-    return ModuliParams(args.p, args.r, args.k, args.n)
+    return _lib.ModuliParams(args.p, args.r, args.k, args.n)
 
 
 def _cmd_fixed_points(args, cache):
-    from .counting import enumerate_fixed_points, indexed_points
-
-    _check_rank(args.r)
-    params = _params(args)
     request = _request(
         "fixed-points", p=args.p, r=args.r, k=args.k, n=args.n, reduced=args.reduced
     )
-    points = indexed_points(params) if args.reduced else enumerate_fixed_points(params)
+    params = _params(args)
+    points = _lib.indexed_points(params) if args.reduced else _lib.enumerate_fixed_points(params)
     return request, [point.to_json() for point in points]
 
 
@@ -222,29 +217,20 @@ def _character_record(point, x, ordering=None) -> dict:
 
 
 def _cmd_tangent(args, cache):
-    from .counting import enumerate_fixed_points, enumerate_reduced_fixed_points
-    from .laurent import main_ordering
-    from .localization import (
-        FixedPointDatum,
-        ReducedFixedPointDatum,
-        reduced_tangent_character,
-        tangent_character,
-    )
-
-    _check_rank(args.r)
-    params = _params(args)
     request = _request(
         "tangent", p=args.p, r=args.r, k=args.k, n=args.n, reduced=args.reduced, ordering="main"
     )
+    params = _params(args)
     if args.reduced:
-        datum, character = ReducedFixedPointDatum, reduced_tangent_character
-        enumerate_points, ordering = enumerate_reduced_fixed_points, main_ordering(params.r)
+        datum, character = _lib.ReducedFixedPointDatum, _lib.reduced_tangent_character
+        enumerate_points = _lib.enumerate_reduced_fixed_points
+        ordering = _lib.main_ordering(params.r)
     else:
-        datum, character = FixedPointDatum, tangent_character
-        enumerate_points, ordering = enumerate_fixed_points, None
+        datum, character = _lib.FixedPointDatum, _lib.tangent_character
+        enumerate_points, ordering = _lib.enumerate_fixed_points, None
     if args.fixed_points:
         records = _load_fixed_point_records(args.fixed_points)
-        points = [datum.from_json(record) for record in records]
+        points = [datum._from_record(record, params) for record in records]
     else:
         points = list(enumerate_points(params))
     return request, [
@@ -253,21 +239,16 @@ def _cmd_tangent(args, cache):
 
 
 def _cmd_poincare(args, cache):
-    _check_rank(args.r)
     request = _request("poincare", p=args.p, r=args.r, k=args.k, n=args.n)
 
     def compute():
-        from .counting import poincare_polynomial
-
-        return poincare_polynomial(_params(args)).to_pairs()
+        return _lib.poincare_polynomial(_params(args)).to_pairs()
 
     return request, _cached(cache, request, compute)
 
 
 def _poly_text(args, pairs) -> str:
-    from .laurent import TPolynomial
-
-    return TPolynomial.from_pairs(pairs).text()
+    return _lib.TPolynomial.from_pairs(pairs).text()
 
 
 def _series_text(args, payload) -> str:
@@ -285,38 +266,30 @@ def _cmd_series(args, cache):
         request["method"] = args.method
 
     def compute():
-        from .counting import hilbert_series_r1, rank2_series_closed, rank2_series_direct
-
         if args.subcommand == "hilbert":
-            fn = hilbert_series_r1
+            fn = _lib.hilbert_series_r1
         else:
-            fn = rank2_series_closed if args.method == "closed" else rank2_series_direct
+            fn = _lib.rank2_series_closed if args.method == "closed" else _lib.rank2_series_direct
         return fn(args.p, args.max_order).to_json()
 
     return request, _cached(cache, request, compute)
 
 
 def _cmd_ale(args, cache):
-    _check_rank(args.r)
     request = _request("ale", r=args.r, n=args.n, ordering="ale")
 
     def compute():
-        from .ale import ale_poincare
-
-        return ale_poincare(args.r, args.n).to_pairs()
+        return _lib.ale_poincare(args.r, args.n).to_pairs()
 
     if not args.points:
         return request, _cached(cache, request, compute)
-    from .ale import ale_tangent_character, enumerate_colored_fixed_points
-    from .laurent import TPolynomial, ale_ordering
-
     request["points"] = True
-    ordering = ale_ordering(args.r)
+    ordering = _lib.ale_ordering(args.r)
     points = [
-        _character_record(fp, ale_tangent_character(fp), ordering)
-        for fp in enumerate_colored_fixed_points(args.r, args.n)
+        _character_record(fp, _lib.ale_tangent_character(fp), ordering)
+        for fp in _lib.enumerate_colored_fixed_points(args.r, args.n)
     ]
-    poly = TPolynomial(Counter(2 * record["index"] for record in points))
+    poly = _lib.TPolynomial(Counter(2 * record["index"] for record in points))
     return request, {"poly": poly.to_pairs(), "points": points}
 
 
@@ -328,13 +301,10 @@ def _ale_text(args, payload) -> str:
 
 
 def _cmd_check(args, cache):
-    _check_rank(args.r)
     request = _request("check", p=args.p, r=args.r, k=args.k, n=args.n)
 
     def compute():
-        from .counting import check_nonempty
-
-        return {"nonempty": check_nonempty(_params(args))}
+        return {"nonempty": _lib.check_nonempty(_params(args))}
 
     return request, _cached(cache, request, compute)
 

@@ -39,7 +39,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import InvariantError
-from .laurent import Character, Matrix2, _Frozen, _integers, _rational
+from .laurent import Character, _Frozen, _integers, _rational
 from .partitions import EMPTY, PartitionDiagram
 
 
@@ -110,6 +110,19 @@ class _Datum(_Frozen):
         except TypeError as exc:
             raise ValueError(f"malformed fixed-point record {data!r}: {exc}") from None
 
+    @classmethod
+    def _from_record(cls, data, params: ModuliParams):
+        # `from_json`, refusing first rows of more than n boxes, since a diagram's
+        # `cols` has an entry per box of its longest row; malformed rows count 0
+        try:
+            rows = [x for key in cls._keys[1:] for y in data[key] for x in y]
+        except (KeyError, TypeError):
+            rows = []
+        boxes = sum(x for x in rows if type(x) is int and x > 0)
+        if boxes > params.n:
+            raise InvariantError(f"box-count constraint violated: {boxes} boxes, n = {params.n}")
+        return cls.from_json(data)
+
 
 class FixedPointDatum(_Datum):
     """A torus fixed point: k-string plus one diagram pair per summand."""
@@ -157,21 +170,6 @@ class ReducedFixedPointDatum(_Datum):
 
     def to_json(self) -> dict:
         return {"k": list(self.ks), "Y": [y.to_json() for y in self.ys]}
-
-
-def patch1_matrix(p: int) -> Matrix2:
-    """Exponent action of t1 -> t1^p, t2 -> t2/t1."""
-    return ((p, -1), (0, 1))
-
-
-def patch2_matrix(p: int) -> Matrix2:
-    """Exponent action of t1 -> t1/t2, t2 -> t2^p."""
-    return ((1, 0), (-1, p))
-
-
-def merge_t_matrix() -> Matrix2:
-    """Exponent action of t2 -> t1 (both torus weights collapse onto t1)."""
-    return ((1, 1), (0, 0))
 
 
 def l_character(p: int, d: int) -> Character:
@@ -259,20 +257,17 @@ def tangent_character(params: ModuliParams, fp: FixedPointDatum) -> Character:
     """Full torus character of the tangent space at a fixed point.
 
     Sums, over ordered summand pairs (a, b), the boundary contribution
-    e_b/e_a * l_character(p, k_a - k_b) plus the two patch contributions,
-    each pushed through its coordinate substitution and shifted by the
-    appropriate power of the patch's base variable:
+    e_b/e_a * l_character(p, k_a - k_b) and the terms t1^x t2^y of the patch
+    contributions n_character(Y1...) and n_character(Y2...), pushed through
+    the charts (t1^p, t2/t1) and (t1/t2, t2^p), with shift = p(k_b - k_a):
 
-        t1^(p(k_b - k_a)) * n_character(Y1...)(t1^p, t2/t1)
-        t2^(p(k_b - k_a)) * n_character(Y2...)(t1/t2, t2^p)
+        t1^(p*x - y + shift) t2^y   and   t1^x t2^(p*y - x + shift)
 
     The terms are counted into one table and become one Character.
     Raises InvariantError unless the dimension equals 2*r*n.
     """
     fp.validate(params)
     p, r, ks = params.p, params.r, fp.ks
-    # (diagrams, substitution, which base variable carries the shift)
-    patches = ((fp.y1, patch1_matrix(p), (1, 0)), (fp.y2, patch2_matrix(p), (0, 1)))
     terms: dict = {}
     for a in range(r):
         for b in range(r):
@@ -280,10 +275,12 @@ def tangent_character(params: ModuliParams, fp: FixedPointDatum) -> Character:
             for x, y in _l_exponents(p, ks[a] - ks[b]):
                 terms[x, y, es] = terms.get((x, y, es), 0) + 1
             shift = p * (ks[b] - ks[a])
-            for ys, ((m11, m12), (m21, m22)), (s1, s2) in patches:
-                for x, y in _patch_exponents(ys[a], ys[b]):
-                    key = (m11 * x + m12 * y + s1 * shift, m21 * x + m22 * y + s2 * shift, es)
-                    terms[key] = terms.get(key, 0) + 1
+            for x, y in _patch_exponents(fp.y1[a], fp.y1[b]):
+                key = (p * x - y + shift, y, es)
+                terms[key] = terms.get(key, 0) + 1
+            for x, y in _patch_exponents(fp.y2[a], fp.y2[b]):
+                key = (x, p * y - x + shift, es)
+                terms[key] = terms.get(key, 0) + 1
     total = Character(r, terms)
     expected = params.expected_dimension()
     if total.dimension() != expected:
@@ -305,4 +302,4 @@ def reduced_tangent_character(
     InvariantError unless the dimension equals 2*r*n.
     """
     full = FixedPointDatum(rfp.ks, (EMPTY,) * len(rfp.ys), rfp.ys)
-    return tangent_character(params, full).substitute(merge_t_matrix())
+    return tangent_character(params, full).substitute(((1, 1), (0, 0)))

@@ -1,3 +1,4 @@
+import ast
 import errno
 import hashlib
 import io
@@ -192,6 +193,28 @@ def test_inconsistent_fixed_point_record_exits_3(capsys, tmp_path):
     assert "invariant violation" in err
 
 
+@pytest.mark.parametrize(
+    "reduced, record",
+    [(False, {"k": [0], "Y1": [[10**30]], "Y2": [[]]}), (True, {"k": [0], "Y": [[10**30]]})],
+    ids=["full", "reduced"],
+)
+def test_oversized_fixed_point_record_exits_3_before_building_a_diagram(
+    capsys, monkeypatch, reduced, record
+):
+    # a diagram's conjugate has an entry per box of its longest row, so the record
+    # must be refused before its diagrams are built: a row of 10^30 would raise
+    # OverflowError, and one of 10^12 MemoryError
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps([record])))
+    started = time.monotonic()
+    code, out, err = run(
+        capsys, "tangent", "--p", "1", "--r", "1", "--k", "0", "--n", "1",
+        *["--reduced"] * reduced, "--fixed-points", "-",
+    )
+    assert time.monotonic() - started < 1
+    assert (code, out) == (3, "")
+    assert err.startswith("invariant violation: box-count constraint violated")
+
+
 def _hirzebruch(*argv, stdin="", stdout=subprocess.PIPE):
     """Run the command line in a fresh interpreter on this checkout's package."""
     env = dict(os.environ)
@@ -273,6 +296,18 @@ def test_unwritable_stdout_exits_2(sink):
     assert done.stderr.count("\n") == 1
     assert "Traceback" not in done.stderr
     assert "Exception ignored" not in done.stderr
+
+
+def test_cli_reads_math_names_through_the_package():
+    # the package's lazy table is the one record of which submodule defines
+    # each public name, so the command line imports from no submodule itself
+    with open(hirzebruch.cli.__file__, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    imported = [
+        node.module for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level and node.module
+    ]
+    assert imported == []
 
 
 def test_cli_import_loads_no_thread_pool():

@@ -21,10 +21,7 @@ from hirzebruch.localization import (
     ReducedFixedPointDatum,
     _patch_exponents,
     l_character,
-    merge_t_matrix,
     n_character,
-    patch1_matrix,
-    patch2_matrix,
     reduced_tangent_character,
     tangent_character,
 )
@@ -239,12 +236,6 @@ def test_n_character_transpose_symmetry(ya, yb):
     assert lhs == swap_t(n_character(ya, yb, 1, 2, 2))
 
 
-def test_patch_matrices():
-    assert patch1_matrix(2) == ((2, -1), (0, 1))
-    assert patch2_matrix(2) == ((1, 0), (-1, 2))
-    assert merge_t_matrix() == ((1, 1), (0, 0))
-
-
 def test_tangent_character_rank_one_frozen():
     one_box = PartitionDiagram([1])
     empty = PartitionDiagram([])
@@ -323,7 +314,7 @@ def test_reduced_character_is_t2_free():
 def test_reduced_matches_merged_full():
     # the reduced character is the full one at an empty first patch,
     # with both torus weights collapsed onto t1
-    merge = merge_t_matrix()
+    merge = ((1, 1), (0, 0))  # t2 -> t1
     for p, r, k, n in ((1, 2, 0, 2), (2, 2, 1, Fraction(3, 2)), (1, 3, 0, 1)):
         params = ModuliParams(p, r, k, n)
         points = enumerate_reduced_fixed_points(params)
@@ -337,7 +328,8 @@ def test_reduced_matches_merged_full():
 
 # Oracles: the pair-by-pair ring-algebra assembly that the single term
 # count in localization replaced.  Each builds its characters through
-# Character arithmetic, one pair block at a time.
+# Character arithmetic, one pair block at a time, and writes its own chart
+# maps as exponent matrices for `Character.substitute`.
 
 
 def framing_ratio(rank, beta, alpha):
@@ -365,7 +357,8 @@ def n_character_oracle(y_alpha, y_beta, alpha, beta, rank):
 
 def tangent_character_oracle(params, fp):
     p, r = params.p, params.r
-    m1, m2 = patch1_matrix(p), patch2_matrix(p)
+    m1 = ((p, -1), (0, 1))  # t1 -> t1^p, t2 -> t2/t1
+    m2 = ((1, 0), (-1, p))  # t1 -> t1/t2, t2 -> t2^p
     total = Character.zero(r)
     for a in range(1, r + 1):
         for b in range(1, r + 1):
@@ -388,7 +381,7 @@ def reduced_tangent_character_oracle(params, rfp):
             shift = p * (rfp.ks[b - 1] - rfp.ks[a - 1])
             lpart = mono(r, 0, 0, framing_ratio(r, b, a)) * promote(
                 l_character(p, d), r
-            ).substitute(merge_t_matrix())
+            ).substitute(((1, 1), (0, 0)))  # t2 -> t1
             npart = n_character(rfp.ys[a - 1], rfp.ys[b - 1], a, b, r).substitute(reduced)
             total = total + lpart + mono(r, shift, 0) * npart
     assert not any(key[1] for key in total.terms)
