@@ -112,15 +112,15 @@ class _Datum(_Frozen):
 
     @classmethod
     def _from_record(cls, data, params: ModuliParams):
-        # `from_json`, refusing first rows of more than n boxes, since a diagram's
-        # `cols` has an entry per box of its longest row; malformed rows count 0
-        try:
-            rows = [x for key in cls._keys[1:] for y in data[key] for x in y]
-        except (KeyError, TypeError):
-            rows = []
-        boxes = sum(x for x in rows if type(x) is int and x > 0)
-        if boxes > params.n:
-            raise InvariantError(f"box-count constraint violated: {boxes} boxes, n = {params.n}")
+        # `from_json`, first refusing a row longer than n, which no fixed point has
+        # (p >= 1): a diagram's `cols` holds an entry per box of its longest row
+        keys = cls._keys[1:] if isinstance(data, dict) and data.keys() >= set(cls._keys) else ()
+        lists = [data[key] for key in keys if isinstance(data[key], list)]
+        rows = [x for ys in lists for y in ys if isinstance(y, list) for x in y if type(x) is int]
+        if max(rows, default=0) > params.n:
+            raise InvariantError(
+                f"box-count constraint violated: a row of {max(rows)} boxes, n = {params.n}"
+            )
         return cls.from_json(data)
 
 

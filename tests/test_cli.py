@@ -195,8 +195,16 @@ def test_inconsistent_fixed_point_record_exits_3(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "reduced, record",
-    [(False, {"k": [0], "Y1": [[10**30]], "Y2": [[]]}), (True, {"k": [0], "Y": [[10**30]]})],
-    ids=["full", "reduced"],
+    [
+        (False, {"k": [0], "Y1": [[10**30]], "Y2": [[]]}),
+        (True, {"k": [0], "Y": [[10**30]]}),
+        # the rest of the record is malformed too: the long row is still refused first
+        (False, {"k": [0], "Y1": [[10**30]], "Y2": 0}),
+        (False, {"k": [0], "Y1": [[10**30], 7], "Y2": [[]]}),
+        (True, {"k": [0, 0], "Y": [[10**30], 0]}),
+        (False, {"k": [0], "Y1": [[1, 10**30]], "Y2": [[]]}),
+    ],
+    ids=["full", "reduced", "full-bad-Y2", "full-bad-row", "reduced-bad-rows", "full-increasing"],
 )
 def test_oversized_fixed_point_record_exits_3_before_building_a_diagram(
     capsys, monkeypatch, reduced, record
@@ -237,6 +245,8 @@ def _hirzebruch(*argv, stdin="", stdout=subprocess.PIPE):
         '[{"k": [0.9, -0.9], "Y1": [[], [1.7]], "Y2": [[], []]}]',
         '[{"k": "00", "Y": [[], [1]]}]',
         '[{"k": [0, 0], "Y1": [[], [true]], "Y2": [[], []], "Y": [[], [true]]}]',
+        # a missing key is reported before any row is read, however long
+        '[{"k": [0, 0], "Y1": [[], [1000000000000000000000000000000]]}]',
     ],
 )
 def test_malformed_fixed_point_record_exits_2(records):
