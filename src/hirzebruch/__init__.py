@@ -12,6 +12,8 @@ imported from its submodule on first use (PEP 562), so a command-line
 request loads only the layers it runs.
 """
 
+import sys
+
 __version__ = "0.1.0"
 
 
@@ -23,7 +25,6 @@ class InvariantError(Exception):
 _EXPORTS = {
     "ale": (
         "ColoredFixedPoint",
-        "ale_index",
         "ale_poincare",
         "ale_tangent_character",
         "enumerate_colored_fixed_points",
@@ -31,7 +32,6 @@ _EXPORTS = {
     "counting": (
         "IndexedPoint",
         "check_nonempty",
-        "component_factor",
         "enumerate_fixed_points",
         "enumerate_reduced_fixed_points",
         "hilbert_series_r1",
@@ -54,14 +54,13 @@ _EXPORTS = {
         "FixedPointDatum",
         "ModuliParams",
         "ReducedFixedPointDatum",
-        "l_character",
-        "n_character",
         "reduced_tangent_character",
         "tangent_character",
     ),
     "partitions": ("ColoredDiagram", "PartitionDiagram", "enumerate_partitions"),
 }
-_SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names}
+# public name -> full name of the submodule that defines it
+_SUBMODULE = {name: f"{__name__}.{module}" for module, names in _EXPORTS.items() for name in names}
 
 __all__ = ["__version__", *sorted(["InvariantError", *_SUBMODULE])]
 
@@ -70,12 +69,17 @@ def __getattr__(name: str):
     # Called only for names not in the module's namespace.  An unknown name,
     # such as a submodule not yet imported, raises AttributeError, so that
     # `from hirzebruch import ale` falls back to importing the submodule.
+    # Nothing is bound here, so each read gets the submodule's current binding;
+    # the import system runs only while the submodule is not yet loaded.
     module = _SUBMODULE.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
+    loaded = sys.modules.get(module)
+    if loaded is None:
+        import importlib
 
-    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+        loaded = importlib.import_module(module)
+    return getattr(loaded, name)
 
 
 def __dir__() -> list:

@@ -21,7 +21,7 @@ t1^a t2^b e... whose weight a + b + sum_i c_i*eps_i is even.  Morse
 indexes are always counted against the ordering t2 >> e1 > .. > er >> t1.
 A point's index and dimension are sums over its ordered summand pairs of
 two cached tallies, the pair's term count and its negative terms
-(`_pair_tally`), so `ale_index` and `ale_poincare` build no character;
+(`_pair_tally`), so `ale_poincare` builds no character;
 `ale_tangent_character`, which `ale --points` prints, assembles the same
 pair terms (`_pair_exponents`) into one.
 
@@ -68,41 +68,11 @@ class ColoredFixedPoint(_Frozen):
     def rank(self) -> int:
         return len(self.tableaux)
 
-    def eps(self) -> tuple[int, ...]:
-        return tuple(t.eps for t in self.tableaux)
-
     def corner_color_count(self) -> int:
         return sum(t.eps for t in self.tableaux)
 
-    def box_color_counts(self) -> tuple[int, int]:
-        k0 = k1 = 0
-        for t in self.tableaux:
-            a, b = t.color_counts()
-            k0 += a
-            k1 += b
-        return k0, k1
-
-    def instanton_number(self) -> Fraction:
-        k0, _ = self.box_color_counts()
-        return k0 + Fraction(self.corner_color_count(), 4)
-
-    def is_valid(self) -> bool:
-        n1 = self.corner_color_count()
-        k0, k1 = self.box_color_counts()
-        return n1 + 2 * (k0 - k1) == 0
-
-    def transpose(self) -> "ColoredFixedPoint":
-        return ColoredFixedPoint(tuple(t.transpose() for t in self.tableaux))
-
-    def reverse(self) -> "ColoredFixedPoint":
-        return ColoredFixedPoint(tuple(reversed(self.tableaux)))
-
     def to_json(self) -> dict:
         return {"tableaux": [t.to_json() for t in self.tableaux]}
-
-    @classmethod
-    def from_json(cls, data) -> "ColoredFixedPoint":
-        return cls(tuple(ColoredDiagram.from_json(item) for item in data["tableaux"]))
 
 
 @lru_cache(maxsize=None)
@@ -205,12 +175,11 @@ def _pair_tally(
 def _check_dimension(fp: ColoredFixedPoint, dimension: int) -> None:
     """InvariantError unless `dimension` is 2rn - (r - N1)*N1/2 at `fp`.
 
-    With n = k0 + N1/4 this is the integer identity 2*dim = 4r*k0 + N1^2,
-    read off the point's own color counts.
+    The point's boxes number B = 2n, so this is the integer identity
+    2*dim = 2r*B - r*N1 + N1^2, read off its diagram sizes and corners.
     """
-    n1 = fp.corner_color_count()
-    k0, _ = fp.box_color_counts()
-    twice = 4 * fp.rank * k0 + n1 * n1
+    r, n1 = fp.rank, fp.corner_color_count()
+    twice = 2 * r * sum(t.diagram.size for t in fp.tableaux) - r * n1 + n1 * n1
     if 2 * dimension != twice:
         raise InvariantError(
             f"ALE tangent character has dimension {dimension}, expected {Fraction(twice, 2)}"
@@ -259,18 +228,6 @@ def _counted_index(fp: ColoredFixedPoint, pair_forms: tuple[tuple[Forms, ...], .
             index += negative
     _check_dimension(fp, dimension)
     return index
-
-
-def ale_index(fp: ColoredFixedPoint, ordering: OrderingSpec | None = None) -> int:
-    """Negative-weight terms of the tangent character under `ordering`.
-
-    This is the Morse index only under an ordering that gives no term
-    weight 0, such as the default `ale_ordering`.  Counted from the pair
-    tallies, without building the character.
-    """
-    if ordering is None:
-        ordering = ale_ordering(fp.rank)
-    return _counted_index(fp, _pair_forms(ordering, fp.rank))
 
 
 def ale_poincare(r: int, n) -> TPolynomial:

@@ -41,6 +41,9 @@ MAX_CELLS = 10_000
 # (`counting._grow`, `ale._extend`), so near rank 1000 they pass the
 # interpreter's recursion limit; larger ranks are refused.
 MAX_RANK = 256
+# Every tangent character at (p, r, k, n) has exactly 2rn terms, counted with
+# multiplicity, so `tangent` refuses a larger 2rn before it reads a record.
+MAX_TANGENT_TERMS = 100_000
 
 _RATIONAL = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 _RANGE = re.compile(r"^([+-]?\d+)\.\.([+-]?\d+)$")
@@ -221,6 +224,12 @@ def _cmd_tangent(args, cache):
         "tangent", p=args.p, r=args.r, k=args.k, n=args.n, reduced=args.reduced, ordering="main"
     )
     params = _params(args)
+    n = params.n
+    if 2 * params.r * n.numerator > MAX_TANGENT_TERMS * n.denominator:
+        raise ValueError(
+            f"a tangent character here has 2rn = {2 * params.r * n} terms,"
+            f" more than {MAX_TANGENT_TERMS}"
+        )
     if args.reduced:
         datum, character = _lib.ReducedFixedPointDatum, _lib.reduced_tangent_character
         enumerate_points = _lib.enumerate_reduced_fixed_points

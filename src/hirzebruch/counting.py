@@ -3,7 +3,7 @@
 The Poincare polynomial of a moduli space is assembled from the fixed
 loci of the reduced one-parameter action: each locus is a product of
 partial flag varieties recorded by a single diagram per summand, it
-contributes its own Poincare polynomial (`component_factor`) shifted by
+contributes its own Poincare polynomial (`_factor_terms`) shifted by
 t^(2 * Morse index).  The Morse index has a closed form in terms of the
 diagrams and the k-string, and independently equals the number of
 negative-weight directions of the reduced tangent character.  The closed
@@ -218,15 +218,6 @@ def _factor_terms(ys) -> dict[int, int]:
                         grown[top] = grown.get(top, 0) + coeff
                 terms = grown
     return terms
-
-
-def component_factor(y: PartitionDiagram) -> TPolynomial:
-    """Poincare polynomial of the flag-variety factor attached to one diagram.
-
-    Product over occurring column heights of 1 + t^2 + .. + t^(2m), where
-    m is the number of columns of that height.
-    """
-    return TPolynomial(_factor_terms((y,)))
 
 
 class IndexedPoint(_Frozen):

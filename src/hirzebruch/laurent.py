@@ -1,6 +1,7 @@
 """Exact multivariate Laurent polynomials and truncated power series.
 
-Three rings cover everything the fixed-point computations need:
+Three exact term tables cover everything the fixed-point computations
+need, each built in one call from its {exponent: coeff} table:
 
 * `Character`: integer Laurent polynomials in the two torus variables
   t1, t2 and framing variables e1..er.  A term is keyed by its exponent
@@ -109,56 +110,6 @@ class Character:
                 clean[key] = coeff
         self.terms = clean
 
-    @classmethod
-    def zero(cls, rank: int) -> "Character":
-        return cls(rank)
-
-    @classmethod
-    def monomial(
-        cls,
-        rank: int,
-        a: int = 0,
-        b: int = 0,
-        e: tuple[int, ...] | None = None,
-        coeff: int = 1,
-    ) -> "Character":
-        es = tuple(e) if e is not None else (0,) * rank
-        return cls(rank, {(a, b, es): coeff})
-
-    def _require_same_rank(self, other: "Character") -> None:
-        if self.rank != other.rank:
-            raise ValueError(f"rank mismatch: {self.rank} vs {other.rank}")
-
-    def __add__(self, other: "Character") -> "Character":
-        if not isinstance(other, Character):
-            return NotImplemented
-        self._require_same_rank(other)
-        terms = dict(self.terms)
-        for key, coeff in other.terms.items():
-            terms[key] = terms.get(key, 0) + coeff
-        return Character(self.rank, terms)
-
-    def __sub__(self, other: "Character") -> "Character":
-        return self + (-other)
-
-    def __neg__(self) -> "Character":
-        return Character(self.rank, {k: -v for k, v in self.terms.items()})
-
-    def __mul__(self, other: Character | int) -> "Character":
-        if isinstance(other, int):
-            return Character(self.rank, {k: other * v for k, v in self.terms.items()})
-        if not isinstance(other, Character):
-            return NotImplemented
-        self._require_same_rank(other)
-        terms: dict[Exponent, int] = {}
-        for (a1, b1, e1), c1 in self.terms.items():
-            for (a2, b2, e2), c2 in other.terms.items():
-                key = (a1 + a2, b1 + b2, tuple(x + y for x, y in zip(e1, e2)))
-                terms[key] = terms.get(key, 0) + c1 * c2
-        return Character(self.rank, terms)
-
-    __rmul__ = __mul__
-
     def dimension(self) -> int:
         """Sum of all coefficients, i.e. the dimension of the representation."""
         return sum(self.terms.values())
@@ -195,20 +146,6 @@ class Character:
             {"coeff": c, "t1": a, "t2": b, "e": list(es)}
             for (a, b, es), c in self.sorted_terms()
         ]
-
-    @classmethod
-    def from_json(cls, data, rank: int | None = None) -> "Character":
-        terms: dict[Exponent, int] = {}
-        for item in data:
-            es = _integers(item["e"])
-            if rank is None:
-                rank = len(es)
-            a, b, coeff = _integers((item["t1"], item["t2"], item["coeff"]))
-            key = (a, b, es)
-            terms[key] = terms.get(key, 0) + coeff
-        if rank is None:
-            raise ValueError("cannot infer rank of an empty character; pass rank=")
-        return cls(rank, terms)
 
     def __eq__(self, other) -> bool:
         return (
@@ -354,51 +291,8 @@ class TPolynomial:
                 clean[deg] = coeff
         self.coeffs = clean
 
-    @classmethod
-    def zero(cls) -> "TPolynomial":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "TPolynomial":
-        return cls({0: 1})
-
-    @classmethod
-    def t_power(cls, degree: int) -> "TPolynomial":
-        return cls({degree: 1})
-
-    def __add__(self, other: "TPolynomial") -> "TPolynomial":
-        if not isinstance(other, TPolynomial):
-            return NotImplemented
-        coeffs = dict(self.coeffs)
-        for deg, coeff in other.coeffs.items():
-            coeffs[deg] = coeffs.get(deg, 0) + coeff
-        return TPolynomial(coeffs)
-
-    def __neg__(self) -> "TPolynomial":
-        return TPolynomial({d: -c for d, c in self.coeffs.items()})
-
-    def __mul__(self, other: TPolynomial | int) -> "TPolynomial":
-        if isinstance(other, int):
-            return TPolynomial({d: other * c for d, c in self.coeffs.items()})
-        if not isinstance(other, TPolynomial):
-            return NotImplemented
-        coeffs: dict[int, int] = {}
-        for d1, c1 in self.coeffs.items():
-            for d2, c2 in other.coeffs.items():
-                coeffs[d1 + d2] = coeffs.get(d1 + d2, 0) + c1 * c2
-        return TPolynomial(coeffs)
-
-    __rmul__ = __mul__
-
     def __call__(self, value: int) -> int:
         return sum(c * value**d for d, c in self.coeffs.items())
-
-    def degree(self) -> int:
-        """Degree of the polynomial; -1 for the zero polynomial."""
-        return max(self.coeffs, default=-1)
-
-    def coefficient(self, degree: int) -> int:
-        return self.coeffs.get(degree, 0)
 
     def to_pairs(self) -> list[list[int]]:
         return [[d, self.coeffs[d]] for d in sorted(self.coeffs)]
@@ -497,11 +391,6 @@ class QSeries:
             for deg, coeff in rows[j - qexp].items():
                 deg += degree
                 row[deg] = row.get(deg, 0) + coeff
-
-    def coefficient(self, qexp: int) -> TPolynomial:
-        if 0 <= qexp <= self.order:
-            return TPolynomial(self.rows[qexp])
-        return TPolynomial()
 
     def _terms(self) -> list[tuple[int, TPolynomial]]:
         # the nonzero coefficients, ascending in q

@@ -172,29 +172,22 @@ class ReducedFixedPointDatum(_Datum):
         return {"k": list(self.ks), "Y": [y.to_json() for y in self.ys]}
 
 
-def l_character(p: int, d: int) -> Character:
-    """Boundary contribution of a summand pair with k-difference d.
+@lru_cache(maxsize=None)
+def _l_exponents(p: int, d: int) -> tuple[tuple[int, int], ...]:
+    """(t1, t2) exponents of the boundary block of a summand pair with k-difference d.
 
-    This is the character (framing prefactor stripped, rank 0) of the
-    degree-one cohomology of O(-d*C - C_inf) on the p-th Hirzebruch
-    surface, pushed down to a sum of line bundles O(-p*d') on the base:
+    The block, framing prefactor stripped, is the degree-one cohomology of
+    O(-d*C - C_inf) on the p-th Hirzebruch surface, pushed down to a sum of
+    line bundles O(-p*d') on the base; each monomial has coefficient 1:
 
-    * d = 0: zero.
+    * d = 0: none.
     * d > 0: sections of O(p*d') for d' = 0..d-1 contribute monomials
       t1^-i t2^-j over i, j >= 0 with i + j = p*d'.
     * d < 0: the H^1 of O(-p*d') for d' = 1..-d contributes monomials
       t1^a t2^b over a, b >= 1 with a + b = p*d'.
 
-    Dimensions of the d and -d blocks sum to p*d^2.  Each call builds a
-    new Character, so a caller may change it freely.
+    The d and -d blocks have p*d^2 monomials together.  Cached, as a tuple.
     """
-    return Character(0, {(x, y, ()): 1 for x, y in _l_exponents(p, d)})
-
-
-@lru_cache(maxsize=None)
-def _l_exponents(p: int, d: int) -> tuple[tuple[int, int], ...]:
-    # the (t1, t2) exponents of the monomials of `l_character`, each with
-    # coefficient 1; a tuple, so the cached value cannot be changed
     if p < 1:
         raise ValueError(f"p must be a positive integer, got {p}")
     if d > 0:
@@ -231,35 +224,13 @@ def _patch_exponents(y_alpha: PartitionDiagram, y_beta: PartitionDiagram):
             yield other - j, i + 1 - cols_b[j]
 
 
-def n_character(
-    y_alpha: PartitionDiagram,
-    y_beta: PartitionDiagram,
-    alpha: int,
-    beta: int,
-    rank: int,
-) -> Character:
-    """Patchwise contribution of the summand pair (alpha, beta).
-
-    e_beta/e_alpha times the sum of t1^x t2^y over the exponents (x, y)
-    of `_patch_exponents(y_alpha, y_beta)`.  The dimension is
-    |y_alpha| + |y_beta|.
-    """
-    if not (1 <= alpha <= rank and 1 <= beta <= rank):
-        raise ValueError(f"summand labels must lie in 1..{rank}, got {alpha}, {beta}")
-    es = _framing_ratio(rank, beta, alpha)
-    terms: dict = {}
-    for x, y in _patch_exponents(y_alpha, y_beta):
-        terms[x, y, es] = terms.get((x, y, es), 0) + 1
-    return Character(rank, terms)
-
-
 def tangent_character(params: ModuliParams, fp: FixedPointDatum) -> Character:
     """Full torus character of the tangent space at a fixed point.
 
-    Sums, over ordered summand pairs (a, b), the boundary contribution
-    e_b/e_a * l_character(p, k_a - k_b) and the terms t1^x t2^y of the patch
-    contributions n_character(Y1...) and n_character(Y2...), pushed through
-    the charts (t1^p, t2/t1) and (t1/t2, t2^p), with shift = p(k_b - k_a):
+    Sums, over ordered summand pairs (a, b), e_b/e_a times the boundary
+    block `_l_exponents(p, k_a - k_b)` and the patch terms t1^x t2^y of
+    `_patch_exponents` on the Y1 and on the Y2 diagrams, pushed through the
+    charts (t1^p, t2/t1) and (t1/t2, t2^p), with shift = p(k_b - k_a):
 
         t1^(p*x - y + shift) t2^y   and   t1^x t2^(p*y - x + shift)
 

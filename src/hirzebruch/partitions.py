@@ -64,15 +64,8 @@ class PartitionDiagram(_Frozen):
         """Total number of boxes."""
         return sum(self.rows)
 
-    def transpose(self) -> "PartitionDiagram":
-        return PartitionDiagram(self.cols)
-
     def to_json(self) -> list[int]:
         return list(self.rows)
-
-    @classmethod
-    def from_json(cls, data) -> "PartitionDiagram":
-        return cls(data)
 
     def __repr__(self) -> str:
         return f"PartitionDiagram({list(self.rows)})"
@@ -143,19 +136,8 @@ class ColoredDiagram(_Frozen):
         other = self.diagram.size - own
         return (own, other) if self.eps == 0 else (other, own)
 
-    def transpose(self) -> "ColoredDiagram":
-        # (i, j) -> (j, i) preserves i + j, so the coloring transposes along
-        return ColoredDiagram(self.diagram.transpose(), self.eps)
-
-    def recolor(self) -> "ColoredDiagram":
-        return ColoredDiagram(self.diagram, 1 - self.eps)
-
     def to_json(self) -> dict:
         return {"rows": self.diagram.to_json(), "eps": self.eps}
-
-    @classmethod
-    def from_json(cls, data) -> "ColoredDiagram":
-        return cls(PartitionDiagram(data["rows"]), data["eps"])
 
     def __repr__(self) -> str:
         return f"ColoredDiagram({list(self.diagram.rows)}, eps={self.eps})"

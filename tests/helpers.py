@@ -1,8 +1,9 @@
 """Per-box diagram statistics, the rows enumeration of partitions, the
 pairwise Morse index, the per-locus Poincare sum, the enumerated slot
 tables, the Fraction k-string search over bounded compositions, series
-arithmetic on one TPolynomial per power of q, and Character operations
-that only the tests use.
+arithmetic on one TPolynomial per power of q, ring arithmetic on Characters
+and TPolynomials, the ALE validity filter, transposes, and Character
+operations that only the tests use.
 
 The library reads arms and legs off a diagram's rows and their conjugate
 (`localization._patch_exponents`) and counts box colors in closed form
@@ -14,10 +15,14 @@ diagram iff r <= column_length(c).  They are the oracles for the closed forms.
     arm(Y, s) = column_length(Y, s.c) - s.r
     leg(Y, s) = row_length(Y, s.r) - s.c
 
-The Character operations at the end are plain functions over
-`Character.terms`, used to state symmetries of the tangent characters;
-`flat_sign` is the ordering sign as a sum over the flat exponent vector.
-`check_record` states what the package's immutable records promise.
+The package builds each Character and TPolynomial in one call from its
+term table and does no arithmetic on them.  `add`, `negate` and `product`
+are that arithmetic, over the term tables, for the identities and series
+oracles written with it.  The Character operations at the end are plain
+functions over `Character.terms`, used to state symmetries of the tangent
+characters; `flat_sign` is the ordering sign as a sum over the flat
+exponent vector.  `check_record` states what the package's immutable
+records promise.
 """
 
 import copy
@@ -28,9 +33,53 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import pytest
-from hirzebruch.counting import component_factor, indexed_points, l_prime
+from hirzebruch import ale
+from hirzebruch.counting import _factor_terms, indexed_points, l_prime
 from hirzebruch.laurent import Character, QSeries, TPolynomial
-from hirzebruch.partitions import enumerate_partitions
+from hirzebruch.partitions import ColoredDiagram, PartitionDiagram, enumerate_partitions
+
+
+def _table(x):
+    return x.terms if isinstance(x, Character) else x.coeffs
+
+
+def _like(x, table):
+    # a Character of x's rank, or a TPolynomial, with the given terms
+    return Character(x.rank, table) if isinstance(x, Character) else TPolynomial(table)
+
+
+def _same_ring(x, y):
+    if type(x) is not type(y) or getattr(x, "rank", None) != getattr(y, "rank", None):
+        raise ValueError(f"cannot combine {x!r} and {y!r}")
+
+
+def add(x, *others):
+    """The sum of Characters of one rank, or of TPolynomials."""
+    table = dict(_table(x))
+    for y in others:
+        _same_ring(x, y)
+        for key, coeff in _table(y).items():
+            table[key] = table.get(key, 0) + coeff
+    return _like(x, table)
+
+
+def negate(x):
+    return _like(x, {key: -coeff for key, coeff in _table(x).items()})
+
+
+def product(x, y):
+    """x * y for two Characters of one rank or two TPolynomials: exponents add."""
+    _same_ring(x, y)
+    table = {}
+    for k1, c1 in _table(x).items():
+        for k2, c2 in _table(y).items():
+            if isinstance(x, Character):
+                (a1, b1, e1), (a2, b2, e2) = k1, k2
+                key = (a1 + a2, b1 + b2, tuple(u + v for u, v in zip(e1, e2)))
+            else:
+                key = k1 + k2
+            table[key] = table.get(key, 0) + c1 * c2
+    return _like(x, table)
 
 
 def partition_rows(n, cap=None):
@@ -109,7 +158,7 @@ def slot_table(thresholds, size):
     terms = {}
     for y in enumerate_partitions(size):
         shift = 2 * (-len(y.cols) - sum(1 for th in thresholds for h in y.cols if h > th))
-        for deg, coeff in component_factor(y).coeffs.items():
+        for deg, coeff in _factor_terms((y,)).items():
             terms[deg + shift] = terms.get(deg + shift, 0) + coeff
     return tuple(sorted(terms.items()))
 
@@ -183,11 +232,11 @@ def fraction_k_strings(params):
 
 def spread_one_minus(order, coeffs, qexp, poly):
     """coeffs times (1 - q^qexp * poly)."""
-    out, minus = dict(coeffs), -poly
+    out, minus = dict(coeffs), negate(poly)
     for q, p in coeffs.items():
         q += qexp
         if q <= order:
-            out[q] = out[q] + p * minus if q in out else p * minus
+            out[q] = add(out[q], product(p, minus)) if q in out else product(p, minus)
     return out
 
 
@@ -196,15 +245,15 @@ def spread_inverse_one_minus(order, coeffs, qexp, poly):
     out = {}
     for q, p in coeffs.items():
         while q <= order:
-            out[q] = out[q] + p if q in out else p
-            q, p = q + qexp, p * poly
+            out[q] = add(out[q], p) if q in out else p
+            q, p = q + qexp, product(p, poly)
     return out
 
 
 def series_sum(left, right):
     out = dict(left)
     for q, p in right.items():
-        out[q] = out.get(q, TPolynomial()) + p
+        out[q] = add(out.get(q, TPolynomial()), p)
     return out
 
 
@@ -213,7 +262,7 @@ def series_product(order, left, right):
     for q1, p1 in left.items():
         for q2, p2 in right.items():
             if q1 + q2 <= order:
-                out[q1 + q2] = out.get(q1 + q2, TPolynomial()) + p1 * p2
+                out[q1 + q2] = add(out.get(q1 + q2, TPolynomial()), product(p1, p2))
     return out
 
 
@@ -224,21 +273,21 @@ def rank2_series_by_products(p, order):
     (1 - q^i t^(4i-4)) / (1 - q^i t^(4i)), the terms are summed, and the
     sum is multiplied by the product series.
     """
-    product = {0: TPolynomial.one()}
+    pochhammer = {0: TPolynomial({0: 1})}
     for i in range(1, order + 1):
         for degree in (4 * i, 4 * i - 2, 4 * i - 2, 4 * i - 4):
-            product = spread_inverse_one_minus(order, product, i, TPolynomial.t_power(degree))
+            pochhammer = spread_inverse_one_minus(order, pochhammer, i, TPolynomial({degree: 1}))
     bracket = {}
     sectors = [(h, 2 * h, 2 * h * (p * (2 * h - 1) + 2)) for h in range(order + 1)]
     sectors += [(h, 2 * h - 1, 2 * (2 * h - 1) * (p * h + 1)) for h in range(1, order + 1)]
     for h, ratios, degree in sectors:
         if p * h * h <= order:
-            term = {p * h * h: TPolynomial.t_power(degree)}
+            term = {p * h * h: TPolynomial({degree: 1})}
             for i in range(1, ratios + 1):
-                term = spread_one_minus(order, term, i, TPolynomial.t_power(4 * i - 4))
-                term = spread_inverse_one_minus(order, term, i, TPolynomial.t_power(4 * i))
+                term = spread_one_minus(order, term, i, TPolynomial({4 * i - 4: 1}))
+                term = spread_inverse_one_minus(order, term, i, TPolynomial({4 * i: 1}))
             bracket = series_sum(bracket, term)
-    return QSeries(order, series_product(order, product, bracket))
+    return QSeries(order, series_product(order, pochhammer, bracket))
 
 
 class Box(NamedTuple):
@@ -295,6 +344,38 @@ def color_counts_by_box(d):
     for box in boxes(d.diagram):
         counts[color(d.eps, box)] += 1
     return tuple(counts)
+
+
+def is_valid(fp):
+    """Whether a tuple of colored diagrams is an ALE fixed point: N1 + 2*(k0 - k1) == 0.
+
+    With `instanton_number`, the filter that the charge-pruned enumeration
+    replaced, kept as its oracle; the colors are counted box by box.
+    """
+    counts = [color_counts_by_box(t) for t in fp.tableaux]
+    k0, k1 = sum(c[0] for c in counts), sum(c[1] for c in counts)
+    return fp.corner_color_count() + 2 * (k0 - k1) == 0
+
+
+def instanton_number(fp):
+    """k0 + N1/4, with k0 the boxes of color 0."""
+    k0 = sum(color_counts_by_box(t)[0] for t in fp.tableaux)
+    return k0 + Fraction(fp.corner_color_count(), 4)
+
+
+def counted_index(fp, ordering):
+    """The ALE Morse index of `fp` under `ordering`, summed from the pair tallies."""
+    return ale._counted_index(fp, ale._pair_forms(ordering, fp.rank))
+
+
+def transpose(y):
+    """The conjugate diagram: its rows are y's column heights."""
+    return PartitionDiagram(y.cols)
+
+
+def transpose_colored(d):
+    # (i, j) -> (j, i) preserves i + j, so the coloring transposes along
+    return ColoredDiagram(transpose(d.diagram), d.eps)
 
 
 def swap_t(x):

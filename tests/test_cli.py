@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -17,7 +18,14 @@ import hirzebruch
 import hirzebruch.ale
 import hirzebruch.counting
 from hirzebruch import __version__
-from hirzebruch.cli import CACHE_ENV_VAR, MAX_CELLS, MAX_ORDER, MAX_RANK, main
+from hirzebruch.cli import (
+    CACHE_ENV_VAR,
+    MAX_CELLS,
+    MAX_ORDER,
+    MAX_RANK,
+    MAX_TANGENT_TERMS,
+    main,
+)
 from hirzebruch.laurent import QSeries
 from hirzebruch.localization import InvariantError
 
@@ -151,8 +159,7 @@ def test_tangent_reduced_computes_no_closed_index_or_factor(capsys, monkeypatch)
     def refuse(*args):
         raise AssertionError("tangent --reduced computed an index or factor it drops")
 
-    for name in ("morse_index_closed", "_pair_terms", "_slot_term", "component_factor",
-                 "_factor_terms"):
+    for name in ("morse_index_closed", "_pair_terms", "_slot_term", "_factor_terms"):
         monkeypatch.setattr(hirzebruch.counting, name, refuse)
     code, out, _ = run(
         capsys, "tangent", "--p", "1", "--r", "3", "--k", "0", "--n", "2", "--reduced"
@@ -219,6 +226,40 @@ def test_oversized_fixed_point_record_exits_3_before_building_a_diagram(
         *["--reduced"] * reduced, "--fixed-points", "-",
     )
     assert time.monotonic() - started < 1
+    assert (code, out) == (3, "")
+    assert err.startswith("invariant violation: box-count constraint violated")
+
+
+@pytest.mark.parametrize(
+    "n, row",
+    [(str(10**30), 10**30), (str(10**12), 10**12), (f"{MAX_TANGENT_TERMS + 1}/2", 1)],
+    ids=["overflow", "memory", "limit-plus-one"],
+)
+def test_tangent_above_the_term_limit_exits_2_before_reading_a_record(
+    capsys, monkeypatch, n, row
+):
+    # a record consistent with a huge --n passes the row guard: a row of 10^30
+    # boxes raised OverflowError, and one of 10^12 MemoryError
+    stdin = io.StringIO(json.dumps([{"k": [0], "Y1": [[row]], "Y2": [[]]}]))
+    monkeypatch.setattr(sys, "stdin", stdin)
+    code, out, err = run(
+        capsys, "tangent", "--p", "1", "--r", "1", "--k", "0", "--n", n, "--fixed-points", "-",
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: a tangent character here has 2rn = {2 * Fraction(n)} terms,"
+        f" more than {MAX_TANGENT_TERMS}\n"
+    )
+    assert stdin.tell() == 0
+
+
+def test_tangent_at_the_term_limit_reads_its_records(capsys, monkeypatch):
+    # the record's single box contradicts n, which only reading it shows
+    monkeypatch.setattr(sys, "stdin", io.StringIO('[{"k": [0], "Y1": [[1]], "Y2": [[]]}]'))
+    code, out, err = run(
+        capsys, "tangent", "--p", "1", "--r", "1", "--k", "0", "--n",
+        str(MAX_TANGENT_TERMS // 2), "--fixed-points", "-",
+    )
     assert (code, out) == (3, "")
     assert err.startswith("invariant violation: box-count constraint violated")
 

@@ -8,6 +8,7 @@ from functools import lru_cache
 
 import pytest
 from helpers import (
+    add,
     check_record,
     column_heights,
     convolved_slot_tables,
@@ -15,6 +16,7 @@ from helpers import (
     morse_index_pairwise,
     n_prime,
     poincare_by_loci,
+    product,
     rank2_series_by_products,
 )
 from hypothesis import given, settings
@@ -26,10 +28,10 @@ from hirzebruch.counting import (
     IndexedPoint,
     _grow,
     _k_strings,
+    _factor_terms,
     _pair_terms,
     _slots_series,
     check_nonempty,
-    component_factor,
     enumerate_fixed_points,
     enumerate_reduced_fixed_points,
     hilbert_series_r1,
@@ -395,14 +397,17 @@ def test_morse_index_matches_character_count():
 
 
 def test_component_factor_frozen_values():
-    assert component_factor(PartitionDiagram([])) == TPolynomial.one()
-    assert component_factor(PartitionDiagram([1])) == TPolynomial({0: 1, 2: 1})
-    assert component_factor(PartitionDiagram([2])) == TPolynomial({0: 1, 2: 1, 4: 1})
-    assert component_factor(PartitionDiagram([1, 1])) == TPolynomial({0: 1, 2: 1})
-    assert component_factor(PartitionDiagram([2, 1])) == TPolynomial({0: 1, 2: 2, 4: 1})
-    assert component_factor(PartitionDiagram([3, 1])) == TPolynomial(
-        {0: 1, 2: 2, 4: 2, 6: 1}
-    )
+    # the component factor of one diagram, as its {degree: coeff} table
+    frozen = {
+        (): {0: 1},
+        (1,): {0: 1, 2: 1},
+        (2,): {0: 1, 2: 1, 4: 1},
+        (1, 1): {0: 1, 2: 1},
+        (2, 1): {0: 1, 2: 2, 4: 1},
+        (3, 1): {0: 1, 2: 2, 4: 2, 6: 1},
+    }
+    for rows, terms in frozen.items():
+        assert _factor_terms((PartitionDiagram(rows),)) == terms
 
 
 def test_component_factor_at_one_counts_diagram_pairs():
@@ -412,28 +417,28 @@ def test_component_factor_at_one_counts_diagram_pairs():
     expected = 1
     for m in mults:
         expected *= m + 1
-    assert component_factor(y)(1) == expected
+    assert TPolynomial(_factor_terms((y,)))(1) == expected
 
 
 def component_factor_oracle(y):
     # one polynomial product per column height, as the factor was first built
-    poly = TPolynomial.one()
+    poly = TPolynomial({0: 1})
     for mult in Counter(column_heights(y)).values():
-        poly = poly * TPolynomial({2 * j: 1 for j in range(mult + 1)})
+        poly = product(poly, TPolynomial({2 * j: 1 for j in range(mult + 1)}))
     return poly
 
 
 def test_component_factor_matches_the_column_count_oracle():
     for n in range(11):
         for y in enumerate_partitions(n):
-            assert component_factor(y) == component_factor_oracle(y)
+            assert TPolynomial(_factor_terms((y,))) == component_factor_oracle(y)
 
 
 def poincare_running_sum(params):
     # the running sum the single term table replaced, kept as its oracle
-    total = TPolynomial.zero()
+    total = TPolynomial()
     for point in indexed_points(params):
-        total = total + TPolynomial.t_power(2 * point.index) * point.factor
+        total = add(total, product(TPolynomial({2 * point.index: 1}), point.factor))
     return total
 
 
@@ -457,7 +462,7 @@ def test_poincare_polynomial_matches_the_per_locus_sum(r):
                 params = ModuliParams(p, r, k, Fraction(j, 2 * r))
                 got = poincare_polynomial(params)
                 assert got == poincare_by_loci(params), params
-                empty += got == TPolynomial.zero()
+                empty += got == TPolynomial()
     assert empty > 0
 
 
@@ -469,7 +474,7 @@ def test_poincare_polynomial_matches_the_per_locus_sum(r):
 def test_empty_spaces_have_the_zero_polynomial(p, r, k, n):
     params = ModuliParams(p, r, k, n)
     assert not check_nonempty(params)
-    assert poincare_polynomial(params) == poincare_by_loci(params) == TPolynomial.zero()
+    assert poincare_polynomial(params) == poincare_by_loci(params) == TPolynomial()
 
 
 def test_warm_poincare_polynomial_builds_no_diagram(monkeypatch):
@@ -590,7 +595,7 @@ def test_poincare_polynomial_frozen():
     assert poincare_polynomial(ModuliParams(1, 1, 0, 3)) == TPolynomial(
         {0: 1, 2: 2, 4: 4, 6: 3}
     )
-    assert poincare_polynomial(ModuliParams(2, 2, 1, 1)) == TPolynomial.zero()
+    assert poincare_polynomial(ModuliParams(2, 2, 1, 1)) == TPolynomial()
     assert poincare_polynomial(ModuliParams(2, 2, 1, Fraction(1, 2))) == TPolynomial(
         {0: 1, 2: 1}
     )
@@ -608,12 +613,12 @@ def test_poincare_at_one_counts_full_fixed_points():
 
 def test_rank2_series_closed_frozen_coefficients():
     s1 = rank2_series_closed(1, 2)
-    assert s1.coefficient(0) == TPolynomial.one()
-    assert s1.coefficient(1) == TPolynomial({0: 1, 2: 2, 4: 2, 6: 1})
-    assert s1.coefficient(2) == TPolynomial({0: 1, 2: 2, 4: 5, 6: 6, 8: 6, 10: 2})
+    assert TPolynomial(s1.rows[0]) == TPolynomial({0: 1})
+    assert TPolynomial(s1.rows[1]) == TPolynomial({0: 1, 2: 2, 4: 2, 6: 1})
+    assert TPolynomial(s1.rows[2]) == TPolynomial({0: 1, 2: 2, 4: 5, 6: 6, 8: 6, 10: 2})
     s2 = rank2_series_closed(2, 2)
-    assert s2.coefficient(1) == TPolynomial({0: 1, 2: 2, 4: 1})
-    assert s2.coefficient(2) == TPolynomial({0: 1, 2: 2, 4: 5, 6: 5, 8: 3})
+    assert TPolynomial(s2.rows[1]) == TPolynomial({0: 1, 2: 2, 4: 1})
+    assert TPolynomial(s2.rows[2]) == TPolynomial({0: 1, 2: 2, 4: 5, 6: 5, 8: 3})
 
 
 def test_rank2_series_closed_matches_direct():
@@ -632,10 +637,10 @@ def test_rank2_series_closed_matches_the_product_of_series():
 
 def test_hilbert_series_frozen_coefficients():
     s = hilbert_series_r1(1, 3)
-    assert s.coefficient(0) == TPolynomial.one()
-    assert s.coefficient(1) == TPolynomial({0: 1, 2: 1})
-    assert s.coefficient(2) == TPolynomial({0: 1, 2: 2, 4: 2})
-    assert s.coefficient(3) == TPolynomial({0: 1, 2: 2, 4: 4, 6: 3})
+    assert TPolynomial(s.rows[0]) == TPolynomial({0: 1})
+    assert TPolynomial(s.rows[1]) == TPolynomial({0: 1, 2: 1})
+    assert TPolynomial(s.rows[2]) == TPolynomial({0: 1, 2: 2, 4: 2})
+    assert TPolynomial(s.rows[3]) == TPolynomial({0: 1, 2: 2, 4: 4, 6: 3})
 
 
 @pytest.mark.parametrize("p", [0, 1.0, True, Fraction(1)])

@@ -2,10 +2,13 @@ from fractions import Fraction
 
 import pytest
 from helpers import (
+    add,
     conjugate,
     flat_sign,
     invariant_part,
+    negate,
     permute_framing,
+    product,
     promote,
     series_product,
     series_sum,
@@ -27,7 +30,7 @@ from hirzebruch.laurent import (
 
 
 def mono(a, b, e=(), coeff=1):
-    return Character.monomial(len(e), a, b, e, coeff)
+    return Character(len(e), {(a, b, tuple(e)): coeff})
 
 
 @st.composite
@@ -43,15 +46,12 @@ def characters(draw, rank=2):
             max_size=6,
         )
     )
-    x = Character.zero(rank)
-    for a, b, e, coeff in terms:
-        x = x + mono(a, b, e, coeff)
-    return x
+    return add(Character(rank), *(mono(a, b, e, coeff) for a, b, e, coeff in terms))
 
 
 def test_zero_terms_are_pruned():
-    x = mono(1, 0) - mono(1, 0)
-    assert x == Character.zero(0)
+    x = add(mono(1, 0), negate(mono(1, 0)))
+    assert x == Character(0) == Character(0, {(1, 0, ()): 0})
     assert not x
     assert x.dimension() == 0
 
@@ -63,25 +63,28 @@ def test_framing_length_must_match_the_rank():
         Character(2, {(0, 0, (1,)): 1})
 
 
+# `add` and `product` write the identities below; they refuse to mix ranks
 def test_mixed_rank_arithmetic_is_rejected():
     with pytest.raises(ValueError):
-        mono(0, 0, (1,)) + mono(0, 0, (1, 0))
+        add(mono(0, 0, (1,)), mono(0, 0, (1, 0)))
     with pytest.raises(ValueError):
-        mono(0, 0, (1,)) * mono(0, 0, (1, 0))
+        product(mono(0, 0, (1,)), mono(0, 0, (1, 0)))
 
 
 def test_product_of_monomials_adds_exponents():
-    x = mono(1, 2, (1, 0)) * mono(3, -1, (0, 2))
+    x = product(mono(1, 2, (1, 0)), mono(3, -1, (0, 2)))
     assert x == mono(4, 1, (1, 2))
 
 
 def test_scalar_multiplication():
-    x = mono(1, 0, (0,)) + mono(0, 1, (1,))
-    assert 2 * x == x + x == x * 2
+    x = add(mono(1, 0, (0,)), mono(0, 1, (1,)))
+    two = mono(0, 0, (0,), coeff=2)
+    assert product(two, x) == add(x, x) == product(x, two)
+    assert add(x, x) == Character(1, {(1, 0, (0,)): 2, (0, 1, (1,)): 2})
 
 
 def test_dimension_counts_with_multiplicity():
-    x = mono(1, 0, coeff=3) + mono(0, 2, coeff=-1)
+    x = add(mono(1, 0, coeff=3), mono(0, 2, coeff=-1))
     assert x.dimension() == 2
 
 
@@ -95,15 +98,15 @@ def test_substitute_reference_values():
 
 def test_substitute_accumulates_collisions():
     # t2 -> t1 merges t1*t2 and t1^2 into one slot
-    x = (mono(1, 1) + mono(2, 0)).substitute(((1, 1), (0, 0)))
+    x = add(mono(1, 1), mono(2, 0)).substitute(((1, 1), (0, 0)))
     assert x == mono(2, 0, coeff=2)
 
 
 @given(characters(), characters())
 def test_substitute_is_additive_and_multiplicative(x, y):
     m = ((1, 2), (0, 1))
-    assert (x + y).substitute(m) == x.substitute(m) + y.substitute(m)
-    assert (x * y).substitute(m) == x.substitute(m) * y.substitute(m)
+    assert add(x, y).substitute(m) == add(x.substitute(m), y.substitute(m))
+    assert product(x, y).substitute(m) == product(x.substitute(m), y.substitute(m))
 
 
 @given(characters())
@@ -122,26 +125,26 @@ def test_swap_t_reference():
 
 
 def test_permute_framing():
-    x = mono(0, 0, (1, -1)) + mono(1, 0, (0, 2))
-    assert permute_framing(x, (2, 1)) == mono(0, 0, (-1, 1)) + mono(1, 0, (2, 0))
+    x = add(mono(0, 0, (1, -1)), mono(1, 0, (0, 2)))
+    assert permute_framing(x, (2, 1)) == add(mono(0, 0, (-1, 1)), mono(1, 0, (2, 0)))
     with pytest.raises(ValueError):
         permute_framing(x, (1, 0))
 
 
 def test_promote_embeds_rank_zero():
-    x = mono(1, 2) + mono(0, 0, coeff=3)
+    x = add(mono(1, 2), mono(0, 0, coeff=3))
     up = promote(x, 2)
     assert up.rank == 2
-    assert up == mono(1, 2, (0, 0)) + mono(0, 0, (0, 0), coeff=3)
+    assert up == add(mono(1, 2, (0, 0)), mono(0, 0, (0, 0), coeff=3))
     with pytest.raises(ValueError):
         promote(mono(0, 0, (1,)), 2)
 
 
 def test_invariant_part_keeps_even_total_weight():
-    x = mono(1, 0, (1, 0)) + mono(1, 1, (1, 0)) + mono(0, 0, (1, 1))
+    x = add(mono(1, 0, (1, 0)), mono(1, 1, (1, 0)), mono(0, 0, (1, 1)))
     assert invariant_part(x, (1, 0)) == mono(1, 0, (1, 0))
-    assert invariant_part(x, (0, 0)) == mono(1, 1, (1, 0)) + mono(0, 0, (1, 1))
-    assert invariant_part(x, (1, 1)) == mono(1, 0, (1, 0)) + mono(0, 0, (1, 1))
+    assert invariant_part(x, (0, 0)) == add(mono(1, 1, (1, 0)), mono(0, 0, (1, 1)))
+    assert invariant_part(x, (1, 1)) == add(mono(1, 0, (1, 0)), mono(0, 0, (1, 1)))
 
 
 def test_ordering_validation():
@@ -242,7 +245,7 @@ def test_ale_ordering_reference():
 
 
 def test_negative_count_reference():
-    x = mono(-1, 0, (0, 0), coeff=2) + mono(1, 1, (0, 0)) + mono(0, 0, (-1, 1))
+    x = add(mono(-1, 0, (0, 0), coeff=2), mono(1, 1, (0, 0)), mono(0, 0, (-1, 1)))
     ordering = main_ordering(2)
     assert x.negative_count(ordering) == 3
     assert zero_weight_count(x, ordering) == 0
@@ -250,7 +253,7 @@ def test_negative_count_reference():
 
 def test_negative_count_rejects_negative_coefficients():
     with pytest.raises(ValueError):
-        (-mono(1, 0, (0, 0))).negative_count(main_ordering(2))
+        negate(mono(1, 0, (0, 0))).negative_count(main_ordering(2))
 
 
 @given(characters())
@@ -263,32 +266,21 @@ def test_negative_count_splits_dimension(x):
 
 
 def test_character_json_round_trip():
-    x = mono(1, -2, (0, 3), coeff=4) + mono(0, 0, (1, 1))
+    # the records list every term in order, and the character is rebuilt from them
+    x = add(mono(1, -2, (0, 3), coeff=4), mono(0, 0, (1, 1)))
     data = x.to_json()
     assert data == sorted(data, key=lambda d: (d["t1"], d["t2"], d["e"]))
-    assert Character.from_json(data) == x
-    assert Character.from_json([], rank=2) == Character.zero(2)
-    with pytest.raises(ValueError):
-        Character.from_json([])
-
-
-@pytest.mark.parametrize(
-    "item",
-    [
-        {"coeff": 1.5, "t1": 0, "t2": 0, "e": [0]},
-        {"coeff": 1, "t1": 1.0, "t2": 0, "e": [0]},
-        {"coeff": 1, "t1": 0, "t2": True, "e": [0]},
-        {"coeff": 1, "t1": 0, "t2": 0, "e": ["0"]},
-    ],
-)
-def test_character_from_json_rejects_non_integers(item):
-    with pytest.raises(ValueError):
-        Character.from_json([item])
+    assert data == [
+        {"coeff": 1, "t1": 0, "t2": 0, "e": [1, 1]},
+        {"coeff": 4, "t1": 1, "t2": -2, "e": [0, 3]},
+    ]
+    assert Character(2, {(d["t1"], d["t2"], tuple(d["e"])): d["coeff"] for d in data}) == x
+    assert Character(2).to_json() == []
 
 
 def test_tpolynomial_text_formatting():
-    assert TPolynomial.zero().text() == "0"
-    assert TPolynomial.one().text() == "1"
+    assert TPolynomial().text() == "0"
+    assert TPolynomial({0: 1}).text() == "1"
     assert TPolynomial({2: 2, 0: 1, 4: 1}).text() == "1 + 2*t^2 + t^4"
     assert TPolynomial({1: 1}).text() == "t"
     assert TPolynomial({3: -1, 0: 1}).text() == "1 - t^3"
@@ -297,11 +289,10 @@ def test_tpolynomial_text_formatting():
 def test_tpolynomial_arithmetic_and_eval():
     f = TPolynomial({0: 1, 2: 1})
     g = TPolynomial({0: 1, 2: -1})
-    assert (f * g).to_pairs() == [[0, 1], [4, -1]]
-    assert (f + g)(10) == 2
-    assert f(3) == 10
-    assert f.degree() == 2 and TPolynomial.zero().degree() == -1
-    assert f.coefficient(2) == 1 and f.coefficient(1) == 0
+    assert product(f, g).to_pairs() == [[0, 1], [4, -1]]
+    assert add(f, g)(10) == 2
+    assert f(3) == 10 and TPolynomial()(3) == 0
+    assert f.coeffs == {0: 1, 2: 1} and TPolynomial({1: 0}).coeffs == {}
 
 
 def test_tpolynomial_rejects_bad_degrees():
@@ -321,35 +312,35 @@ def test_tpolynomial_from_pairs_rejects_non_integers(pairs):
 
 
 def test_qseries_truncation():
-    s = QSeries(2, {3: TPolynomial.one()})
+    s = QSeries(2, {3: TPolynomial({0: 1})})
     assert s == QSeries(2)
     s.add_monomial(3, 0)
     assert s == QSeries(2)
-    t = QSeries(2, {1: TPolynomial.one()})
-    assert t.coefficient(1) == TPolynomial.one()
-    assert t.coefficient(2) == TPolynomial.zero()
+    t = QSeries(2, {1: TPolynomial({0: 1})})
+    assert TPolynomial(t.rows[1]) == TPolynomial({0: 1})
+    assert TPolynomial(t.rows[2]) == TPolynomial()
 
 
 def test_qseries_product_truncates():
     # (1 + q)^3 = (1 - q^2)^3 / (1 - q)^3, truncated at q^3
-    cube = QSeries(3, {0: TPolynomial.one()})
+    cube = QSeries(3, {0: TPolynomial({0: 1})})
     for _ in range(3):
         cube.mul_one_minus(2, 0)
         cube.mul_inverse_one_minus(1, 0)
-    assert cube.coefficient(2) == TPolynomial({0: 3})
-    assert cube.coefficient(3) == TPolynomial({0: 1})
-    one_plus_q = {0: TPolynomial.one(), 1: TPolynomial.one()}
+    assert TPolynomial(cube.rows[2]) == TPolynomial({0: 3})
+    assert TPolynomial(cube.rows[3]) == TPolynomial({0: 1})
+    one_plus_q = {0: TPolynomial({0: 1}), 1: TPolynomial({0: 1})}
     assert cube == QSeries(3, series_product(3, series_product(3, one_plus_q, one_plus_q), one_plus_q))
 
 
 def test_qseries_geometric_inverse():
     # 1/(1-q) through order 4
-    s = QSeries(4, {0: TPolynomial.one()})
+    s = QSeries(4, {0: TPolynomial({0: 1})})
     s.mul_inverse_one_minus(1, 0)
     for j in range(5):
-        assert s.coefficient(j) == TPolynomial.one()
+        assert TPolynomial(s.rows[j]) == TPolynomial({0: 1})
     s.mul_one_minus(1, 0)
-    assert s == QSeries(4, {0: TPolynomial.one()})
+    assert s == QSeries(4, {0: TPolynomial({0: 1})})
 
 
 def mul_inverse_one_minus_oracle(order, coeffs, x):
@@ -374,7 +365,7 @@ def mul_inverse_one_minus_oracle(order, coeffs, x):
 )
 def test_qseries_one_minus_and_its_inverse_match_the_running_sums(order, rows, qexp, degree):
     coeffs = {q: TPolynomial(c) for q, c in rows.items() if q <= order}
-    x = {qexp: TPolynomial.t_power(degree)}
+    x = {qexp: TPolynomial({degree: 1})}
     s = QSeries(order, coeffs)
     s.mul_inverse_one_minus(qexp, degree)
     assert s == QSeries(order, mul_inverse_one_minus_oracle(order, coeffs, x))
@@ -382,24 +373,24 @@ def test_qseries_one_minus_and_its_inverse_match_the_running_sums(order, rows, q
     s.mul_one_minus(qexp, degree)
     assert s == QSeries(order, coeffs)
     s.mul_one_minus(qexp, degree)
-    minus = {q: -p for q, p in series_product(order, coeffs, x).items()}
+    minus = {q: negate(p) for q, p in series_product(order, coeffs, x).items()}
     assert s == QSeries(order, series_sum(coeffs, minus))
     assert s == QSeries(order, spread_one_minus(order, coeffs, qexp, x[qexp]))
 
 
 def test_qseries_inverse_requires_positive_exponent():
     with pytest.raises(ValueError):
-        QSeries(2, {0: TPolynomial.one()}).mul_inverse_one_minus(0, 0)
+        QSeries(2, {0: TPolynomial({0: 1})}).mul_inverse_one_minus(0, 0)
 
 
 @pytest.mark.parametrize("qexp, degree", [(0, 0), (-1, 0), (1, -1), (1.0, 0), (True, 0), (1, 0.5)])
 def test_qseries_factors_require_a_positive_integer_exponent(qexp, degree):
-    s = QSeries(2, {0: TPolynomial.one()})
+    s = QSeries(2, {0: TPolynomial({0: 1})})
     with pytest.raises(ValueError):
         s.mul_inverse_one_minus(qexp, degree)
     with pytest.raises(ValueError):
         s.mul_one_minus(qexp, degree)
-    assert s == QSeries(2, {0: TPolynomial.one()})
+    assert s == QSeries(2, {0: TPolynomial({0: 1})})
 
 
 @pytest.mark.parametrize(
@@ -418,14 +409,14 @@ def test_qseries_factors_require_a_positive_integer_exponent(qexp, degree):
 )
 def test_qseries_rejects_non_integer_indices(order, qexp):
     with pytest.raises(ValueError):
-        QSeries(order, {qexp: TPolynomial.one()})
+        QSeries(order, {qexp: TPolynomial({0: 1})})
     if type(order) is int and order >= 0:
         with pytest.raises(ValueError):
             QSeries(order).add_monomial(qexp, 0)
 
 
 def test_qseries_json():
-    s = QSeries(2, {0: TPolynomial.one(), 1: TPolynomial({2: 3})})
+    s = QSeries(2, {0: TPolynomial({0: 1}), 1: TPolynomial({2: 3})})
     # q^2 t^4 cancels to a 0 entry, which no output shows
     s.mul_inverse_one_minus(2, 4)
     s.mul_one_minus(2, 4)

@@ -1,14 +1,16 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from helpers import (
+    add,
     boxes,
     check_record,
-    conjugate,
+    product,
     promote,
     relative_arm,
     relative_leg,
-    swap_t,
+    transpose,
 )
 from hypothesis import given, strategies as st
 
@@ -19,9 +21,9 @@ from hirzebruch.localization import (
     InvariantError,
     ModuliParams,
     ReducedFixedPointDatum,
+    _framing_ratio,
+    _l_exponents,
     _patch_exponents,
-    l_character,
-    n_character,
     reduced_tangent_character,
     tangent_character,
 )
@@ -29,7 +31,7 @@ from hirzebruch.partitions import PartitionDiagram, enumerate_partitions
 
 
 def mono(rank, a, b, e=None, coeff=1):
-    return Character.monomial(rank, a, b, e, coeff)
+    return Character(rank, {(a, b, (0,) * rank if e is None else tuple(e)): coeff})
 
 
 @st.composite
@@ -143,97 +145,90 @@ def test_pair_weight_equals_the_pairwise_sum(p, ks):
     assert ModuliParams(p, r, 0, 0).pair_weight(tuple(ks)) == Fraction(p * pairs, 2 * r)
 
 
+# The boundary block of a pair with k-difference d is t1^x t2^y summed over
+# `_l_exponents(p, d)`, and its patch block is e_b/e_a times t1^x t2^y summed
+# over `_patch_exponents`: every monomial has coefficient 1, so a block is the
+# multiset of its exponents.
+
+
 def test_l_character_frozen_values():
-    assert l_character(1, 0) == Character.zero(0)
-    assert l_character(1, 1) == mono(0, 0, 0)
-    assert l_character(1, 2) == mono(0, 0, 0) + mono(0, -1, 0) + mono(0, 0, -1)
-    assert l_character(2, 2) == (
-        mono(0, 0, 0) + mono(0, -2, 0) + mono(0, -1, -1) + mono(0, 0, -2)
-    )
-    assert l_character(1, -1) == Character.zero(0)
-    assert l_character(1, -2) == mono(0, 1, 1)
-    assert l_character(2, -1) == mono(0, 1, 1)
-    assert l_character(3, -1) == mono(0, 1, 2) + mono(0, 2, 1)
+    assert _l_exponents(1, 0) == ()
+    assert _l_exponents(1, 1) == ((0, 0),)
+    assert sorted(_l_exponents(1, 2)) == [(-1, 0), (0, -1), (0, 0)]
+    assert sorted(_l_exponents(2, 2)) == [(-2, 0), (-1, -1), (0, -2), (0, 0)]
+    assert _l_exponents(1, -1) == ()
+    assert _l_exponents(1, -2) == ((1, 1),)
+    assert _l_exponents(2, -1) == ((1, 1),)
+    assert sorted(_l_exponents(3, -1)) == [(1, 2), (2, 1)]
 
 
 def test_l_character_dimension_identity():
     for p in (1, 2, 3):
         for d in range(5):
-            total = l_character(p, d).dimension() + l_character(p, -d).dimension()
+            total = len(_l_exponents(p, d)) + len(_l_exponents(p, -d))
             assert total == p * d * d
 
 
 def test_l_character_recurrences():
     for p in (1, 2, 3):
         for d in range(1, 5):
-            step = Character(
-                0, {(-i, -(p * (d - 1) - i), ()): 1 for i in range(p * (d - 1) + 1)}
-            )
-            assert l_character(p, d) == l_character(p, d - 1) + step
+            step = [(-i, -(p * (d - 1) - i)) for i in range(p * (d - 1) + 1)]
+            assert sorted(_l_exponents(p, d)) == sorted(_l_exponents(p, d - 1) + tuple(step))
         for d in range(0, -4, -1):
-            step = Character(
-                0, {(a, p * (1 - d) - a, ()): 1 for a in range(1, p * (1 - d))}
-            )
-            assert l_character(p, d - 1) == l_character(p, d) + step
+            step = [(a, p * (1 - d) - a) for a in range(1, p * (1 - d))]
+            assert sorted(_l_exponents(p, d - 1)) == sorted(_l_exponents(p, d) + tuple(step))
 
 
 def test_changing_an_l_character_changes_no_later_character():
+    # the boundary blocks are cached tuples that every call shares, so a
+    # caller that changes the character it got changes no later one
     params = ModuliParams(2, 2, 1, Fraction(5, 2))
     points = list(enumerate_fixed_points(params))
     before = [dict(tangent_character(params, fp).terms) for fp in points]
-    kept = {d: dict(l_character(2, d).terms) for d in range(-3, 4)}
-    for d in kept:
-        x = l_character(2, d)
-        assert x is not l_character(2, d)
+    for d in range(-3, 4):
+        assert type(_l_exponents(2, d)) is tuple and _l_exponents(2, d) is _l_exponents(2, d)
+    for fp in points:
+        x = tangent_character(params, fp)
+        assert x is not tangent_character(params, fp)
         x.terms.clear()
-        x.terms[(9, 9, ())] = 5
-    assert {d: l_character(2, d).terms for d in kept} == kept
+        x.terms[(9, 9, (0, 0))] = 5
     assert [tangent_character(params, fp).terms for fp in points] == before
     assert len(points) == 28
 
 
 def test_l_character_rejects_bad_p():
     with pytest.raises(ValueError):
-        l_character(0, 1)
+        _l_exponents(0, 1)
 
 
 def test_n_character_frozen_values():
     box = PartitionDiagram([1])
     empty = PartitionDiagram([])
-    assert n_character(box, box, 1, 1, 1) == mono(1, 1, 0) + mono(1, 0, 1)
-    assert n_character(empty, box, 1, 2, 2) == mono(2, 0, 0, (-1, 1))
-    assert n_character(box, empty, 1, 2, 2) == mono(2, 1, 1, (-1, 1))
-    assert n_character(PartitionDiagram([2]), box, 1, 1, 1) == (
-        mono(1, 0, 1) + mono(1, 1, 1) + mono(1, 2, 0)
-    )
-
-
-def test_n_character_rejects_bad_labels():
-    empty = PartitionDiagram([])
-    with pytest.raises(ValueError):
-        n_character(empty, empty, 0, 1, 2)
-    with pytest.raises(ValueError):
-        n_character(empty, empty, 1, 3, 2)
+    assert sorted(_patch_exponents(box, box)) == [(0, 1), (1, 0)]
+    assert list(_patch_exponents(empty, box)) == [(0, 0)]
+    assert list(_patch_exponents(box, empty)) == [(1, 1)]
+    assert _framing_ratio(2, 2, 1) == (-1, 1) and _framing_ratio(2, 1, 1) == (0, 0)
+    assert sorted(_patch_exponents(PartitionDiagram([2]), box)) == [(0, 1), (1, 1), (2, 0)]
 
 
 @given(diagrams(), diagrams())
 def test_n_character_dimension_is_box_count(ya, yb):
-    assert n_character(ya, yb, 1, 2, 2).dimension() == ya.size + yb.size
+    assert len(list(_patch_exponents(ya, yb))) == ya.size + yb.size
 
 
 @given(diagrams(), diagrams())
 def test_n_character_duality(ya, yb):
-    # swapping the pair dualizes the character up to a t1*t2 twist
-    lhs = n_character(ya, yb, 1, 2, 2)
-    rhs = mono(2, 1, 1) * conjugate(n_character(yb, ya, 2, 1, 2))
-    assert lhs == rhs
+    # swapping the pair dualizes the block up to a t1*t2 twist
+    lhs = Counter(_patch_exponents(ya, yb))
+    assert lhs == Counter((1 - x, 1 - y) for x, y in _patch_exponents(yb, ya))
+    assert _framing_ratio(2, 2, 1) == tuple(-e for e in _framing_ratio(2, 1, 2))
 
 
 @given(diagrams(), diagrams())
 def test_n_character_transpose_symmetry(ya, yb):
     # transposing both diagrams swaps the roles of t1 and t2
-    lhs = n_character(ya.transpose(), yb.transpose(), 1, 2, 2)
-    assert lhs == swap_t(n_character(ya, yb, 1, 2, 2))
+    lhs = Counter(_patch_exponents(transpose(ya), transpose(yb)))
+    assert lhs == Counter((y, x) for x, y in _patch_exponents(ya, yb))
 
 
 def test_tangent_character_rank_one_frozen():
@@ -242,11 +237,11 @@ def test_tangent_character_rank_one_frozen():
     params = ModuliParams(2, 1, 0, 1)
     first = FixedPointDatum((0,), (one_box,), (empty,))
     second = FixedPointDatum((0,), (empty,), (one_box,))
-    assert tangent_character(params, first) == mono(1, 2, 0, (0,)) + mono(1, -1, 1, (0,))
-    assert tangent_character(params, second) == mono(1, 0, 2, (0,)) + mono(1, 1, -1, (0,))
+    assert tangent_character(params, first) == add(mono(1, 2, 0, (0,)), mono(1, -1, 1, (0,)))
+    assert tangent_character(params, second) == add(mono(1, 0, 2, (0,)), mono(1, 1, -1, (0,)))
     params1 = ModuliParams(1, 1, 0, 1)
-    assert tangent_character(params1, first) == mono(1, 1, 0, (0,)) + mono(1, -1, 1, (0,))
-    assert tangent_character(params1, second) == mono(1, 0, 1, (0,)) + mono(1, 1, -1, (0,))
+    assert tangent_character(params1, first) == add(mono(1, 1, 0, (0,)), mono(1, -1, 1, (0,)))
+    assert tangent_character(params1, second) == add(mono(1, 0, 1, (0,)), mono(1, 1, -1, (0,)))
 
 
 def test_tangent_character_boundary_only_frozen():
@@ -255,15 +250,15 @@ def test_tangent_character_boundary_only_frozen():
     fp = FixedPointDatum((1, -1), ((), ()), ((), ()))
     up = (-1, 1)
     down = (1, -1)
-    expected = (
-        mono(2, 0, 0, up)
-        + mono(2, -2, 0, up)
-        + mono(2, -1, -1, up)
-        + mono(2, 0, -2, up)
-        + mono(2, 1, 1, down)
-        + mono(2, 1, 3, down)
-        + mono(2, 2, 2, down)
-        + mono(2, 3, 1, down)
+    expected = add(
+        mono(2, 0, 0, up),
+        mono(2, -2, 0, up),
+        mono(2, -1, -1, up),
+        mono(2, 0, -2, up),
+        mono(2, 1, 1, down),
+        mono(2, 1, 3, down),
+        mono(2, 2, 2, down),
+        mono(2, 3, 1, down),
     )
     assert tangent_character(params, fp) == expected
     assert expected.dimension() == 8
@@ -285,20 +280,20 @@ def test_reduced_tangent_character_frozen():
     params = ModuliParams(2, 2, 0, 1)
     rfp = ReducedFixedPointDatum((0, 0), (PartitionDiagram([1]), PartitionDiagram([])))
     x = reduced_tangent_character(params, rfp)
-    assert x == (
-        mono(2, 0, 0, (0, 0))
-        + mono(2, 2, 0, (0, 0))
-        + mono(2, 2, 0, (-1, 1))
-        + mono(2, 0, 0, (1, -1))
+    assert x == add(
+        mono(2, 0, 0, (0, 0)),
+        mono(2, 2, 0, (0, 0)),
+        mono(2, 2, 0, (-1, 1)),
+        mono(2, 0, 0, (1, -1)),
     )
 
     params1 = ModuliParams(1, 2, 0, 1)
     boundary = ReducedFixedPointDatum((1, -1), ((), ()))
     y = reduced_tangent_character(params1, boundary)
-    assert y == (
-        mono(2, 0, 0, (-1, 1))
-        + mono(2, -1, 0, (-1, 1), coeff=2)
-        + mono(2, 2, 0, (1, -1))
+    assert y == add(
+        mono(2, 0, 0, (-1, 1)),
+        mono(2, -1, 0, (-1, 1), coeff=2),
+        mono(2, 2, 0, (1, -1)),
     )
     assert y.negative_count(main_ordering(2)) == 3
 
@@ -328,8 +323,9 @@ def test_reduced_matches_merged_full():
 
 # Oracles: the pair-by-pair ring-algebra assembly that the single term
 # count in localization replaced.  Each builds its characters through
-# Character arithmetic, one pair block at a time, and writes its own chart
-# maps as exponent matrices for `Character.substitute`.
+# the ring arithmetic of `helpers`, one pair block at a time, takes each patch
+# block from the per-box formula, and writes its own chart maps as exponent
+# matrices for `Character.substitute`.
 
 
 def framing_ratio(rank, beta, alpha):
@@ -355,35 +351,42 @@ def n_character_oracle(y_alpha, y_beta, alpha, beta, rank):
     return Character(rank, terms)
 
 
+def boundary_character(p, d):
+    return Character(0, Counter((x, y, ()) for x, y in _l_exponents(p, d)))
+
+
 def tangent_character_oracle(params, fp):
     p, r = params.p, params.r
     m1 = ((p, -1), (0, 1))  # t1 -> t1^p, t2 -> t2/t1
     m2 = ((1, 0), (-1, p))  # t1 -> t1/t2, t2 -> t2^p
-    total = Character.zero(r)
+    total = Character(r)
     for a in range(1, r + 1):
         for b in range(1, r + 1):
             d = fp.ks[a - 1] - fp.ks[b - 1]
             shift = p * (fp.ks[b - 1] - fp.ks[a - 1])
-            lpart = mono(r, 0, 0, framing_ratio(r, b, a)) * promote(l_character(p, d), r)
-            n1 = n_character(fp.y1[a - 1], fp.y1[b - 1], a, b, r).substitute(m1)
-            n2 = n_character(fp.y2[a - 1], fp.y2[b - 1], a, b, r).substitute(m2)
-            total = total + lpart + mono(r, shift, 0) * n1 + mono(r, 0, shift) * n2
+            framing = mono(r, 0, 0, framing_ratio(r, b, a))
+            lpart = product(framing, promote(boundary_character(p, d), r))
+            n1 = n_character_oracle(fp.y1[a - 1], fp.y1[b - 1], a, b, r).substitute(m1)
+            n2 = n_character_oracle(fp.y2[a - 1], fp.y2[b - 1], a, b, r).substitute(m2)
+            n1, n2 = product(mono(r, shift, 0), n1), product(mono(r, 0, shift), n2)
+            total = add(total, lpart, n1, n2)
     return total
 
 
 def reduced_tangent_character_oracle(params, rfp):
     p, r = params.p, params.r
     reduced = ((0, p), (0, 0))  # t1 -> 1, t2 -> t1^p
-    total = Character.zero(r)
+    total = Character(r)
     for a in range(1, r + 1):
         for b in range(1, r + 1):
             d = rfp.ks[a - 1] - rfp.ks[b - 1]
             shift = p * (rfp.ks[b - 1] - rfp.ks[a - 1])
-            lpart = mono(r, 0, 0, framing_ratio(r, b, a)) * promote(
-                l_character(p, d), r
-            ).substitute(((1, 1), (0, 0)))  # t2 -> t1
-            npart = n_character(rfp.ys[a - 1], rfp.ys[b - 1], a, b, r).substitute(reduced)
-            total = total + lpart + mono(r, shift, 0) * npart
+            lpart = product(
+                mono(r, 0, 0, framing_ratio(r, b, a)),
+                promote(boundary_character(p, d), r).substitute(((1, 1), (0, 0))),  # t2 -> t1
+            )
+            npart = n_character_oracle(rfp.ys[a - 1], rfp.ys[b - 1], a, b, r).substitute(reduced)
+            total = add(total, lpart, product(mono(r, shift, 0), npart))
     assert not any(key[1] for key in total.terms)
     return total
 
@@ -395,7 +398,10 @@ def test_patch_exponents_match_the_per_box_formula_in_order(ya, yb):
 
 @given(diagrams(), diagrams(), st.integers(1, 3), st.integers(1, 3))
 def test_n_character_matches_per_box_oracle(ya, yb, alpha, beta):
-    assert n_character(ya, yb, alpha, beta, 3) == n_character_oracle(ya, yb, alpha, beta, 3)
+    # the library's pair framing and patch terms, as one block
+    es = _framing_ratio(3, beta, alpha)
+    block = Character(3, Counter((x, y, es) for x, y in _patch_exponents(ya, yb)))
+    assert block == n_character_oracle(ya, yb, alpha, beta, 3)
 
 
 @pytest.mark.parametrize(

@@ -58,3 +58,15 @@ def test_import_loads_no_submodule_until_a_name_is_used():
     assert first == ["hirzebruch"]
     assert "hirzebruch.counting" in second and "hirzebruch.ale" not in second
     assert ale_loaded
+
+
+def test_a_loaded_submodule_is_read_without_the_import_system(monkeypatch):
+    from hirzebruch import counting
+
+    calls = []
+    monkeypatch.setattr(importlib, "import_module", lambda *args: calls.append(args))
+    assert hirzebruch.poincare_polynomial is counting.poincare_polynomial
+    # each read still finds the submodule's current binding
+    monkeypatch.setattr(counting, "poincare_polynomial", "rebound")
+    assert hirzebruch.poincare_polynomial == "rebound"
+    assert calls == []

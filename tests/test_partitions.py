@@ -16,6 +16,8 @@ from helpers import (
     relative_arm,
     relative_leg,
     row_length,
+    transpose,
+    transpose_colored,
 )
 from hypothesis import given, strategies as st
 
@@ -64,18 +66,11 @@ def test_non_integer_rows_are_rejected(rows):
         PartitionDiagram(rows)
 
 
-def test_colored_diagram_from_json_rejects_a_non_integer_color():
-    with pytest.raises(ValueError):
-        ColoredDiagram.from_json({"rows": [1], "eps": 0.5})
-    with pytest.raises(ValueError):
-        ColoredDiagram.from_json({"rows": [1], "eps": True})
-    assert ColoredDiagram.from_json({"rows": [1], "eps": 1}).eps == 1
-
-
-@pytest.mark.parametrize("eps", [True, 1.0, 2, -1])
+@pytest.mark.parametrize("eps", [True, 1.0, 2, -1, 0.5])
 def test_colored_diagram_rejects_a_color_that_is_not_0_or_1(eps):
     with pytest.raises(ValueError):
         ColoredDiagram(PartitionDiagram([2, 1]), eps)
+    assert ColoredDiagram(PartitionDiagram([2, 1]), 1).eps == 1
 
 
 def test_basic_shape_queries():
@@ -86,7 +81,7 @@ def test_basic_shape_queries():
     assert [row_length(y, r) for r in (1, 2, 3, 4)] == [3, 1, 1, 0]
     assert y.cols == column_heights(y) == (3, 1, 1)
     assert Counter(y.cols) == {3: 1, 1: 2}
-    assert y.transpose().rows == (3, 1, 1)
+    assert transpose(y).rows == (3, 1, 1)
     assert contains(y, Box(1, 3)) and contains(y, Box(2, 1)) and not contains(y, Box(2, 2))
 
 
@@ -103,8 +98,8 @@ def test_cols_are_the_counted_column_heights():
     for n in range(13):
         for y in enumerate_partitions(n):
             assert y.cols == column_heights(y)
-            assert y.transpose().rows == y.cols
-            assert y.transpose().transpose() == y
+            assert transpose(y).rows == y.cols
+            assert transpose(transpose(y)) == y
 
 
 def test_enumeration_counts_match_reference():
@@ -245,8 +240,8 @@ def test_arm_and_leg_reference_values():
 
 @given(diagrams())
 def test_transpose_is_an_involution(y):
-    assert y.transpose().transpose() == y
-    assert y.transpose().size == y.size
+    assert transpose(transpose(y)) == y
+    assert transpose(y).size == y.size
 
 
 @given(diagrams())
@@ -264,15 +259,16 @@ def test_boxes_with_zero_arm_are_the_column_tops(y):
 
 @given(diagrams(), st.integers(1, 6), st.integers(1, 6))
 def test_arm_and_leg_swap_under_transpose(y, c, r):
-    assert relative_arm(y, Box(c, r)) == relative_leg(y.transpose(), Box(r, c))
+    assert relative_arm(y, Box(c, r)) == relative_leg(transpose(y), Box(r, c))
 
 
 def test_json_round_trip():
     y = PartitionDiagram([3, 1])
-    assert PartitionDiagram.from_json(y.to_json()) == y
+    assert PartitionDiagram(y.to_json()) == y
     d = ColoredDiagram(y, 1)
-    assert ColoredDiagram.from_json(d.to_json()) == d
-    assert d.to_json() == {"rows": [3, 1], "eps": 1}
+    data = d.to_json()
+    assert ColoredDiagram(PartitionDiagram(data["rows"]), data["eps"]) == d
+    assert data == {"rows": [3, 1], "eps": 1}
 
 
 def test_coloring_reference_values():
@@ -295,7 +291,7 @@ def test_coloring_rejects_bad_eps():
 def test_recoloring_swaps_counts(y, eps):
     d = ColoredDiagram(y, eps)
     k0, k1 = d.color_counts()
-    assert d.recolor().color_counts() == (k1, k0)
+    assert ColoredDiagram(y, 1 - eps).color_counts() == (k1, k0)
     assert k0 + k1 == y.size
 
 
@@ -317,8 +313,8 @@ def test_color_counts_match_the_per_box_count():
 @given(diagrams(), st.integers(0, 1))
 def test_transpose_preserves_coloring(y, eps):
     d = ColoredDiagram(y, eps)
-    assert d.transpose().color_counts() == d.color_counts()
-    assert d.transpose().eps == eps
+    assert transpose_colored(d).color_counts() == d.color_counts()
+    assert transpose_colored(d).eps == eps
 
 
 def test_colored_diagrams_cannot_be_changed():
@@ -344,7 +340,7 @@ def test_colored_diagram_keeps_the_record_contract():
 def test_colored_diagram_takes_only_a_diagram(diagram):
     with pytest.raises(ValueError):
         ColoredDiagram(diagram, 0)
-    assert ColoredDiagram.from_json({"rows": [2, 1], "eps": 0}).diagram == PartitionDiagram([2, 1])
+    assert ColoredDiagram(PartitionDiagram([2, 1]), 0).diagram == PartitionDiagram([2, 1])
 
 
 @given(diagrams(), st.integers(0, 1))
