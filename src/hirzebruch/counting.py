@@ -28,7 +28,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterator
-from fractions import Fraction
 from functools import lru_cache
 
 from .laurent import QSeries, TPolynomial, _Frozen
@@ -44,14 +43,14 @@ def check_nonempty(params: ModuliParams) -> bool:
     """Whether the moduli space contains any point.
 
     After normalizing k into 0..r-1 by twisting, the space is nonempty
-    iff n - p*k^2*(r-1)/(2r) is an integer and n >= p*k*(r-k)/(2r).
+    iff n - p*k^2*(r-1)/(2r) is an integer and n >= p*k*(r-k)/(2r), that is
+    iff dim = 2rn is an integer, dim = p*k^2*(r-1) mod 2r and dim >= p*k*(r-k).
     """
-    k = params.k % params.r
-    offset = params.n - Fraction(params.p * k * k * (params.r - 1), 2 * params.r)
-    if offset.denominator != 1:
+    p, r, dim = params.p, params.r, params.dim
+    if dim is None:
         return False
-    bound = Fraction(params.p * k * (params.r - k), 2 * params.r)
-    return params.n >= bound
+    k = params.k % r
+    return (dim - p * k * k * (r - 1)) % (2 * r) == 0 and dim >= p * k * (r - k)
 
 
 def _grow(
@@ -88,7 +87,7 @@ def _grow(
 def _k_strings(params: ModuliParams) -> Iterator[tuple[tuple[int, ...], int]]:
     """All k-strings compatible with params, with their integer box excess.
 
-    In integers: with N = 2rn and s = r * sum k_a^2 - k^2, the pair sum
+    In integers: with N = 2rn (`params.dim`) and s = r * sum k_a^2 - k^2, the pair sum
     sum_{a<b} (k_a - k_b)^2, a string has excess (N - p*s) / 2r, which
     must be a nonnegative integer.  Since r*k_a - k = sum_b (k_a - k_b),
     Cauchy-Schwarz gives p * (r*k_a - k)^2 <= (r-1) * p*s <= (r-1) * N,
@@ -103,11 +102,9 @@ def _k_strings(params: ModuliParams) -> Iterator[tuple[tuple[int, ...], int]]:
     the budget, and the last entry is what the others leave of k.  Strings
     come out in ascending lexicographic order, and every one is kept.
     """
-    r, k, p = params.r, params.k, params.p
-    dim = 2 * r * params.n
-    if dim < 0 or dim.denominator != 1:
+    r, k, p, dim = params.r, params.k, params.p, params.dim
+    if dim is None or dim < 0:
         return
-    dim = int(dim)
     # |r*k_a - k| <= spread
     spread = math.isqrt((r - 1) * dim // p)
     lo = -((spread - k) // r)

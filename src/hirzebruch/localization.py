@@ -60,18 +60,11 @@ class ModuliParams(_Frozen):
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "n", _rational(n))
 
-    def pair_weight(self, ks: tuple[int, ...]) -> Fraction:
-        """(p / 2r) * sum over pairs of squared k-differences."""
-        # sum_{a<b} (k_a - k_b)^2 = r * sum_a k_a^2 - (sum_a k_a)^2
-        squares = sum(x * x for x in ks)
-        total = sum(ks)
-        return Fraction(self.p * (len(ks) * squares - total * total), 2 * self.r)
-
-    def expected_dimension(self) -> int:
-        value = 2 * self.r * self.n
-        if value.denominator != 1:
-            raise InvariantError(f"2*r*n must be an integer, got {value}")
-        return int(value)
+    @property
+    def dim(self) -> int | None:
+        """2rn, the dimension of the moduli space, or None when it is not an integer."""
+        dim, rest = divmod(2 * self.r * self.n.numerator, self.n.denominator)
+        return None if rest else dim
 
 
 def _as_diagrams(items) -> tuple[PartitionDiagram, ...]:
@@ -88,40 +81,39 @@ class _Datum(_Frozen):
     _keys: tuple[str, ...]
 
     def validate(self, params: ModuliParams) -> None:
-        if len(self.ks) != params.r:
-            raise InvariantError(f"expected {params.r} summands, got {len(self.ks)}")
-        if sum(self.ks) != params.k:
-            raise InvariantError(f"k-string {self.ks} does not sum to k={params.k}")
-        n = self.box_count() + params.pair_weight(self.ks)
-        if n != params.n:
+        """Check the k-string against (r, k) and 2rn = 2r*boxes + p*(r*sum k_a^2 - k^2)."""
+        r, k, ks = params.r, params.k, self.ks
+        if len(ks) != r:
+            raise InvariantError(f"expected {r} summands, got {len(ks)}")
+        if sum(ks) != k:
+            raise InvariantError(f"k-string {ks} does not sum to k={k}")
+        dim = 2 * r * self.box_count() + params.p * (r * sum(x * x for x in ks) - k * k)
+        if dim != params.dim:
             raise InvariantError(
-                f"box-count constraint violated: counted {n}, expected {params.n}"
+                f"box-count constraint violated: counted {Fraction(dim, 2 * r)},"
+                f" expected {params.n}"
             )
 
     @classmethod
-    def from_json(cls, data):
+    def _from_record(cls, data, params: ModuliParams):
+        # the record of a JSON object with the keys of `to_json`, first refusing a row longer
+        # than n, which no fixed point has (p >= 1): `cols` has an entry per box of a row
         if not isinstance(data, dict) or any(key not in data for key in cls._keys):
             raise ValueError(
                 f"a fixed-point record must be an object with keys"
                 f" {', '.join(cls._keys)}, got {data!r}"
             )
+        lists = [data[key] for key in cls._keys[1:] if isinstance(data[key], list)]
+        rows = [x for ys in lists for y in ys if isinstance(y, list) for x in y if type(x) is int]
+        longest = max(rows, default=None)
+        if longest is not None and longest > params.n:
+            raise InvariantError(
+                f"box-count constraint violated: a row of {longest} boxes, n = {params.n}"
+            )
         try:
             return cls(*(data[key] for key in cls._keys))
         except TypeError as exc:
             raise ValueError(f"malformed fixed-point record {data!r}: {exc}") from None
-
-    @classmethod
-    def _from_record(cls, data, params: ModuliParams):
-        # `from_json`, first refusing a row longer than n, which no fixed point has
-        # (p >= 1): a diagram's `cols` holds an entry per box of its longest row
-        keys = cls._keys[1:] if isinstance(data, dict) and data.keys() >= set(cls._keys) else ()
-        lists = [data[key] for key in keys if isinstance(data[key], list)]
-        rows = [x for ys in lists for y in ys if isinstance(y, list) for x in y if type(x) is int]
-        if max(rows, default=0) > params.n:
-            raise InvariantError(
-                f"box-count constraint violated: a row of {max(rows)} boxes, n = {params.n}"
-            )
-        return cls.from_json(data)
 
 
 class FixedPointDatum(_Datum):
@@ -253,10 +245,9 @@ def tangent_character(params: ModuliParams, fp: FixedPointDatum) -> Character:
                 key = (x, p * y - x + shift, es)
                 terms[key] = terms.get(key, 0) + 1
     total = Character(r, terms)
-    expected = params.expected_dimension()
-    if total.dimension() != expected:
+    if total.dimension() != params.dim:
         raise InvariantError(
-            f"tangent character has dimension {total.dimension()}, expected 2*r*n = {expected}"
+            f"tangent character has dimension {total.dimension()}, expected 2*r*n = {params.dim}"
         )
     return total
 

@@ -26,6 +26,7 @@ records promise.
 """
 
 import copy
+import itertools
 import math
 import pickle
 from fractions import Fraction
@@ -205,11 +206,20 @@ def bounded_compositions(total, parts, lo=0, hi=None):
             yield (head,) + tail
 
 
-def fraction_k_strings(params):
-    """(k-string, excess) pairs by the rational search the integer one replaced.
+def pair_weight(p, ks):
+    """(p / 2r) * sum over pairs a < b of (k_a - k_b)^2, r = len(ks), pair by pair."""
+    r = len(ks)
+    pairs = sum((ks[a] - ks[b]) ** 2 for a in range(r) for b in range(a + 1, r))
+    return Fraction(p * pairs, 2 * r)
 
-    Searches the box |k_a - k/r| <= isqrt(2n/p) + 1 and keeps the strings
-    whose excess n - pair_weight is a nonnegative integer.
+
+def fraction_k_strings(params, full_box=False):
+    """(k-string, excess) pairs by the rational searches the integer one replaced.
+
+    In the box |k_a - k/r| <= isqrt(2n/p) + 1 it takes the compositions of
+    k, or with full_box every string of the box (the search before
+    `compositions`), and keeps those that sum to k and whose excess
+    n - pair_weight is a nonnegative integer.
     """
     if params.n < 0:
         return []
@@ -217,10 +227,14 @@ def fraction_k_strings(params):
     center = Fraction(params.k, params.r)
     lo = math.ceil(center - radius)
     hi = math.floor(center + radius)
+    if full_box:
+        strings = itertools.product(range(lo, hi + 1), repeat=params.r)
+    else:
+        strings = bounded_compositions(params.k, params.r, lo, hi)
     out = []
-    for ks in bounded_compositions(params.k, params.r, lo, hi):
-        excess = params.n - params.pair_weight(ks)
-        if excess >= 0 and excess.denominator == 1:
+    for ks in strings:
+        excess = params.n - pair_weight(params.p, ks)
+        if sum(ks) == params.k and excess >= 0 and excess.denominator == 1:
             out.append((ks, int(excess)))
     return out
 

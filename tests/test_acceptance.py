@@ -128,7 +128,7 @@ def test_04_dimension_invariant():
     for p, r, k, ns in _grid_cells():
         for n in ns:
             params = ModuliParams(p, r, k, n)
-            expected = params.expected_dimension()
+            expected = params.dim
             for fp in enumerate_fixed_points(params):
                 assert tangent_character(params, fp).dimension() == expected
                 checked += 1

@@ -230,10 +230,27 @@ def test_oversized_fixed_point_record_exits_3_before_building_a_diagram(
     assert err.startswith("invariant violation: box-count constraint violated")
 
 
+@pytest.mark.parametrize("reduced", [False, True], ids=["full", "reduced"])
+@pytest.mark.parametrize("n", ["-1", "-1/2"])
+def test_empty_diagrams_at_a_negative_n_exit_3(capsys, monkeypatch, n, reduced):
+    # a record with no row has no row to refuse, so it reaches the box count
+    record = {"k": [0], "Y": [[]]} if reduced else {"k": [0], "Y1": [[]], "Y2": [[]]}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps([record])))
+    code, out, err = run(
+        capsys, "tangent", "--p", "1", "--r", "1", "--k", "0", f"--n={n}",
+        *["--reduced"] * reduced, "--fixed-points", "-",
+    )
+    assert (code, out) == (3, "")
+    assert err == (
+        f"invariant violation: box-count constraint violated: counted 0, expected {n}\n"
+    )
+
+
 @pytest.mark.parametrize(
     "n, row",
-    [(str(10**30), 10**30), (str(10**12), 10**12), (f"{MAX_TANGENT_TERMS + 1}/2", 1)],
-    ids=["overflow", "memory", "limit-plus-one"],
+    [(str(10**30), 10**30), (str(10**12), 10**12), (f"{MAX_TANGENT_TERMS + 1}/2", 1),
+     ("200000/3", 1)],
+    ids=["overflow", "memory", "limit-plus-one", "non-integral"],
 )
 def test_tangent_above_the_term_limit_exits_2_before_reading_a_record(
     capsys, monkeypatch, n, row

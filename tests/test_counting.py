@@ -1,5 +1,4 @@
 import itertools
-import math
 import sys
 import tracemalloc
 from collections import Counter
@@ -15,6 +14,7 @@ from helpers import (
     fraction_k_strings,
     morse_index_pairwise,
     n_prime,
+    pair_weight,
     poincare_by_loci,
     product,
     rank2_series_by_products,
@@ -150,38 +150,6 @@ def test_reduced_enumeration_order_frozen():
     ]
 
 
-def _int_tuples(length, lo, hi):
-    if length == 0:
-        yield ()
-        return
-    for head in range(lo, hi + 1):
-        for tail in _int_tuples(length - 1, lo, hi):
-            yield (head,) + tail
-
-
-def box_filter_k_strings(params):
-    """The k-string search as it was before `compositions`: filter a full box."""
-    if params.n < 0:
-        return []
-    radius = math.isqrt(int(2 * params.n // params.p)) + 1
-    center = Fraction(params.k, params.r)
-    lo = math.ceil(center - radius)
-    hi = math.floor(center + radius)
-    if params.r == 1:
-        candidates = [(params.k,)]
-    else:
-        candidates = _int_tuples(params.r, lo, hi)
-    out = []
-    for ks in candidates:
-        if sum(ks) != params.k:
-            continue
-        excess = params.n - params.pair_weight(ks)
-        if excess < 0 or excess.denominator != 1:
-            continue
-        out.append((ks, int(excess)))
-    return out
-
-
 def test_k_strings_match_box_filter_order():
     nonempty = fractional = 0
     for p in (1, 2, 3):
@@ -192,7 +160,7 @@ def test_k_strings_match_box_filter_order():
                 for n in (least, least + 1, least - Fraction(1, 2), Fraction(-1)):
                     params = ModuliParams(p, r, k, n)
                     got = list(_k_strings(params))
-                    assert got == box_filter_k_strings(params), params
+                    assert got == fraction_k_strings(params, full_box=True), params
                     nonempty += bool(got)
                     fractional += bool(got) and n.denominator != 1
     assert nonempty > 100 and fractional > 50
@@ -230,7 +198,7 @@ def test_k_strings_match_box_filter_at_ranks_7_and_8():
                 for j in range(-1, p * r):
                     params = ModuliParams(p, r, k, Fraction(j, 2 * r))
                     got = list(_k_strings(params))
-                    assert got == box_filter_k_strings(params), params
+                    assert got == fraction_k_strings(params, full_box=True), params
                     nonempty += bool(got)
     assert nonempty > 20
 
@@ -262,7 +230,7 @@ def test_grow_keeps_exactly_the_prefixes_with_a_completion_in_budget(r, monkeypa
                 levels.clear()
                 list(_k_strings(params))
                 # a space whose excesses are not integers is never searched
-                integral = (params.n - params.pair_weight((k,) + (0,) * (r - 1))).denominator
+                integral = (params.n - pair_weight(p, (k,) + (0,) * (r - 1))).denominator
                 assert len(levels) == (r - 1 if integral == 1 else 0)
                 for grown, goal, left, lo, hi, budget in levels:
                     expected = [

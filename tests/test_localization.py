@@ -6,13 +6,14 @@ from helpers import (
     add,
     boxes,
     check_record,
+    pair_weight,
     product,
     promote,
     relative_arm,
     relative_leg,
     transpose,
 )
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hirzebruch.counting import enumerate_fixed_points, enumerate_reduced_fixed_points
 from hirzebruch.laurent import Character, main_ordering
@@ -56,9 +57,8 @@ def test_params_validation():
         ModuliParams(1, 1, Fraction(1, 2), 1)
     params = ModuliParams(2, 2, 1, "1/2")
     assert params.n == Fraction(1, 2)
-    assert params.expected_dimension() == 2
-    with pytest.raises(InvariantError):
-        ModuliParams(1, 1, 0, Fraction(1, 3)).expected_dimension()
+    assert params.dim == 2
+    assert ModuliParams(1, 1, 0, Fraction(1, 3)).dim is None
 
 
 def test_records_keep_the_dataclass_contract():
@@ -126,23 +126,34 @@ def test_params_reject_floats_and_bools(p, r, k, n):
         ModuliParams(p, r, k, n)
 
 
-def test_pair_weight_reference():
-    params = ModuliParams(2, 2, 0, 2)
-    assert params.pair_weight((1, -1)) == 2
-    assert params.pair_weight((0, 0)) == 0
-    assert ModuliParams(1, 3, 0, 0).pair_weight((1, 0, -1)) == 1
-    assert ModuliParams(2, 2, 1, 0).pair_weight((1, 0)) == Fraction(1, 2)
-
-
+@settings(deadline=None)
 @given(
     st.integers(1, 3),
-    st.lists(st.integers(-6, 6), min_size=1, max_size=7),
+    st.lists(st.integers(-6, 6), min_size=1, max_size=6),
+    st.lists(diagrams(max_size=3), min_size=12, max_size=12),
+    st.booleans(),
+    st.integers(-1, 1),
+    st.booleans(),
 )
-def test_pair_weight_equals_the_pairwise_sum(p, ks):
-    # k is 0 here, so most k-strings drawn do not sum to k
-    r = len(ks)
-    pairs = sum((ks[a] - ks[b]) ** 2 for a in range(r) for b in range(a + 1, r))
-    assert ModuliParams(p, r, 0, 0).pair_weight(tuple(ks)) == Fraction(p * pairs, 2 * r)
+def test_validate_accepts_exactly_the_pairwise_constraint(p, ks, ys, reduced, miss, integral):
+    # n is the pairwise count, or misses it by one box, or by 1/(4r+1), which
+    # leaves 2rn no integer
+    r, ks = len(ks), tuple(ks)
+    y1, y2 = ys[:r], ys[r : 2 * r]
+    datum = ReducedFixedPointDatum(ks, y2) if reduced else FixedPointDatum(ks, y1, y2)
+    counted = datum.box_count() + pair_weight(p, ks)
+    offset = miss + (0 if integral else Fraction(1, 4 * r + 1))
+    params = ModuliParams(p, r, sum(ks), counted + offset)
+    twice = 2 * r * params.n
+    assert params.dim == (twice if twice.denominator == 1 else None)
+    if counted == params.n:
+        datum.validate(params)
+    else:
+        with pytest.raises(InvariantError) as caught:
+            datum.validate(params)
+        assert str(caught.value) == (
+            f"box-count constraint violated: counted {counted}, expected {params.n}"
+        )
 
 
 # The boundary block of a pair with k-difference d is t1^x t2^y summed over
@@ -303,7 +314,7 @@ def test_reduced_character_is_t2_free():
     for rfp in enumerate_reduced_fixed_points(params):
         x = reduced_tangent_character(params, rfp)
         assert all(key[1] == 0 for key in x.terms)
-        assert x.dimension() == params.expected_dimension()
+        assert x.dimension() == params.dim
 
 
 def test_reduced_matches_merged_full():
@@ -434,18 +445,18 @@ def test_validation_failures_raise_invariant_error():
     with pytest.raises(InvariantError):
         # box count inconsistent with n
         tangent_character(params, FixedPointDatum((0, 0), ((), ()), ((), ())))
-    with pytest.raises(ValueError):
-        FixedPointDatum((0, 0), ((),), ((), ()))
-    with pytest.raises(ValueError):
-        ReducedFixedPointDatum((0, 0), ((),))
 
 
 def test_fixed_point_json_round_trip():
     fp = FixedPointDatum((1, -1), ([2, 1], []), ([], [1]))
-    assert FixedPointDatum.from_json(fp.to_json()) == fp
+    params = ModuliParams(1, 2, 0, 5)
+    fp.validate(params)
+    assert FixedPointDatum._from_record(fp.to_json(), params) == fp
     assert fp.to_json() == {"k": [1, -1], "Y1": [[2, 1], []], "Y2": [[], [1]]}
     rfp = ReducedFixedPointDatum((0,), ([3],))
-    assert ReducedFixedPointDatum.from_json(rfp.to_json()) == rfp
+    params = ModuliParams(1, 1, 0, 3)
+    rfp.validate(params)
+    assert ReducedFixedPointDatum._from_record(rfp.to_json(), params) == rfp
     assert rfp.to_json() == {"k": [0], "Y": [[3]]}
 
 
