@@ -208,18 +208,17 @@ def bounded_compositions(total, parts, lo=0, hi=None):
 
 def pair_weight(p, ks):
     """(p / 2r) * sum over pairs a < b of (k_a - k_b)^2, r = len(ks), pair by pair."""
-    r = len(ks)
-    pairs = sum((ks[a] - ks[b]) ** 2 for a in range(r) for b in range(a + 1, r))
-    return Fraction(p * pairs, 2 * r)
+    pairs = sum((x - y) ** 2 for x, y in itertools.combinations(ks, 2))
+    return Fraction(p * pairs, 2 * len(ks))
 
 
 def fraction_k_strings(params, full_box=False):
     """(k-string, excess) pairs by the rational searches the integer one replaced.
 
     In the box |k_a - k/r| <= isqrt(2n/p) + 1 it takes the compositions of
-    k, or with full_box every string of the box (the search before
-    `compositions`), and keeps those that sum to k and whose excess
-    n - pair_weight is a nonnegative integer.
+    k, or with full_box every string of the box that sums to k (the search
+    before `compositions`), and keeps those whose excess n - pair_weight is
+    a nonnegative integer.
     """
     if params.n < 0:
         return []
@@ -228,13 +227,14 @@ def fraction_k_strings(params, full_box=False):
     lo = math.ceil(center - radius)
     hi = math.floor(center + radius)
     if full_box:
-        strings = itertools.product(range(lo, hi + 1), repeat=params.r)
+        box = itertools.product(range(lo, hi + 1), repeat=params.r)
+        strings = (ks for ks in box if sum(ks) == params.k)
     else:
         strings = bounded_compositions(params.k, params.r, lo, hi)
     out = []
     for ks in strings:
         excess = params.n - pair_weight(params.p, ks)
-        if sum(ks) == params.k and excess >= 0 and excess.denominator == 1:
+        if excess >= 0 and excess.denominator == 1:
             out.append((ks, int(excess)))
     return out
 

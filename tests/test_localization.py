@@ -445,18 +445,19 @@ def test_validation_failures_raise_invariant_error():
     with pytest.raises(InvariantError):
         # box count inconsistent with n
         tangent_character(params, FixedPointDatum((0, 0), ((), ()), ((), ())))
+    with pytest.raises(ValueError):
+        FixedPointDatum((0, 0), ((),), ((), ()))
+    with pytest.raises(ValueError):
+        ReducedFixedPointDatum((0, 0), ((),))
 
 
 def test_fixed_point_json_round_trip():
     fp = FixedPointDatum((1, -1), ([2, 1], []), ([], [1]))
-    params = ModuliParams(1, 2, 0, 5)
-    fp.validate(params)
-    assert FixedPointDatum._from_record(fp.to_json(), params) == fp
-    assert fp.to_json() == {"k": [1, -1], "Y1": [[2, 1], []], "Y2": [[], [1]]}
     rfp = ReducedFixedPointDatum((0,), ([3],))
-    params = ModuliParams(1, 1, 0, 3)
-    rfp.validate(params)
-    assert ReducedFixedPointDatum._from_record(rfp.to_json(), params) == rfp
+    for datum, params in ((fp, ModuliParams(1, 2, 0, 5)), (rfp, ModuliParams(1, 1, 0, 3))):
+        datum.validate(params)
+        assert type(datum)._from_record(datum.to_json(), params) == datum
+    assert fp.to_json() == {"k": [1, -1], "Y1": [[2, 1], []], "Y2": [[], [1]]}
     assert rfp.to_json() == {"k": [0], "Y": [[3]]}
 
 
