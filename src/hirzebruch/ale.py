@@ -25,9 +25,10 @@ two cached tallies, the pair's term count and its negative terms
 `ale_tangent_character`, which `ale --points` prints, assembles the same
 pair terms (`_pair_exponents`) into one.
 
-This route shares only the flat pair formula (`localization._patch_exponents`)
-with the Hirzebruch-surface counting, and serves as an independent oracle
-for the p = 2, k = 0 spaces.
+This route shares only the flat pair formula (`localization._patch_exponents`,
+written from the per-box `_box_exponents`) and the framing table
+(`localization._framings`) with the Hirzebruch-surface counting, and serves
+as an independent oracle for the p = 2, k = 0 spaces.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .laurent import (
     ale_ordering,
     form_sign,
 )
-from .localization import _framing_ratio, _patch_exponents
+from .localization import _framings, _patch_exponents
 from .partitions import ColoredDiagram, PartitionDiagram, compositions, enumerate_partitions
 
 
@@ -196,24 +197,21 @@ def ale_tangent_character(fp: ColoredFixedPoint) -> Character:
     the point's stratum; the correction vanishes whenever all corner
     labels agree (in particular for every r <= 2 sector).
     """
-    r, tableaux = fp.rank, fp.tableaux
+    framings = _framings(fp.rank)
     terms: dict = {}
-    for a, colored_a in enumerate(tableaux):
-        for b, colored_b in enumerate(tableaux):
-            es, parity = _framing_ratio(r, b + 1, a + 1), (colored_b.eps - colored_a.eps) % 2
+    for colored_a, framings_a in zip(fp.tableaux, framings):
+        for colored_b, es in zip(fp.tableaux, framings_a):
+            parity = (colored_b.eps - colored_a.eps) % 2
             for x, y in _pair_exponents(colored_a.diagram, colored_b.diagram, parity):
                 terms[x, y, es] = terms.get((x, y, es), 0) + 1
-    total = Character(r, terms)
+    total = Character(fp.rank, terms)
     _check_dimension(fp, total.dimension())
     return total
 
 
 def _pair_forms(ordering: OrderingSpec, r: int) -> tuple[tuple[Forms, ...], ...]:
     """Entry [a][b]: the ordering's forms at the framing vector e_b/e_a of pair (a, b)."""
-    return tuple(
-        tuple(ordering.forms(_framing_ratio(r, b + 1, a + 1)) for b in range(r))
-        for a in range(r)
-    )
+    return tuple(tuple(ordering.forms(es) for es in row) for row in _framings(r))
 
 
 def _counted_index(fp: ColoredFixedPoint, pair_forms: tuple[tuple[Forms, ...], ...]) -> int:

@@ -101,13 +101,13 @@ class Character:
         if rank < 0:
             raise ValueError(f"rank must be nonnegative, got {rank}")
         self.rank = rank
-        clean: dict[Exponent, int] = {}
-        for key, coeff in (terms or {}).items():
-            _, _, es = key
-            if len(es) != rank:
-                raise ValueError(f"expected {rank} framing exponents, got {es}")
-            if coeff:
-                clean[key] = coeff
+        # a copy of the caller's table, checked in one pass and filtered only when needed
+        clean: dict[Exponent, int] = dict(terms) if terms else {}
+        if {len(es) for _, _, es in clean} - {rank}:
+            es = next(es for _, _, es in clean if len(es) != rank)
+            raise ValueError(f"expected {rank} framing exponents, got {es}")
+        if 0 in clean.values():
+            clean = {key: coeff for key, coeff in clean.items() if coeff}
         self.terms = clean
 
     def dimension(self) -> int:

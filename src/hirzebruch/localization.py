@@ -16,8 +16,8 @@ points exist.
 
 The tangent character decomposes into boundary contributions, which only
 see the k-differences, and patchwise contributions, which see the
-diagrams.  Both are assembled here; their total dimension is checked
-against 2*r*n on every call.
+diagrams.  Both are counted into one table here; the total dimension is
+checked against 2*r*n on every call.
 
 For a one-parameter subgroup that weights t1 and t2 equally and dominates
 the framing weights, the fixed loci are labelled by a single diagram per
@@ -29,12 +29,13 @@ and the tangent character collapses to a character in t1 and the framing
 variables only (`reduced_tangent_character`): the merged full character,
 taken at empty first-patch diagrams and Y2 = Y, with t2 set to t1.
 
-Every patch term comes from one per-box arm/leg formula, `_patch_exponents`
+Every patch term comes from one per-box arm/leg formula, `_box_exponents`
 (Nakajima-Yoshioka, "Instanton counting on blowup. I", math/0306198).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -187,33 +188,39 @@ def _l_exponents(p: int, d: int) -> tuple[tuple[int, int], ...]:
     return tuple((a, p * dp - a) for dp in range(1, -d + 1) for a in range(1, p * dp))
 
 
-def _framing_ratio(rank: int, beta: int, alpha: int) -> tuple[int, ...]:
-    # exponent vector of e_beta * e_alpha^-1 (zero when alpha == beta)
-    es = [0] * rank
-    if alpha != beta:
-        es[beta - 1] += 1
-        es[alpha - 1] -= 1
-    return tuple(es)
+@lru_cache(maxsize=None)
+def _framings(rank: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Entry [a][b]: the exponent vector of e_b/e_a of summand pair (a, b), zero if a == b."""
+    table = []
+    for a in range(rank):
+        row = []
+        for b in range(rank):
+            es = [0] * rank
+            es[b] += 1
+            es[a] -= 1
+            row.append(tuple(es))
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def _box_exponents(y_c: PartitionDiagram, y_e: PartitionDiagram):
+    """(t1, t2) exponents (-leg, 1 + arm) of the boxes of y_c, the leg measured in y_e.
+
+    Box (i, j) gives (j + 1 - y_e.rows[i], y_c.cols[j] - i), row by row from the corner.
+    """
+    rows_e, cols_c = y_e.rows, y_c.cols
+    for i, length in enumerate(y_c.rows):
+        other = rows_e[i] if i < len(rows_e) else 0
+        for j in range(length):
+            yield j + 1 - other, cols_c[j] - i
 
 
 def _patch_exponents(y_alpha: PartitionDiagram, y_beta: PartitionDiagram):
-    """(t1, t2) exponents of the patch terms of a summand pair, one per box.
-
-    Over the boxes of y_alpha: (-leg_in_y_beta, 1 + arm_in_y_alpha); over
-    the boxes of y_beta: (1 + leg_in_y_alpha, -arm_in_y_beta).  Arms are
-    always measured in the box's own diagram; legs in the other one, and
-    may be negative (see `partitions`).  Boxes go row by row from the
-    corner, each row from left to right.
-    """
-    rows_a, cols_a, rows_b, cols_b = y_alpha.rows, y_alpha.cols, y_beta.rows, y_beta.cols
-    for i, length in enumerate(rows_a):
-        other = rows_b[i] if i < len(rows_b) else 0
-        for j in range(length):
-            yield j + 1 - other, cols_a[j] - i
-    for i, length in enumerate(rows_b):
-        other = rows_a[i] if i < len(rows_a) else 0
-        for j in range(length):
-            yield other - j, i + 1 - cols_b[j]
+    """Patch-term (t1, t2) exponents of a summand pair: `_box_exponents(y_alpha, y_beta)`,
+    then (1, 1) minus those of `_box_exponents(y_beta, y_alpha)`."""
+    yield from _box_exponents(y_alpha, y_beta)
+    for x, y in _box_exponents(y_beta, y_alpha):
+        yield 1 - x, 1 - y
 
 
 def tangent_character(params: ModuliParams, fp: FixedPointDatum) -> Character:
@@ -226,25 +233,34 @@ def tangent_character(params: ModuliParams, fp: FixedPointDatum) -> Character:
 
         t1^(p*x - y + shift) t2^y   and   t1^x t2^(p*y - x + shift)
 
-    The terms are counted into one table and become one Character.
-    Raises InvariantError unless the dimension equals 2*r*n.
+    Box by box: an exponent of `_box_exponents(Y_c, Y_e)` is a term of pair
+    (c, e), and its chart image taken from (p - 1, 1) or (1, p - 1) one of
+    (e, c).  The terms are counted into one Character.  Raises
+    InvariantError unless the dimension equals 2*r*n.
     """
     fp.validate(params)
-    p, r, ks = params.p, params.r, fp.ks
-    terms: dict = {}
-    for a in range(r):
-        for b in range(r):
-            es = _framing_ratio(r, b + 1, a + 1)
-            for x, y in _l_exponents(p, ks[a] - ks[b]):
-                terms[x, y, es] = terms.get((x, y, es), 0) + 1
-            shift = p * (ks[b] - ks[a])
-            for x, y in _patch_exponents(fp.y1[a], fp.y1[b]):
-                key = (p * x - y + shift, y, es)
-                terms[key] = terms.get(key, 0) + 1
-            for x, y in _patch_exponents(fp.y2[a], fp.y2[b]):
-                key = (x, p * y - x + shift, es)
-                terms[key] = terms.get(key, 0) + 1
-    total = Character(r, terms)
+    p, r, ks, framings = params.p, params.r, fp.ks, _framings(params.r)
+    keys: list = []
+    add = keys.append
+    for c in range(r):
+        y1, y2 = fp.y1[c], fp.y2[c]
+        for e in range(r):
+            es = framings[c][e]
+            if ks[c] != ks[e]:
+                for x, y in _l_exponents(p, ks[c] - ks[e]):
+                    add((x, y, es))
+            if not (y1.rows or y2.rows):
+                continue
+            dual, shift = framings[e][c], p * (ks[e] - ks[c])
+            for x, y in _box_exponents(y1, fp.y1[e]) if y1.rows else ():
+                x = p * x - y + shift
+                add((x, y, es))
+                add((p - 1 - x, 1 - y, dual))
+            for x, y in _box_exponents(y2, fp.y2[e]) if y2.rows else ():
+                y = p * y - x + shift
+                add((x, y, es))
+                add((1 - x, p - 1 - y, dual))
+    total = Character(r, Counter(keys))
     if total.dimension() != params.dim:
         raise InvariantError(
             f"tangent character has dimension {total.dimension()}, expected 2*r*n = {params.dim}"

@@ -13,7 +13,7 @@ to its right in row i:
     leg_Y = Y.rows[i] - j - 1
 
 Against X itself both are nonnegative; against another diagram they may
-be negative.  `localization._patch_exponents` implements this formula.
+be negative.  `localization._box_exponents` implements this formula.
 
 `compositions(e, s)` splits e boxes over s slots: a fixed point's diagram sizes.
 """

@@ -2,11 +2,11 @@
 pairwise Morse index, the per-locus Poincare sum, the enumerated slot
 tables, the Fraction k-string search over bounded compositions, series
 arithmetic on one TPolynomial per power of q, ring arithmetic on Characters
-and TPolynomials, the ALE validity filter, transposes, and Character
+and TPolynomials, the ALE validity filter, framing vectors, transposes, and Character
 operations that only the tests use.
 
 The library reads arms and legs off a diagram's rows and their conjugate
-(`localization._patch_exponents`) and counts box colors in closed form
+(`localization._box_exponents`) and counts box colors in closed form
 (`ColoredDiagram.color_counts`).  Here the same quantities are taken box by
 box, from 1-based coordinates (c, r): c is the column counted from the left,
 r the row counted from the corner row upward, and box (c, r) lies in the
@@ -395,6 +395,15 @@ def transpose_colored(d):
 def swap_t(x):
     """Exchange t1 and t2."""
     return x.substitute(((0, 1), (1, 0)))
+
+
+def framing_ratio(rank, beta, alpha):
+    """Exponent vector of e_beta / e_alpha, 1-based; zero when alpha == beta."""
+    es = [0] * rank
+    if alpha != beta:
+        es[beta - 1] += 1
+        es[alpha - 1] -= 1
+    return tuple(es)
 
 
 def conjugate(x):

@@ -8,6 +8,7 @@ from helpers import (
     check_record,
     color_counts_by_box,
     counted_index,
+    framing_ratio,
     instanton_number,
     invariant_part,
     is_valid,
@@ -27,7 +28,7 @@ from hirzebruch.ale import (
 )
 from hirzebruch.counting import poincare_polynomial
 from hirzebruch.laurent import Character, OrderingSpec, TPolynomial, ale_ordering, main_ordering
-from hirzebruch.localization import ModuliParams, _framing_ratio, _patch_exponents
+from hirzebruch.localization import ModuliParams, _patch_exponents
 from hirzebruch.partitions import ColoredDiagram, PartitionDiagram, enumerate_partitions
 
 
@@ -291,7 +292,7 @@ def ale_tangent_character_oracle(fp):
     for a in range(1, r + 1):
         for b in range(1, r + 1):
             ya, yb = fp.tableaux[a - 1].diagram, fp.tableaux[b - 1].diagram
-            es = _framing_ratio(r, b, a)
+            es = framing_ratio(r, b, a)
             block = Character(r, Counter((x, y, es) for x, y in _patch_exponents(ya, yb)))
             total = add(total, invariant_part(block, eps))
     return total

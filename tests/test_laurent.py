@@ -57,10 +57,31 @@ def test_zero_terms_are_pruned():
 
 
 def test_framing_length_must_match_the_rank():
-    with pytest.raises(ValueError):
-        Character(1, {(0, 0, (1, 2)): 1})
-    with pytest.raises(ValueError):
-        Character(2, {(0, 0, (1,)): 1})
+    # the error names the first bad vector, even one whose coefficient is 0
+    cases = [
+        (1, {(0, 0, (1, 2)): 1}, "(1, 2)"),
+        (2, {(0, 0, (1,)): 1}, "(1,)"),
+        (1, {(0, 0, (1,)): 1, (0, 0, (1, 2)): 1, (1, 0, ()): 1}, "(1, 2)"),
+        (2, {(0, 0, (1,)): 0}, "(1,)"),
+        (0, {(1, 1, ()): 2, (0, 0, (0,)): 1}, "(0,)"),
+    ]
+    for rank, terms, bad in cases:
+        with pytest.raises(ValueError) as caught:
+            Character(rank, terms)
+        assert str(caught.value) == f"expected {rank} framing exponents, got {bad}"
+
+
+def test_constructor_drops_zeros_and_copies_the_table():
+    assert Character(1, {(0, 0, (1,)): 0, (1, 0, (0,)): 2}).terms == {(1, 0, (0,)): 2}
+    assert Character(2, {(0, 0, (1, 0)): 0}).terms == {}
+    for empty in (None, {}):
+        x = Character(2, empty)
+        assert x.terms == {} and x == Character(2) and not x and x.dimension() == 0
+    table = {(0, 1, (1, -1)): 3}
+    x = Character(2, table)
+    table[0, 1, (1, -1)] = 5
+    table[2, 2, (0, 0)] = 1
+    assert x.terms == {(0, 1, (1, -1)): 3} and x.terms is not table
 
 
 # `add` and `product` write the identities below; they refuse to mix ranks

@@ -6,6 +6,7 @@ from helpers import (
     add,
     boxes,
     check_record,
+    framing_ratio,
     pair_weight,
     product,
     promote,
@@ -22,7 +23,7 @@ from hirzebruch.localization import (
     InvariantError,
     ModuliParams,
     ReducedFixedPointDatum,
-    _framing_ratio,
+    _framings,
     _l_exponents,
     _patch_exponents,
     reduced_tangent_character,
@@ -218,7 +219,7 @@ def test_n_character_frozen_values():
     assert sorted(_patch_exponents(box, box)) == [(0, 1), (1, 0)]
     assert list(_patch_exponents(empty, box)) == [(0, 0)]
     assert list(_patch_exponents(box, empty)) == [(1, 1)]
-    assert _framing_ratio(2, 2, 1) == (-1, 1) and _framing_ratio(2, 1, 1) == (0, 0)
+    assert _framings(2) == (((0, 0), (-1, 1)), ((1, -1), (0, 0)))
     assert sorted(_patch_exponents(PartitionDiagram([2]), box)) == [(0, 1), (1, 1), (2, 0)]
 
 
@@ -232,7 +233,7 @@ def test_n_character_duality(ya, yb):
     # swapping the pair dualizes the block up to a t1*t2 twist
     lhs = Counter(_patch_exponents(ya, yb))
     assert lhs == Counter((1 - x, 1 - y) for x, y in _patch_exponents(yb, ya))
-    assert _framing_ratio(2, 2, 1) == tuple(-e for e in _framing_ratio(2, 1, 2))
+    assert _framings(2)[1][0] == tuple(-e for e in _framings(2)[0][1])
 
 
 @given(diagrams(), diagrams())
@@ -339,14 +340,6 @@ def test_reduced_matches_merged_full():
 # matrices for `Character.substitute`.
 
 
-def framing_ratio(rank, beta, alpha):
-    es = [0] * rank
-    if alpha != beta:
-        es[beta - 1] += 1
-        es[alpha - 1] -= 1
-    return tuple(es)
-
-
 def patch_exponents_oracle(y_alpha, y_beta):
     # the arm/leg formula box by box, in the order of `_patch_exponents`
     out = [(-relative_leg(y_beta, s), 1 + relative_arm(y_alpha, s)) for s in boxes(y_alpha)]
@@ -410,7 +403,7 @@ def test_patch_exponents_match_the_per_box_formula_in_order(ya, yb):
 @given(diagrams(), diagrams(), st.integers(1, 3), st.integers(1, 3))
 def test_n_character_matches_per_box_oracle(ya, yb, alpha, beta):
     # the library's pair framing and patch terms, as one block
-    es = _framing_ratio(3, beta, alpha)
+    es = _framings(3)[alpha - 1][beta - 1]
     block = Character(3, Counter((x, y, es) for x, y in _patch_exponents(ya, yb)))
     assert block == n_character_oracle(ya, yb, alpha, beta, 3)
 
@@ -427,13 +420,29 @@ def test_tangent_character_matches_pairwise_oracle(p, r, k, n):
         assert tangent_character(params, fp) == tangent_character_oracle(params, fp)
 
 
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 3), st.integers(1, 4), st.integers(-3, 3), st.integers(0, 2), st.data())
+def test_tangent_character_matches_pairwise_oracle_anywhere(p, r, k, extra, data):
+    # n is `extra` boxes more than at the most balanced k-string, so the space
+    # has points; one of them is checked, and again rebuilt from its record,
+    # so that no diagram is shared with the partition tables
+    q, rest = divmod(k, r)
+    squares = rest * (q + 1) ** 2 + (r - rest) * q * q
+    params = ModuliParams(p, r, k, extra + Fraction(p * (r * squares - k * k), 2 * r))
+    fp = data.draw(st.sampled_from(list(enumerate_fixed_points(params))))
+    rebuilt = FixedPointDatum._from_record(fp.to_json(), params)
+    assert rebuilt == fp and all(y is not z for y, z in zip(rebuilt.y2, fp.y2) if y.rows)
+    expected = tangent_character_oracle(params, fp)
+    assert tangent_character(params, fp) == expected == tangent_character(params, rebuilt)
+
+
 def test_reduced_tangent_character_matches_pairwise_oracle():
-    params = ModuliParams(1, 4, 0, 2)
-    points = enumerate_reduced_fixed_points(params)
-    assert points
-    for rfp in points:
-        expected = reduced_tangent_character_oracle(params, rfp)
-        assert reduced_tangent_character(params, rfp) == expected
+    for params in (ModuliParams(1, 4, 0, 2), ModuliParams(3, 2, 1, Fraction(15, 4))):
+        points = list(enumerate_reduced_fixed_points(params))
+        assert points
+        for rfp in points:
+            expected = reduced_tangent_character_oracle(params, rfp)
+            assert reduced_tangent_character(params, rfp) == expected
 
 
 def test_validation_failures_raise_invariant_error():
