@@ -16,6 +16,7 @@ import argparse
 import hashlib
 import itertools
 import json
+import math
 import os
 import re
 import sys
@@ -55,15 +56,17 @@ def __getattr__(name: str):
     return getattr(_lib, name)
 
 
-def _rational(text: str) -> Fraction:
+def _rational(text: str) -> str:
+    """An argparse type: `text` in lowest terms, "a" or "a/b", as `str(Fraction(text))`
+    prints it; the math layers take it as it is, so parsing loads no fractions."""
     if not _RATIONAL.match(text):
         raise argparse.ArgumentTypeError(
             f"expected an integer or a fraction a/b, got {text!r}"
         )
-    # imported here, so that requests which parse no --n never load fractions
-    from fractions import Fraction
-
-    return Fraction(text)
+    num, _, den = text.partition("/")
+    a, b = int(num), int(den or 1)
+    g = math.gcd(a, b)
+    return str(a // g) if b == g else f"{a // g}/{b // g}"
 
 
 def _list_of(convert):
@@ -133,7 +136,7 @@ class Cache:
         try:
             with open(self._path(request), encoding="utf-8") as handle:
                 entry = json.load(handle)
-        except (FileNotFoundError, ValueError):
+        except (FileNotFoundError, ValueError, RecursionError):
             return None
         if not isinstance(entry, dict):
             return None
@@ -382,137 +385,133 @@ def _write_stdout(text: str) -> None:
         raise
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # Flags shared by several subcommands live on parent parsers: argparse
-    # builds them once, instead of once per subcommand that takes them.
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("text", "json"), default="text", help="output format"
+def _common(parser) -> None:
+    """The flags that every subcommand takes, first of its options."""
+    parser.add_argument("--format", choices=("text", "json"), default="text", help="output format")
+    parser.add_argument(
+        "--cache-dir", help=f"result cache directory (default: ${CACHE_ENV_VAR} if set)"
     )
-    common.add_argument(
-        "--cache-dir",
-        default=None,
-        help=f"result cache directory (default: ${CACHE_ENV_VAR} if set)",
-    )
-    common.add_argument(
+    parser.add_argument(
         "--timing", action="store_true", help="report elapsed milliseconds on stderr"
     )
-    moduli = argparse.ArgumentParser(add_help=False)
-    moduli.add_argument("--p", type=int, required=True, help="Hirzebruch surface degree")
-    moduli.add_argument("--r", type=int, required=True, help="sheaf rank")
-    moduli.add_argument("--k", type=int, required=True, help="first Chern datum")
-    moduli.add_argument(
-        "--n", type=_rational, required=True, help="second Chern datum, a or a/b"
-    )
 
-    parser = argparse.ArgumentParser(
+
+def _moduli(parser) -> None:
+    """--p, --r, --k and --n of one moduli space."""
+    parser.add_argument("--p", type=int, required=True, help="Hirzebruch surface degree")
+    parser.add_argument("--r", type=int, required=True, help="sheaf rank")
+    parser.add_argument("--k", type=int, required=True, help="first Chern datum")
+    parser.add_argument("--n", type=_rational, required=True, help="second Chern datum, a or a/b")
+
+
+def _fixed_points_args(parser) -> None:
+    _moduli(parser)
+    help_ = "list reduced fixed loci with Morse index and component factor"
+    parser.add_argument("--reduced", action="store_true", help=help_)
+
+
+def _tangent_args(parser) -> None:
+    _moduli(parser)
+    parser.add_argument("--reduced", action="store_true", help="reduced characters")
+    help_ = "read fixed-point records from FILE ('-' for stdin) instead of enumerating"
+    parser.add_argument("--fixed-points", metavar="FILE", help=help_)
+
+
+def _hilbert_args(parser, p_default=1) -> None:
+    """--p and --max-order; `series` requires its --p (`p_default` None)."""
+    parser.add_argument(
+        "--p", type=int, default=p_default, required=p_default is None,
+        help="Hirzebruch surface degree",
+    )
+    help_ = f"q-truncation order, at most {MAX_ORDER}"
+    parser.add_argument("--max-order", type=int, default=5, help=help_)
+
+
+def _series_args(parser) -> None:
+    _hilbert_args(parser, None)
+    help_ = "closed product/bracket form or term-by-term summation"
+    parser.add_argument("--method", choices=("closed", "direct"), default="closed", help=help_)
+
+
+def _ale_args(parser) -> None:
+    parser.add_argument("--r", type=int, required=True, help="instanton rank")
+    parser.add_argument("--n", type=_rational, required=True, help="instanton number, a or a/b")
+    help_ = "also list fixed points with characters and indexes"
+    parser.add_argument("--points", action="store_true", help=help_)
+
+
+def _sweep_args(parser) -> None:
+    parser.description = "A list that starts with '-' needs '=', as in --k=-1,0."
+    modes = ("poincare", "check", "crosscheck")
+    parser.add_argument("--mode", choices=modes, required=True, help="what to compute per cell")
+    parser.add_argument("--p", type=_list_of(int), required=True, help="e.g. 1,2 or 1..3")
+    parser.add_argument("--r", type=_list_of(int), required=True)
+    parser.add_argument("--k", type=_list_of(int), required=True, help="e.g. 0,1 or --k=-1,0")
+    help_ = "e.g. 0..4 or --n=-1/2,0,1"
+    parser.add_argument("--n", type=_list_of(_rational), required=True, help=help_)
+
+
+# Each subcommand's summary, handler, text renderer and the function that adds
+# its options after the common ones.  A request builds its own parser only.
+COMMANDS = {
+    "fixed-points": ("list torus fixed points", _cmd_fixed_points, _records_text,
+                     _fixed_points_args),
+    "tangent": ("tangent characters at fixed points", _cmd_tangent, _records_text,
+                _tangent_args),
+    "poincare": ("Poincare polynomial of a moduli space", _cmd_poincare, _poly_text, _moduli),
+    "series": ("rank-2, k=0 generating series", _cmd_series, _series_text, _series_args),
+    "hilbert": ("rank-1 (Hilbert scheme) generating series", _cmd_series, _series_text,
+                _hilbert_args),
+    "ale": ("A1 orbifold Poincare polynomial", _cmd_ale, _ale_text, _ale_args),
+    "check": ("decide whether the moduli space is nonempty", _cmd_check, _check_text, _moduli),
+    "sweep": ("run a parameter grid", _cmd_sweep, _sweep_text, _sweep_args),
+}
+
+
+def _parse(argv):
+    """The options of a command line, with its subcommand's handler and renderer.
+
+    The top-level parser knows only --help, --version and the subcommand's
+    name, and hands what follows the name to a parser of that subcommand.
+    """
+    top = argparse.ArgumentParser(
         prog="hirzebruch",
         description="Exact fixed-point data and Poincare polynomials of framed-sheaf "
-        "moduli on Hirzebruch surfaces, with an A1 orbifold cross-check.",
+        "moduli on\nHirzebruch surfaces, with an A1 orbifold cross-check.",
+        epilog="subcommands:\n"
+        + "\n".join(f"  {name:<14}{row[0]}" for name, row in COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def command(name: str, summary: str, handler, render, *extra, **kwargs):
-        child = sub.add_parser(name, parents=[common, *extra], help=summary, **kwargs)
-        child.set_defaults(handler=handler, render=render)
-        return child
-
-    order_help = f"q-truncation order, at most {MAX_ORDER}"
-
-    fp = command(
-        "fixed-points", "list torus fixed points", _cmd_fixed_points, _records_text,
-        moduli,
+    top.add_argument("--version", action="version", version=__version__)
+    top.add_argument(
+        "subcommand", nargs=argparse.PARSER, choices=COMMANDS,
+        help="one of the subcommands below, then its options",
     )
-    fp.add_argument(
-        "--reduced",
-        action="store_true",
-        help="list reduced fixed loci with Morse index and component factor",
-    )
-
-    tg = command(
-        "tangent", "tangent characters at fixed points", _cmd_tangent, _records_text,
-        moduli,
-    )
-    tg.add_argument("--reduced", action="store_true", help="reduced characters")
-    tg.add_argument(
-        "--fixed-points",
-        metavar="FILE",
-        default=None,
-        help="read fixed-point records from FILE ('-' for stdin) instead of enumerating",
-    )
-
-    pc = command(
-        "poincare", "Poincare polynomial of a moduli space", _cmd_poincare, _poly_text,
-        moduli,
-    )
-
-    se = command("series", "rank-2, k=0 generating series", _cmd_series, _series_text)
-    se.add_argument("--p", type=int, required=True, help="Hirzebruch surface degree")
-    se.add_argument("--max-order", type=int, default=5, help=order_help)
-    se.add_argument(
-        "--method",
-        choices=("closed", "direct"),
-        default="closed",
-        help="closed product/bracket form or term-by-term summation",
-    )
-
-    hb = command(
-        "hilbert", "rank-1 (Hilbert scheme) generating series", _cmd_series,
-        _series_text,
-    )
-    hb.add_argument("--p", type=int, default=1, help="Hirzebruch surface degree")
-    hb.add_argument("--max-order", type=int, default=5, help=order_help)
-
-    al = command("ale", "A1 orbifold Poincare polynomial", _cmd_ale, _ale_text)
-    al.add_argument("--r", type=int, required=True, help="instanton rank")
-    al.add_argument(
-        "--n", type=_rational, required=True, help="instanton number, a or a/b"
-    )
-    al.add_argument(
-        "--points",
-        action="store_true",
-        help="also list fixed points with characters and indexes",
-    )
-
-    ck = command(
-        "check", "decide whether the moduli space is nonempty", _cmd_check, _check_text,
-        moduli,
-    )
-
-    sw = command(
-        "sweep", "run a parameter grid", _cmd_sweep, _sweep_text,
-        description="A list that starts with '-' needs '=', as in --k=-1,0.",
-    )
-    sw.add_argument(
-        "--mode",
-        choices=("poincare", "check", "crosscheck"),
-        required=True,
-        help="what to compute per cell",
-    )
-    sw.add_argument("--p", type=_list_of(int), required=True, help="e.g. 1,2 or 1..3")
-    sw.add_argument("--r", type=_list_of(int), required=True)
-    sw.add_argument("--k", type=_list_of(int), required=True, help="e.g. 0,1 or --k=-1,0")
-    sw.add_argument(
-        "--n", type=_list_of(_rational), required=True, help="e.g. 0..4 or --n=-1/2,0,1"
-    )
-
-    return parser
+    known, extras = top.parse_known_args(argv)
+    name, *rest = known.subcommand
+    _, handler, render, add_arguments = COMMANDS[name]
+    parser = argparse.ArgumentParser(prog=f"hirzebruch {name}")
+    _common(parser)
+    add_arguments(parser)
+    args, more = parser.parse_known_args(rest)
+    if extras or more:  # after the subcommand's own errors and --help, as subparsers do
+        top.error(f"unrecognized arguments: {' '.join(extras + more)}")
+    args.subcommand = name
+    return args, handler, render
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, handler, render = _parse(argv)
     cache_dir = args.cache_dir or os.environ.get(CACHE_ENV_VAR)
     started = time.monotonic()
     try:
         cache = Cache(cache_dir) if cache_dir else None
-        request, payload = args.handler(args, cache)
+        request, payload = handler(args, cache)
         if args.format == "json":
             envelope = {"request": request, "result": payload, "version": __version__}
             output = json.dumps(envelope, sort_keys=True, indent=2)
         else:
-            output = args.render(args, payload)
+            output = render(args, payload)
         _write_stdout(output)
     except InvariantError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)

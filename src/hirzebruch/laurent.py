@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
+from operator import itemgetter
 
 Exponent = tuple[int, int, tuple[int, ...]]
 # (u, v, w): the linear form u*x + v*y + w in the exponents x of t1 and y of t2
@@ -103,7 +104,7 @@ class Character:
         self.rank = rank
         # a copy of the caller's table, checked in one pass and filtered only when needed
         clean: dict[Exponent, int] = dict(terms) if terms else {}
-        if {len(es) for _, _, es in clean} - {rank}:
+        if set(map(len, map(itemgetter(2), clean))) - {rank}:
             es = next(es for _, _, es in clean if len(es) != rank)
             raise ValueError(f"expected {rank} framing exponents, got {es}")
         if 0 in clean.values():

@@ -81,8 +81,9 @@ class _Datum(_Frozen):
     __slots__ = ()
     _keys: tuple[str, ...]
 
-    def validate(self, params: ModuliParams) -> None:
-        """Check the k-string against (r, k) and 2rn = 2r*boxes + p*(r*sum k_a^2 - k^2)."""
+    def validate(self, params: ModuliParams) -> int:
+        """Check the k-string against (r, k) and 2rn = 2r*boxes + p*(r*sum k_a^2 - k^2);
+        returns 2rn."""
         r, k, ks = params.r, params.k, self.ks
         if len(ks) != r:
             raise InvariantError(f"expected {r} summands, got {len(ks)}")
@@ -94,6 +95,7 @@ class _Datum(_Frozen):
                 f"box-count constraint violated: counted {Fraction(dim, 2 * r)},"
                 f" expected {params.n}"
             )
+        return dim
 
     @classmethod
     def _from_record(cls, data, params: ModuliParams):
@@ -238,7 +240,7 @@ def tangent_character(params: ModuliParams, fp: FixedPointDatum) -> Character:
     (e, c).  The terms are counted into one Character.  Raises
     InvariantError unless the dimension equals 2*r*n.
     """
-    fp.validate(params)
+    dim = fp.validate(params)
     p, r, ks, framings = params.p, params.r, fp.ks, _framings(params.r)
     keys: list = []
     add = keys.append
@@ -260,12 +262,12 @@ def tangent_character(params: ModuliParams, fp: FixedPointDatum) -> Character:
                 y = p * y - x + shift
                 add((x, y, es))
                 add((1 - x, p - 1 - y, dual))
-    total = Character(r, Counter(keys))
-    if total.dimension() != params.dim:
+    # every key counts once, so the character's dimension is the number of keys
+    if len(keys) != dim:
         raise InvariantError(
-            f"tangent character has dimension {total.dimension()}, expected 2*r*n = {params.dim}"
+            f"tangent character has dimension {len(keys)}, expected 2*r*n = {dim}"
         )
-    return total
+    return Character(r, Counter(keys))
 
 
 def reduced_tangent_character(

@@ -1,8 +1,9 @@
 """Young diagrams, checkerboard 2-colorings, and splits of a box count over slots.
 
 A diagram is its weakly decreasing tuple of row lengths `rows` together
-with their conjugate `cols`, the column heights, computed once when the
-diagram is built.  Rows and columns are indexed from 0 at the corner.
+with their conjugate `cols`, the column heights, and its box count `size`,
+both computed once when the diagram is built.  Rows and columns are
+indexed from 0 at the corner.
 
 Take the box in row i and column j of a diagram X and measure it against
 a diagram Y, whose rows and columns beyond its edge count as length zero.
@@ -28,13 +29,13 @@ from .laurent import _Frozen, _integers
 
 
 class PartitionDiagram(_Frozen):
-    """A Young diagram: weakly decreasing positive row lengths and their conjugate.
+    """A Young diagram: weakly decreasing positive row lengths, their conjugate and sum.
 
     Immutable once built, because `enumerate_partitions` and the tables
     built on it share one object per partition among all callers.
     """
 
-    __slots__ = ("rows", "cols")
+    __slots__ = ("rows", "cols", "size")
 
     def __init__(self, rows: Iterator[int] | tuple[int, ...] = ()):
         rows = _integers(rows)
@@ -49,6 +50,7 @@ class PartitionDiagram(_Frozen):
             cols += [height] * (x - len(cols))
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", tuple(cols))
+        object.__setattr__(self, "size", sum(rows))
 
     def __reduce__(self):
         # pickle and copy rebuild from the rows instead of setting the slots
@@ -58,11 +60,6 @@ class PartitionDiagram(_Frozen):
         # the field-tuple hash of `_Frozen`, without its getattr loop: diagrams
         # are cache keys of the ALE pair tallies
         return hash((self.rows, self.cols))
-
-    @property
-    def size(self) -> int:
-        """Total number of boxes."""
-        return sum(self.rows)
 
     def to_json(self) -> list[int]:
         return list(self.rows)

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import errno
 import hashlib
@@ -12,7 +13,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import hirzebruch
 import hirzebruch.ale
@@ -24,6 +25,8 @@ from hirzebruch.cli import (
     MAX_ORDER,
     MAX_RANK,
     MAX_TANGENT_TERMS,
+    _RATIONAL,
+    _rational,
     main,
 )
 from hirzebruch.laurent import QSeries
@@ -88,6 +91,20 @@ def test_malformed_arguments_exit_2(capsys):
             main(argv)
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+# --n is parsed to the text of its Fraction, so that parsing loads no fractions
+@settings(max_examples=300, deadline=None)
+@given(st.from_regex(_RATIONAL))
+@example("+007")
+@example("-0")
+@example("0/5")
+@example("-0/7")
+@example("-6/4")
+@example("10/5")
+@example("+0012/18")
+def test_rational_option_is_the_text_of_its_fraction(text):
+    assert _rational(text) == str(Fraction(text))
 
 
 def test_invalid_values_exit_2(capsys):
@@ -432,9 +449,7 @@ def test_json_cache_hit_loads_no_math_layer(tmp_path, argv):
     assert "hirzebruch.laurent" in cold
     assert hit == CLI_ONLY
     assert served == computed
-    if "--n" not in argv:
-        # only parsing --n needs fractions
-        assert "fractions" not in hit_stdlib
+    assert "fractions" not in hit_stdlib
 
 
 @pytest.mark.parametrize(
@@ -767,7 +782,9 @@ def test_cache_round_trip(capsys, tmp_path, monkeypatch):
 @pytest.mark.parametrize(
     "damage",
     ["truncate", "{}", "[1]", '{"request": {}}', "null",
-     pytest.param([[0, 7]], id="result-7"), pytest.param([[0, 7.5]], id="result-7.5")],
+     pytest.param([[0, 7]], id="result-7"), pytest.param([[0, 7.5]], id="result-7.5"),
+     # too deeply nested for the json parser, which raises RecursionError
+     pytest.param("[" * 200_000, id="nested")],
 )
 def test_unreadable_cache_entry_is_recomputed(capsys, tmp_path, damage):
     cache = tmp_path / "cache"
@@ -867,6 +884,223 @@ def test_version_flag(capsys):
     assert capsys.readouterr().out.strip() == __version__
 
 
+# What `hirzebruch NAME --help` prints at 80 columns, pinned byte for byte;
+# argparse formats these alike on Python 3.10 to 3.13.
+SUBCOMMAND_HELP = {
+    "fixed-points": """\
+usage: hirzebruch fixed-points [-h] [--format {text,json}]
+                               [--cache-dir CACHE_DIR] [--timing] --p P --r R
+                               --k K --n N [--reduced]
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json}  output format
+  --cache-dir CACHE_DIR
+                        result cache directory (default: $HIRZEBRUCH_CACHE_DIR
+                        if set)
+  --timing              report elapsed milliseconds on stderr
+  --p P                 Hirzebruch surface degree
+  --r R                 sheaf rank
+  --k K                 first Chern datum
+  --n N                 second Chern datum, a or a/b
+  --reduced             list reduced fixed loci with Morse index and component
+                        factor
+""",
+    "tangent": """\
+usage: hirzebruch tangent [-h] [--format {text,json}] [--cache-dir CACHE_DIR]
+                          [--timing] --p P --r R --k K --n N [--reduced]
+                          [--fixed-points FILE]
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json}  output format
+  --cache-dir CACHE_DIR
+                        result cache directory (default: $HIRZEBRUCH_CACHE_DIR
+                        if set)
+  --timing              report elapsed milliseconds on stderr
+  --p P                 Hirzebruch surface degree
+  --r R                 sheaf rank
+  --k K                 first Chern datum
+  --n N                 second Chern datum, a or a/b
+  --reduced             reduced characters
+  --fixed-points FILE   read fixed-point records from FILE ('-' for stdin)
+                        instead of enumerating
+""",
+    "poincare": """\
+usage: hirzebruch poincare [-h] [--format {text,json}] [--cache-dir CACHE_DIR]
+                           [--timing] --p P --r R --k K --n N
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json}  output format
+  --cache-dir CACHE_DIR
+                        result cache directory (default: $HIRZEBRUCH_CACHE_DIR
+                        if set)
+  --timing              report elapsed milliseconds on stderr
+  --p P                 Hirzebruch surface degree
+  --r R                 sheaf rank
+  --k K                 first Chern datum
+  --n N                 second Chern datum, a or a/b
+""",
+    "series": """\
+usage: hirzebruch series [-h] [--format {text,json}] [--cache-dir CACHE_DIR]
+                         [--timing] --p P [--max-order MAX_ORDER]
+                         [--method {closed,direct}]
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json}  output format
+  --cache-dir CACHE_DIR
+                        result cache directory (default: $HIRZEBRUCH_CACHE_DIR
+                        if set)
+  --timing              report elapsed milliseconds on stderr
+  --p P                 Hirzebruch surface degree
+  --max-order MAX_ORDER
+                        q-truncation order, at most 50
+  --method {closed,direct}
+                        closed product/bracket form or term-by-term summation
+""",
+    "hilbert": """\
+usage: hirzebruch hilbert [-h] [--format {text,json}] [--cache-dir CACHE_DIR]
+                          [--timing] [--p P] [--max-order MAX_ORDER]
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json}  output format
+  --cache-dir CACHE_DIR
+                        result cache directory (default: $HIRZEBRUCH_CACHE_DIR
+                        if set)
+  --timing              report elapsed milliseconds on stderr
+  --p P                 Hirzebruch surface degree
+  --max-order MAX_ORDER
+                        q-truncation order, at most 50
+""",
+    "ale": """\
+usage: hirzebruch ale [-h] [--format {text,json}] [--cache-dir CACHE_DIR]
+                      [--timing] --r R --n N [--points]
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json}  output format
+  --cache-dir CACHE_DIR
+                        result cache directory (default: $HIRZEBRUCH_CACHE_DIR
+                        if set)
+  --timing              report elapsed milliseconds on stderr
+  --r R                 instanton rank
+  --n N                 instanton number, a or a/b
+  --points              also list fixed points with characters and indexes
+""",
+    "check": """\
+usage: hirzebruch check [-h] [--format {text,json}] [--cache-dir CACHE_DIR]
+                        [--timing] --p P --r R --k K --n N
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json}  output format
+  --cache-dir CACHE_DIR
+                        result cache directory (default: $HIRZEBRUCH_CACHE_DIR
+                        if set)
+  --timing              report elapsed milliseconds on stderr
+  --p P                 Hirzebruch surface degree
+  --r R                 sheaf rank
+  --k K                 first Chern datum
+  --n N                 second Chern datum, a or a/b
+""",
+    "sweep": """\
+usage: hirzebruch sweep [-h] [--format {text,json}] [--cache-dir CACHE_DIR]
+                        [--timing] --mode {poincare,check,crosscheck} --p P
+                        --r R --k K --n N
+
+A list that starts with '-' needs '=', as in --k=-1,0.
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json}  output format
+  --cache-dir CACHE_DIR
+                        result cache directory (default: $HIRZEBRUCH_CACHE_DIR
+                        if set)
+  --timing              report elapsed milliseconds on stderr
+  --mode {poincare,check,crosscheck}
+                        what to compute per cell
+  --p P                 e.g. 1,2 or 1..3
+  --r R
+  --k K                 e.g. 0,1 or --k=-1,0
+  --n N                 e.g. 0..4 or --n=-1/2,0,1
+""",
+}
+
+
+@pytest.mark.parametrize("name", SUBCOMMAND_HELP)
+def test_subcommand_help_is_unchanged(capsys, monkeypatch, name):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([name, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == SUBCOMMAND_HELP[name]
+
+
+def test_top_level_help_lists_every_subcommand_with_its_summary(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    summaries = {
+        "fixed-points": "list torus fixed points",
+        "tangent": "tangent characters at fixed points",
+        "poincare": "Poincare polynomial of a moduli space",
+        "series": "rank-2, k=0 generating series",
+        "hilbert": "rank-1 (Hilbert scheme) generating series",
+        "ale": "A1 orbifold Poincare polynomial",
+        "check": "decide whether the moduli space is nonempty",
+        "sweep": "run a parameter grid",
+    }
+    assert list(summaries) == list(SUBCOMMAND_HELP)
+    for name, summary in summaries.items():
+        assert re.search(rf"^  {re.escape(name)} +{re.escape(summary)}$", out, re.M), name
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["no-such-command"],
+        ["--format", "json", "poincare", "--p", "2", "--r", "2", "--k", "0", "--n", "1"],
+        ["poincare", "--p", "2", "--r", "2", "--k", "0", "--n", "1", "--bogus"],
+    ],
+)
+def test_bad_command_line_exits_2_with_the_top_level_usage(argv):
+    code, out, err = _main_in_process(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: hirzebruch [-h] [--version]")
+    assert "\nhirzebruch: error: " in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--version"],
+        ["poincare", "--help"],
+        ["check", "--p", "1", "--r", "2", "--k", "0", "--n", "1"],
+        ["sweep", "--mode", "check", "--p", "1", "--r", "1,2", "--k", "0", "--n", "1/2,1"],
+        ["ale", "--r", "2", "--n", "1", "--format", "json"],
+    ],
+)
+def test_one_request_builds_at_most_two_parsers(monkeypatch, argv):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    code, _, _ = _main_in_process(argv)
+    assert code == 0
+    assert 1 <= len(built) <= 2
+    assert built[0] == "hirzebruch"
+
+
 def test_module_entry_point_subprocess():
     done = _hirzebruch(
         "-m", "hirzebruch", "poincare", "--p", "2", "--r", "2", "--k", "0", "--n", "1"
@@ -943,9 +1177,9 @@ def test_json_output_renders_no_text(capsys, monkeypatch):
     def no_text(args, payload):
         raise AssertionError("text rendered for --format json")
 
-    for name in ("_records_text", "_poly_text", "_series_text", "_ale_text",
-                 "_check_text", "_sweep_text"):
-        monkeypatch.setattr(hirzebruch.cli, name, no_text)
+    commands = hirzebruch.cli.COMMANDS
+    for name, (summary, handler, _, add_arguments) in list(commands.items()):
+        monkeypatch.setitem(commands, name, (summary, handler, no_text, add_arguments))
     for argv in PINNED_REQUESTS:
         assert run(capsys, *argv, "--format", "json")[0] == 0
 

@@ -16,6 +16,7 @@ from helpers import (
 )
 from hypothesis import given, settings, strategies as st
 
+import hirzebruch.localization
 from hirzebruch.counting import enumerate_fixed_points, enumerate_reduced_fixed_points
 from hirzebruch.laurent import Character, main_ordering
 from hirzebruch.localization import (
@@ -148,7 +149,7 @@ def test_validate_accepts_exactly_the_pairwise_constraint(p, ks, ys, reduced, mi
     twice = 2 * r * params.n
     assert params.dim == (twice if twice.denominator == 1 else None)
     if counted == params.n:
-        datum.validate(params)
+        assert datum.validate(params) == params.dim
     else:
         with pytest.raises(InvariantError) as caught:
             datum.validate(params)
@@ -459,6 +460,20 @@ def test_validation_failures_raise_invariant_error():
     with pytest.raises(ValueError):
         ReducedFixedPointDatum((0, 0), ((),))
 
+
+
+def test_a_dropped_term_fails_the_tangent_dimension_check(monkeypatch):
+    # the k-string (1, -1) of (1, 2, 0, 1) has no boxes: its 4 terms are the
+    # boundary blocks of d = 2 (3 terms) and d = -2 (1 term)
+    params = ModuliParams(1, 2, 0, 1)
+    fp = FixedPointDatum((1, -1), ((), ()), ((), ()))
+    assert tangent_character(params, fp).dimension() == 4
+    monkeypatch.setattr(
+        hirzebruch.localization, "_l_exponents", lambda p, d: _l_exponents(p, d)[1:]
+    )
+    with pytest.raises(InvariantError) as caught:
+        tangent_character(params, fp)
+    assert str(caught.value) == "tangent character has dimension 2, expected 2*r*n = 4"
 
 def test_fixed_point_json_round_trip():
     fp = FixedPointDatum((1, -1), ([2, 1], []), ([], [1]))
