@@ -100,9 +100,6 @@ def _request(subcommand: str, **fields) -> dict:
     r = fields.get("r")
     if isinstance(r, int) and r > MAX_RANK:
         raise ValueError(f"--r must be at most {MAX_RANK}, got {r}")
-    n = fields.get("n")
-    if n is not None:
-        fields["n"] = [str(x) for x in n] if isinstance(n, list) else str(n)
     return {"subcommand": subcommand, **fields}
 
 
@@ -126,8 +123,7 @@ class Cache:
         os.makedirs(root, exist_ok=True)
 
     def _path(self, request: dict) -> str:
-        blob = json.dumps({"version": __version__, "request": request}, sort_keys=True)
-        digest = hashlib.sha256(blob.encode()).hexdigest()
+        digest = _digest({"version": __version__, "request": request})
         return os.path.join(self.root, f"{digest}.json")
 
     def get(self, request: dict):
@@ -145,14 +141,13 @@ class Cache:
 
     def put(self, request: dict, payload) -> None:
         path = self._path(request)
-        blob = json.dumps(
+        blob = _compact(
             {
                 "version": __version__,
                 "request": request,
                 "result": payload,
                 "digest": _digest(payload),
-            },
-            sort_keys=True,
+            }
         )
         # unique temp name so concurrent writers never share a partial file
         handle = tempfile.NamedTemporaryFile(
@@ -227,10 +222,10 @@ def _cmd_tangent(args, cache):
         "tangent", p=args.p, r=args.r, k=args.k, n=args.n, reduced=args.reduced, ordering="main"
     )
     params = _params(args)
-    n = params.n
-    if 2 * params.r * n.numerator > MAX_TANGENT_TERMS * n.denominator:
+    terms = 2 * params.r * params.n
+    if terms > MAX_TANGENT_TERMS:
         raise ValueError(
-            f"a tangent character here has 2rn = {2 * params.r * n} terms,"
+            f"a tangent character here has 2rn = {terms} terms,"
             f" more than {MAX_TANGENT_TERMS}"
         )
     if args.reduced:
@@ -274,15 +269,13 @@ def _cmd_series(args, cache):
     if args.max_order > MAX_ORDER:
         raise ValueError(f"--max-order must be at most {MAX_ORDER}, got {args.max_order}")
     request = _request(args.subcommand, p=args.p, max_order=args.max_order)
+    name = "hilbert_series_r1"
     if args.subcommand == "series":
         request["method"] = args.method
+        name = f"rank2_series_{args.method}"
 
     def compute():
-        if args.subcommand == "hilbert":
-            fn = _lib.hilbert_series_r1
-        else:
-            fn = _lib.rank2_series_closed if args.method == "closed" else _lib.rank2_series_direct
-        return fn(args.p, args.max_order).to_json()
+        return getattr(_lib, name)(args.p, args.max_order).to_json()
 
     return request, _cached(cache, request, compute)
 
@@ -356,7 +349,7 @@ def _cmd_sweep(args, cache):
     for p, r, k, n in itertools.product(args.p, args.r, args.k, args.n):
         # a cell is a poincare, ale or check request; check cells are not cached
         cell = argparse.Namespace(p=p, r=r, k=k, n=n, points=False)
-        row = {"p": p, "r": r, "k": k, "n": str(n)}
+        row = {"p": p, "r": r, "k": k, "n": n}
         try:
             if args.mode == "check":
                 row.update(_cmd_check(cell, None)[1])

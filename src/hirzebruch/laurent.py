@@ -155,9 +155,6 @@ class Character:
             and self.terms == other.terms
         )
 
-    def __hash__(self) -> int:
-        return hash((self.rank, frozenset(self.terms.items())))
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 

@@ -22,7 +22,8 @@ oracles written with it.  The Character operations at the end are plain
 functions over `Character.terms`, used to state symmetries of the tangent
 characters; `flat_sign` is the ordering sign as a sum over the flat
 exponent vector.  `check_record` states what the package's immutable
-records promise.
+records promise.  `equivariant_volume` integrates 1 over a moduli space by
+localization, to be compared with values known from outside it.
 """
 
 import copy
@@ -35,8 +36,9 @@ from typing import NamedTuple
 
 import pytest
 from hirzebruch import ale
-from hirzebruch.counting import _factor_terms, indexed_points, l_prime
+from hirzebruch.counting import _factor_terms, enumerate_fixed_points, indexed_points, l_prime
 from hirzebruch.laurent import Character, QSeries, TPolynomial
+from hirzebruch.localization import tangent_character
 from hirzebruch.partitions import ColoredDiagram, PartitionDiagram, enumerate_partitions
 
 
@@ -506,3 +508,19 @@ def check_record(record, expected_repr):
     copies = (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record))
     for copied in copies:
         assert type(copied) is cls and copied == record
+
+
+def equivariant_volume(params, eps1, eps2, a):
+    """The sum over the fixed points of 1 / e(T), at the weights eps1, eps2 of
+    t1, t2 and a_i of e_i: each tangent character term t1^x t2^y e^es of
+    coefficient c contributes the factor (x*eps1 + y*eps2 + sum(e_i*a_i))^-c.
+    No weight may be 0.  `a` may be longer than the rank."""
+    total = Fraction(0)
+    for point in enumerate_fixed_points(params):
+        term = Fraction(1)
+        for (x, y, es), coeff in tangent_character(params, point).terms.items():
+            weight = x * eps1 + y * eps2 + sum(map(math.prod, zip(es, a)))
+            assert weight, f"the weight of t1^{x} t2^{y} e^{es} is 0 at {point}"
+            term /= Fraction(weight) ** coeff
+        total += term
+    return total

@@ -504,6 +504,32 @@ def test_series_methods_agree(capsys):
     assert lines[1] == "q^1: 1 + 2*t^2 + 2*t^4 + t^6"
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (("series", "--method", "closed"), "rank2_series_closed"),
+        (("series", "--method", "direct"), "rank2_series_direct"),
+        (("hilbert",), "hilbert_series_r1"),
+    ],
+)
+def test_series_dispatch_calls_only_its_own_function(capsys, tmp_path, monkeypatch, argv, name):
+    # both methods print the same series, so only the calls tell them apart
+    calls = []
+    for fn in ("rank2_series_closed", "rank2_series_direct", "hilbert_series_r1"):
+        def record(p, order, fn=fn, real=getattr(hirzebruch.counting, fn)):
+            calls.append(fn)
+            return real(p, order)
+
+        monkeypatch.setattr(hirzebruch.counting, fn, record)
+    args = (*argv, "--p", "1", "--max-order", "2", "--format", "json",
+            "--cache-dir", str(tmp_path))
+    code, computed, _ = run(capsys, *args)
+    assert (code, calls) == (0, [name])
+    calls.clear()
+    assert run(capsys, *args) == (0, computed, "")
+    assert calls == []
+
+
 def test_hilbert_series_output(capsys):
     code, out, _ = run(
         capsys, "hilbert", "--p", "2", "--max-order", "2", "--format", "json"
@@ -590,6 +616,16 @@ def test_sweep_mixed_rationals(capsys):
     rows = json.loads(out)["result"]
     assert [row["n"] for row in rows] == ["1/2", "3/2"]
     assert rows[0]["poincare"] == [[0, 1], [2, 1]]
+    # any spelling of n is the text of its fraction, in the request and the rows
+    code, out, _ = run(
+        capsys, "sweep", "--mode", "check", "--format", "json",
+        "--p", "1", "--r", "1", "--k", "0", "--n=-0,+3/6,04,0..1",
+    )
+    assert code == 0
+    envelope = json.loads(out)
+    texts = ["0", "1/2", "4", "0", "1"]
+    assert envelope["request"]["n"] == texts
+    assert [row["n"] for row in envelope["result"]] == texts
 
 
 def test_sweep_keeps_bad_cell_input_as_an_error_row(capsys):
@@ -848,6 +884,24 @@ def test_check_sweep_writes_no_cache_entry(capsys, tmp_path):
     )
     assert code == 0
     assert list(cache.iterdir()) == []
+
+
+def test_cache_entry_name_and_bytes_are_pinned(capsys, tmp_path):
+    # re-pin with PINNED_OUTPUT at a version bump: the version is in both
+    code, _, _ = run(
+        capsys, "check", "--p", "1", "--r", "1", "--k", "0", "--n", "1",
+        "--cache-dir", str(tmp_path),
+    )
+    assert code == 0
+    [entry] = tmp_path.iterdir()
+    assert (__version__, entry.name) == (
+        "0.1.0", "97f6e6266686697db7652acec46ebd9b6bd92462666b0ab2f5837ac46eb9b2d1.json"
+    )
+    assert entry.read_text(encoding="utf-8") == (
+        '{"digest": "43a46c87194f2fd02fa90bcdf73cea704c656b0f71a0dd39cc5844c4dabf73d4",'
+        ' "request": {"k": 0, "n": "1", "p": 1, "r": 1, "subcommand": "check"},'
+        ' "result": {"nonempty": true}, "version": "0.1.0"}'
+    )
 
 
 def test_cache_env_var(capsys, tmp_path, monkeypatch):

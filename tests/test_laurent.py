@@ -84,6 +84,14 @@ def test_constructor_drops_zeros_and_copies_the_table():
     assert x.terms == {(0, 1, (1, -1)): 3} and x.terms is not table
 
 
+def test_character_is_unhashable():
+    # its public term table can change, which would lose it in a set or dict
+    x = mono(1, 0, (1,))
+    assert x == mono(1, 0, (1,))
+    with pytest.raises(TypeError):
+        hash(x)
+
+
 # `add` and `product` write the identities below; they refuse to mix ranks
 def test_mixed_rank_arithmetic_is_rejected():
     with pytest.raises(ValueError):

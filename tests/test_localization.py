@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ from helpers import (
     add,
     boxes,
     check_record,
+    equivariant_volume,
     framing_ratio,
     pair_weight,
     product,
@@ -17,7 +19,11 @@ from helpers import (
 from hypothesis import given, settings, strategies as st
 
 import hirzebruch.localization
-from hirzebruch.counting import enumerate_fixed_points, enumerate_reduced_fixed_points
+from hirzebruch.counting import (
+    check_nonempty,
+    enumerate_fixed_points,
+    enumerate_reduced_fixed_points,
+)
 from hirzebruch.laurent import Character, main_ordering
 from hirzebruch.localization import (
     FixedPointDatum,
@@ -444,6 +450,34 @@ def test_reduced_tangent_character_matches_pairwise_oracle():
         for rfp in points:
             expected = reduced_tangent_character_oracle(params, rfp)
             assert reduced_tangent_character(params, rfp) == expected
+
+
+# generic weights, so that no tangent weight at these points is 0
+EPS1, EPS2, A = 101, 1009, (0, 100003, 250007)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_rank_one_volume_is_that_of_the_hilbert_scheme(p, k, n):
+    # the volume of Hilb^n is the q^n coefficient of exp(q * vol(X)), and the
+    # two charts give vol(X) = 1/(p*eps1*eps2)
+    volume = equivariant_volume(ModuliParams(p, 1, k, n), EPS1, EPS2, A)
+    assert volume == Fraction(1, math.factorial(n) * (p * EPS1 * EPS2) ** n)
+
+
+@pytest.mark.parametrize(
+    "r, k, ns",
+    [(2, 1, ("1/4", "5/4", "9/4")), (3, 1, ("1/3", "4/3", "7/3")), (3, 2, ("1/3", "4/3", "7/3"))],
+)
+def test_volume_vanishes_on_the_first_hirzebruch_surface_at_k_not_0_mod_r(r, k, ns):
+    # the blowup formula: at p = 1 and 0 < k < r the instanton part is 0;
+    # `ns` are the three smallest n of a nonempty space
+    spaces = [ModuliParams(1, r, k, n) for n in ns]
+    assert [check_nonempty(params) for params in spaces] == [True] * 3
+    assert not check_nonempty(ModuliParams(1, r, k, Fraction(ns[0]) - 1))
+    for params in spaces:
+        assert equivariant_volume(params, EPS1, EPS2, A) == 0
 
 
 def test_validation_failures_raise_invariant_error():
