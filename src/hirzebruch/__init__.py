@@ -44,7 +44,6 @@ _EXPORTS = {
     ),
     "laurent": (
         "Character",
-        "OrderingSpec",
         "QSeries",
         "TPolynomial",
         "ale_ordering",

@@ -42,7 +42,7 @@ from . import InvariantError
 from .laurent import (
     Character,
     Forms,
-    OrderingSpec,
+    Ordering,
     TPolynomial,
     _Frozen,
     _rational,
@@ -164,8 +164,8 @@ def _pair_tally(
 ) -> tuple[int, int]:
     """(terms, negative terms) of a pair's invariant character under `forms`.
 
-    `forms` are the ordering's forms at the pair's framing vector e_b/e_a
-    (`OrderingSpec.forms`).  Every coefficient is +1 and merging equal
+    `forms` are what the ordering maps the pair's framing vector e_b/e_a
+    to (`laurent.ale_ordering`).  Every coefficient is +1 and merging equal
     monomials keeps their sign, so both numbers add up over the pairs of a
     point to its dimension and its Morse index.
     """
@@ -209,9 +209,9 @@ def ale_tangent_character(fp: ColoredFixedPoint) -> Character:
     return total
 
 
-def _pair_forms(ordering: OrderingSpec, r: int) -> tuple[tuple[Forms, ...], ...]:
+def _pair_forms(ordering: Ordering, r: int) -> tuple[tuple[Forms, ...], ...]:
     """Entry [a][b]: the ordering's forms at the framing vector e_b/e_a of pair (a, b)."""
-    return tuple(tuple(ordering.forms(es) for es in row) for row in _framings(r))
+    return tuple(tuple(map(ordering, row)) for row in _framings(r))
 
 
 def _counted_index(fp: ColoredFixedPoint, pair_forms: tuple[tuple[Forms, ...], ...]) -> int:

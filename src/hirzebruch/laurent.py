@@ -11,21 +11,24 @@ need, each built in one call from its {exponent: coeff} table:
 * `QSeries`: power series in q truncated at a fixed order, with integer
   q-exponents and one {t-degree: coeff} table per power of q.
 
-`OrderingSpec` fixes a lexicographic sign convention on Character
-monomials, used to count negative-weight directions.  At a fixed framing
-vector its keys are linear forms in the t-exponents (`OrderingSpec.forms`),
-and `form_sign` reads a sign off them.
+Morse indexes count the negative-weight terms of a Character in one of two
+chambers of the torus, `main_ordering` and `ale_ordering`.  Each maps a
+framing vector to its forms, linear in the t-exponents, and `form_sign`
+reads a term's sign off them: that of the first form nonzero at the term.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Mapping
 from fractions import Fraction
+from functools import lru_cache
 from operator import itemgetter
 
 Exponent = tuple[int, int, tuple[int, ...]]
 # (u, v, w): the linear form u*x + v*y + w in the exponents x of t1 and y of t2
 Forms = tuple[tuple[int, int, int], ...]
+# a chamber of the torus: the forms, in priority order, at each framing vector
+Ordering = Callable[[tuple[int, ...]], Forms]
 Matrix2 = tuple[tuple[int, int], tuple[int, int]]
 
 
@@ -129,13 +132,13 @@ class Character:
             terms[key] = terms.get(key, 0) + coeff
         return Character(self.rank, terms)
 
-    def negative_count(self, ordering: "OrderingSpec") -> int:
-        """Number of terms, with multiplicity, of negative lexicographic weight."""
+    def negative_count(self, ordering: Ordering) -> int:
+        """Number of terms, with multiplicity, of negative weight under `ordering`."""
         total = 0
-        for key, coeff in self.terms.items():
+        for (a, b, es), coeff in self.terms.items():
             if coeff < 0:
-                raise ValueError(f"negative coefficient present: {coeff} at {key}")
-            if ordering.sign(key) < 0:
+                raise ValueError(f"negative coefficient present: {coeff} at {(a, b, es)}")
+            if form_sign(ordering(es), a, b) < 0:
                 total += coeff
         return total
 
@@ -180,83 +183,11 @@ class Character:
         return f"<Character {body}>"
 
 
-class OrderingSpec:
-    """A lexicographic weight ordering on Character monomials.
-
-    The ordering is a priority list of keys; a key is a single variable name
-    ("t1", "t2", "e3") or a group of names whose exponents are summed.
-    The sign of a monomial is the sign of its first nonzero key value.
-    Every torus and framing variable must appear in exactly one key.
-    """
-
-    __slots__ = ("keys", "rank", "_positions", "_forms")
-
-    def __init__(self, keys: Iterable[str | Iterable[str]]):
-        self.keys = tuple((key,) if isinstance(key, str) else tuple(key) for key in keys)
-        # each key as its positions in the flat exponent vector (t1, t2, e1, .., er)
-        self._positions = tuple(tuple(map(self._position, group)) for group in self.keys)
-        names = [name for group in self.keys for name in group]
-        if len(names) != len(set(names)):
-            raise ValueError(f"variable listed twice in ordering: {names}")
-        if "t1" not in names or "t2" not in names:
-            raise ValueError("ordering must mention both t1 and t2")
-        e_indices = sorted(int(n[1:]) for n in names if n.startswith("e"))
-        if e_indices != list(range(1, len(e_indices) + 1)):
-            raise ValueError(f"framing variables must be e1..er, got {names}")
-        self.rank = len(e_indices)
-        self._forms: dict[tuple[int, ...], Forms] = {}
-
-    @staticmethod
-    def _position(name: str) -> int:
-        """Index of a variable in (t1, t2, e1, .., er); ValueError for an unknown name."""
-        if name in ("t1", "t2"):
-            return int(name[1]) - 1
-        if name.startswith("e") and name[1:].isdigit() and int(name[1:]) >= 1:
-            return int(name[1:]) + 1
-        raise ValueError(f"unknown variable name {name!r}")
-
-    def forms(self, es: tuple[int, ...]) -> Forms:
-        """The keys, at framing exponents `es`, as linear forms in the t-exponents.
-
-        At the monomial t1^x t2^y e^es a key's value is u*x + v*y + w, where
-        u and v count t1 and t2 in the key and w sums its framing exponents.
-        Forms that are identically 0 are dropped, and the list ends at the
-        first constant one: every monomial that reaches it takes its sign
-        there.  Cached per framing vector.
-        """
-        forms = self._forms.get(es)
-        if forms is None:
-            if len(es) != self.rank:
-                raise ValueError(f"ordering covers rank {self.rank}, monomial has rank {len(es)}")
-            flat = (0, 0) + es
-            kept = []
-            for group in self._positions:
-                u, v, w = group.count(0), group.count(1), sum(map(flat.__getitem__, group))
-                if u or v or w:
-                    kept.append((u, v, w))
-                    if not (u or v):
-                        break
-            forms = self._forms[es] = tuple(kept)
-        return forms
-
-    def sign(self, key: Exponent) -> int:
-        """Sign of the first nonzero key value at the monomial `key`, or 0."""
-        a, b, es = key
-        # a cached vector passed the rank check, and its forms are never empty
-        return form_sign(self._forms.get(es) or self.forms(es), a, b)
-
-    def __repr__(self) -> str:
-        parts = []
-        for group in self.keys:
-            parts.append(group[0] if len(group) == 1 else "{" + "+".join(group) + "}")
-        return f"OrderingSpec({' > '.join(parts)})"
-
-
 def form_sign(forms: Forms, x: int, y: int) -> int:
     """Sign of the first nonzero u*x + v*y + w over `forms`, or 0 if there is none.
 
-    The one sign rule of the package: `OrderingSpec.sign` applies it to the
-    forms of a monomial's framing vector.
+    The one sign rule of the package: `Character.negative_count` and the ALE
+    pair tallies apply it to the forms an ordering gives a framing vector.
     """
     for u, v, w in forms:
         value = u * x + v * y + w
@@ -265,14 +196,31 @@ def form_sign(forms: Forms, x: int, y: int) -> int:
     return 0
 
 
-def main_ordering(rank: int) -> OrderingSpec:
-    """Torus variables dominate jointly, then framing variables in order."""
-    return OrderingSpec([("t1", "t2")] + [f"e{i}" for i in range(1, rank + 1)])
+def _ordering(rank: int, lead: tuple[int, int, int], tail: Forms) -> Ordering:
+    """The ordering whose forms at a framing vector es are `lead`, then (0, 0, w)
+    for the first nonzero entry w of es, or `tail` when es is 0.
+
+    Cached per framing vector; a vector whose length is not `rank` is a ValueError.
+    """
+
+    @lru_cache(maxsize=None)
+    def forms(es: tuple[int, ...]) -> Forms:
+        if len(es) != rank:
+            raise ValueError(f"ordering covers rank {rank}, monomial has rank {len(es)}")
+        w = next(filter(None, es), 0)
+        return (lead, (0, 0, w)) if w else (lead,) + tail
+
+    return forms
 
 
-def ale_ordering(rank: int) -> OrderingSpec:
-    """t2 dominates, then the framing variables, then t1."""
-    return OrderingSpec(["t2"] + [f"e{i}" for i in range(1, rank + 1)] + ["t1"])
+def main_ordering(rank: int) -> Ordering:
+    """The reduced chamber: t1 + t2 dominates, then the framing variables in order."""
+    return _ordering(rank, (1, 1, 0), ())
+
+
+def ale_ordering(rank: int) -> Ordering:
+    """The ALE chamber: t2 dominates, then the framing variables in order, then t1."""
+    return _ordering(rank, (0, 1, 0), ((1, 0, 0),))
 
 
 class TPolynomial:

@@ -21,6 +21,7 @@ be negative.  `localization._box_exponents` implements this formula.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterator
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -95,6 +96,7 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 
     Stars and bars: the entries are the gaps between the cuts 0 <= c_1 <= ..
     <= c_(parts-1) <= total, and cuts in ascending order give them in order.
+    A total of `sys.maxsize` or more is a ValueError: range(total + 1) has no length.
     """
     if parts < 0:
         raise ValueError(f"number of parts must be nonnegative, got {parts}")
@@ -102,6 +104,8 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
         if total == 0:
             yield ()
         return
+    if total >= sys.maxsize:
+        raise ValueError(f"cannot split {total} boxes: fewer than {sys.maxsize} are supported")
     for cuts in combinations_with_replacement(range(total + 1), parts - 1):
         yield tuple([b - a for a, b in zip((0,) + cuts, cuts + (total,))])
 

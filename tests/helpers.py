@@ -20,8 +20,9 @@ term table and does no arithmetic on them.  `add`, `negate` and `product`
 are that arithmetic, over the term tables, for the identities and series
 oracles written with it.  The Character operations at the end are plain
 functions over `Character.terms`, used to state symmetries of the tangent
-characters; `flat_sign` is the ordering sign as a sum over the flat
-exponent vector.  `check_record` states what the package's immutable
+characters.  `key_ordering` writes an ordering as a list of keys, for the
+orderings beside the package's two; `flat_sign` is its sign as a sum over
+the flat exponent vector.  `check_record` states what the package's immutable
 records promise.  `equivariant_volume` integrates 1 over a moduli space by
 localization, to be compared with values known from outside it.
 """
@@ -37,7 +38,7 @@ from typing import NamedTuple
 import pytest
 from hirzebruch import ale
 from hirzebruch.counting import _factor_terms, enumerate_fixed_points, indexed_points, l_prime
-from hirzebruch.laurent import Character, QSeries, TPolynomial
+from hirzebruch.laurent import Character, QSeries, TPolynomial, form_sign
 from hirzebruch.localization import tangent_character
 from hirzebruch.partitions import ColoredDiagram, PartitionDiagram, enumerate_partitions
 
@@ -451,24 +452,50 @@ def invariant_part(x, eps):
     )
 
 
+def key_ordering(keys):
+    """The ordering with priority list `keys`, as `laurent.main_ordering` gives one.
+
+    A key is a name ("t1", "e3") or a tuple of names, each name in one key.
+    At framing vector es it is the form u*x + v*y + w: u and v count t1 and
+    t2 in it, w sums its framing exponents.  Zero forms are dropped, and the
+    list ends at the first constant one."""
+    groups = [(key,) if isinstance(key, str) else tuple(key) for key in keys]
+
+    def forms(es):
+        kept = []
+        for group in groups:
+            u, v = group.count("t1"), group.count("t2")
+            w = sum(es[int(name[1:]) - 1] for name in group if name[0] == "e")
+            if u or v or w:
+                kept.append((u, v, w))
+                if not (u or v):
+                    break
+        return tuple(kept)
+
+    return forms
+
+
+def sign(ordering, key):
+    """Sign of the monomial `key` = (a, b, es) under `ordering`, by `form_sign`."""
+    a, b, es = key
+    return form_sign(ordering(es), a, b)
+
+
 def zero_weight_count(x, ordering):
-    """Number of terms, with multiplicity, whose every key-exponent vanishes."""
-    return sum(c for key, c in x.terms.items() if ordering.sign(key) == 0)
+    """Number of terms, with multiplicity, of weight 0 under `ordering`."""
+    return sum(c for key, c in x.terms.items() if sign(ordering, key) == 0)
 
 
-def flat_sign(ordering, key):
-    """Sign of a monomial as a sum over the flat exponent vector (a, b, c1, .., cr).
+def flat_sign(keys, key):
+    """Sign of a monomial under `keys`, each a tuple of names, as a sum over
+    the flat exponent vector (a, b, c1, .., cr).
 
-    Each key of the ordering sums the entries at its variables' positions,
-    and the first nonzero sum gives the sign.  The rule `OrderingSpec.sign`
-    followed before it read linear forms per framing vector, kept as its
-    oracle.
+    Each key sums the entries at its variables' positions, and the first
+    nonzero sum gives the sign: the oracle of `key_ordering` and `form_sign`.
     """
     a, b, es = key
-    if len(es) != ordering.rank:
-        raise ValueError(f"ordering covers rank {ordering.rank}, monomial has rank {len(es)}")
     flat = (a, b) + tuple(es)
-    for group in ordering.keys:
+    for group in keys:
         value = sum(flat[int(name[1:]) + 1 if name[0] == "e" else int(name[1]) - 1] for name in group)
         if value:
             return 1 if value > 0 else -1

@@ -348,8 +348,12 @@ def test_malformed_fixed_point_record_exits_2(records):
             "[" * 100000 + "]" * 100000,
             "nested too deeply",
         ),
+        # a box count of sys.maxsize or more is refused before range() overflows
+        (["fixed-points", "--p", "1", "--r", "1", "--k", "0", "--n", "1" + "0" * 23], "",
+         "cannot split 1" + "0" * 23 + " boxes"),
+        (["ale", "--r", "1", "--n", "9" * 20], "", "cannot split 1" + "9" * 19 + "8 boxes"),
     ],
-    ids=["series-p0", "series-p-1", "deep-records"],
+    ids=["series-p0", "series-p-1", "deep-records", "fixed-points-huge-n", "ale-huge-n"],
 )
 def test_hang_and_recursion_inputs_exit_2(argv, stdin, message):
     done = _hirzebruch("-m", "hirzebruch", *argv, stdin=stdin)

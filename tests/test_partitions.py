@@ -1,6 +1,7 @@
 import copy
 import itertools
 import pickle
+import sys
 from collections import Counter
 
 import pytest
@@ -190,6 +191,10 @@ def test_compositions_edge_cases():
         list(compositions(0, -1))
     with pytest.raises(TypeError):
         compositions(1, 2, -1)
+    # range(total + 1) has no length there; a split into no parts needs no range
+    with pytest.raises(ValueError, match=f"cannot split {sys.maxsize} boxes"):
+        next(compositions(sys.maxsize, 2))
+    assert list(compositions(sys.maxsize, 0)) == []
 
 
 @given(
