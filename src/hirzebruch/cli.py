@@ -13,21 +13,19 @@ Timing is reported on stderr (with --timing) so stdout stays canonical.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import itertools
-import json
 import math
 import os
 import re
 import sys
-import tempfile
 import time
 from collections import Counter
 
 from . import InvariantError, __version__
 
 # The handlers and renderers read each math name from the package when they
-# run, so a cache hit, --help and --version load no math layer.
+# run, so a cache hit, --help and --version load no math layer (nor json,
+# hashlib or tempfile, which load where they are used).
 _lib = sys.modules[__package__]
 
 CACHE_ENV_VAR = "HIRZEBRUCH_CACHE_DIR"
@@ -104,10 +102,12 @@ def _request(subcommand: str, **fields) -> dict:
 
 
 def _compact(obj) -> str:
+    import json
     return json.dumps(obj, sort_keys=True)
 
 
 def _digest(result) -> str:
+    import hashlib
     return hashlib.sha256(_compact(result).encode()).hexdigest()
 
 
@@ -129,6 +129,7 @@ class Cache:
     def get(self, request: dict):
         """The stored result, or None when the entry is absent, unreadable or
         does not match its digest."""
+        import json
         try:
             with open(self._path(request), encoding="utf-8") as handle:
                 entry = json.load(handle)
@@ -140,6 +141,7 @@ class Cache:
         return result if entry.get("digest") == _digest(result) else None
 
     def put(self, request: dict, payload) -> None:
+        import tempfile
         path = self._path(request)
         blob = _compact(
             {
@@ -191,6 +193,7 @@ def _records_text(args, records) -> str:
 
 
 def _load_fixed_point_records(source: str) -> list:
+    import json
     try:
         if source == "-":
             records = json.load(sys.stdin)
@@ -461,12 +464,9 @@ COMMANDS = {
 }
 
 
-def _parse(argv):
-    """The options of a command line, with its subcommand's handler and renderer.
-
-    The top-level parser knows only --help, --version and the subcommand's
-    name, and hands what follows the name to a parser of that subcommand.
-    """
+def _top_parser():
+    """The parser of --help, --version and the subcommand's name; it hands the
+    name and all that follows it to that subcommand, with no extras."""
     top = argparse.ArgumentParser(
         prog="hirzebruch",
         description="Exact fixed-point data and Poincare polynomials of framed-sheaf "
@@ -480,15 +480,27 @@ def _parse(argv):
         "subcommand", nargs=argparse.PARSER, choices=COMMANDS,
         help="one of the subcommands below, then its options",
     )
-    known, extras = top.parse_known_args(argv)
-    name, *rest = known.subcommand
+    return top
+
+
+def _parse(argv):
+    """The options of a command line (None: sys.argv[1:]), with its subcommand's
+    handler and renderer.  A line that starts with a subcommand's name goes
+    straight to that subcommand's parser, as the top-level parser would send
+    it; only --help, --version and bad lines build the top-level one."""
+    argv = sys.argv[1:] if argv is None else argv
+    extras = []
+    if not argv or argv[0] not in COMMANDS:
+        known, extras = _top_parser().parse_known_args(argv)
+        argv = known.subcommand
+    name, *rest = argv
     _, handler, render, add_arguments = COMMANDS[name]
     parser = argparse.ArgumentParser(prog=f"hirzebruch {name}")
     _common(parser)
     add_arguments(parser)
     args, more = parser.parse_known_args(rest)
     if extras or more:  # after the subcommand's own errors and --help, as subparsers do
-        top.error(f"unrecognized arguments: {' '.join(extras + more)}")
+        _top_parser().error(f"unrecognized arguments: {' '.join(extras + more)}")
     args.subcommand = name
     return args, handler, render
 
@@ -501,6 +513,7 @@ def main(argv=None) -> int:
         cache = Cache(cache_dir) if cache_dir else None
         request, payload = handler(args, cache)
         if args.format == "json":
+            import json
             envelope = {"request": request, "result": payload, "version": __version__}
             output = json.dumps(envelope, sort_keys=True, indent=2)
         else:

@@ -21,12 +21,15 @@ import hirzebruch.counting
 from hirzebruch import __version__
 from hirzebruch.cli import (
     CACHE_ENV_VAR,
+    COMMANDS,
     MAX_CELLS,
     MAX_ORDER,
     MAX_RANK,
     MAX_TANGENT_TERMS,
     _RATIONAL,
+    _common,
     _rational,
+    _top_parser,
     main,
 )
 from hirzebruch.laurent import QSeries
@@ -409,11 +412,12 @@ def test_cli_import_loads_no_thread_pool():
 
 # Runs the command line as `python -m hirzebruch` does, then prints as the last
 # line of stderr the sorted hirzebruch modules of the process and which of the
-# WATCHED standard-library modules it loaded.
-WATCHED = ("dataclasses", "fractions", "inspect", "typing")
+# WATCHED standard-library modules it loaded.  It prints with repr, not json,
+# so that it loads none of the WATCHED modules itself.
+WATCHED = ("dataclasses", "fractions", "hashlib", "inspect", "json", "tempfile", "typing")
 _LOADED = (
-    "import atexit, json, runpy, sys\n"
-    "atexit.register(lambda: print(json.dumps(["
+    "import atexit, runpy, sys\n"
+    "atexit.register(lambda: print(repr(["
     "sorted(m for m in sys.modules if m.split('.')[0] == 'hirzebruch'),"
     f" sorted(m for m in {WATCHED!r} if m in sys.modules)]), file=sys.stderr))\n"
     "sys.argv[0] = 'hirzebruch'\n"
@@ -427,7 +431,7 @@ def _loaded(*argv, flags=()):
     hirzebruch argv` process loads, and its stdout."""
     done = _hirzebruch(*flags, "-c", _LOADED, *argv)
     assert done.returncode == 0, done.stderr
-    ours, stdlib = json.loads(done.stderr.splitlines()[-1])
+    ours, stdlib = ast.literal_eval(done.stderr.splitlines()[-1])
     return ours, stdlib, done.stdout
 
 
@@ -487,6 +491,15 @@ def test_cold_request_loads_no_dataclasses(argv, flags):
     assert "inspect" not in stdlib
     if "-S" in flags:
         assert "typing" not in stdlib
+
+
+@pytest.mark.parametrize(
+    "argv", [["--version"], ["--help"], ["poincare", "--p", "2", "--r", "2", "--k", "0", "--n", "3"]]
+)
+def test_version_help_and_an_uncached_text_request_load_no_json(argv):
+    # -S: no site module, whose .pth files may import tempfile themselves
+    _, stdlib, _ = _loaded(*argv, flags=("-S",))
+    assert not {"hashlib", "json", "tempfile"} & set(stdlib)
 
 
 def test_missing_fixed_point_file_exits_2(capsys, tmp_path):
@@ -1142,9 +1155,14 @@ def test_bad_command_line_exits_2_with_the_top_level_usage(argv):
         ["check", "--p", "1", "--r", "2", "--k", "0", "--n", "1"],
         ["sweep", "--mode", "check", "--p", "1", "--r", "1,2", "--k", "0", "--n", "1/2,1"],
         ["ale", "--r", "2", "--n", "1", "--format", "json"],
+        ["--help"],
+        ["poincare", "--p", "2", "--r", "2", "--k", "0", "--n", "1", "--bogus"],
     ],
 )
 def test_one_request_builds_at_most_two_parsers(monkeypatch, argv):
+    """A line that starts with a subcommand's name builds that subcommand's
+    parser, and the top-level one after it only to report leftover arguments;
+    --version and --help build the top-level parser alone."""
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -1154,9 +1172,45 @@ def test_one_request_builds_at_most_two_parsers(monkeypatch, argv):
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
     code, _, _ = _main_in_process(argv)
-    assert code == 0
-    assert 1 <= len(built) <= 2
-    assert built[0] == "hirzebruch"
+    if argv[0] not in COMMANDS:
+        assert (code, built) == (0, ["hirzebruch"])
+    elif argv[-1] == "--bogus":
+        assert (code, built) == (2, [f"hirzebruch {argv[0]}", "hirzebruch"])
+    else:
+        assert (code, built) == (0, [f"hirzebruch {argv[0]}"])
+
+
+def _option_strings() -> list[str]:
+    """Every option string of every subcommand."""
+    strings = set()
+    for *_, add_arguments in COMMANDS.values():
+        parser = argparse.ArgumentParser()
+        _common(parser)
+        add_arguments(parser)
+        strings.update(s for action in parser._actions for s in action.option_strings)
+    return sorted(strings)
+
+
+_OPTIONS = _option_strings()
+_VALUES = ["1", "-1", "1/2", "x", "-", "0..2", "--k=-1,0"]
+_TOKENS = st.one_of(
+    st.sampled_from(_OPTIONS + ["--version", "-h", "--"] + _VALUES),
+    st.tuples(st.sampled_from(_OPTIONS), st.sampled_from(_VALUES)).map("=".join),
+    # abbreviations, such as --ma for --max-order or --ve for --version
+    st.sampled_from(_OPTIONS + ["--version"]).flatmap(
+        lambda s: st.integers(2, len(s)).map(lambda end: s[:end])
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(list(COMMANDS)), st.lists(_TOKENS, max_size=8))
+def test_top_level_parser_hands_a_named_line_whole_to_its_subcommand(name, tokens):
+    # `_parse` skips the top-level parser for such a line, since it would
+    # pass the line on unchanged and leave nothing over
+    argv = [name, *tokens]
+    known, extras = _top_parser().parse_known_args(argv)
+    assert (known.subcommand, extras) == (argv, [])
 
 
 def test_module_entry_point_subprocess():
