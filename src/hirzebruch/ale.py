@@ -198,15 +198,16 @@ def ale_tangent_character(fp: ColoredFixedPoint) -> Character:
     labels agree (in particular for every r <= 2 sector).
     """
     framings = _framings(fp.rank)
-    terms: dict = {}
-    for colored_a, framings_a in zip(fp.tableaux, framings):
-        for colored_b, es in zip(fp.tableaux, framings_a):
-            parity = (colored_b.eps - colored_a.eps) % 2
-            for x, y in _pair_exponents(colored_a.diagram, colored_b.diagram, parity):
-                terms[x, y, es] = terms.get((x, y, es), 0) + 1
-    total = Character(fp.rank, terms)
-    _check_dimension(fp, total.dimension())
-    return total
+    keys = [
+        (x, y, es)
+        for colored_a, framings_a in zip(fp.tableaux, framings)
+        for colored_b, es in zip(fp.tableaux, framings_a)
+        for x, y in _pair_exponents(
+            colored_a.diagram, colored_b.diagram, (colored_b.eps - colored_a.eps) % 2
+        )
+    ]
+    _check_dimension(fp, len(keys))
+    return Character(fp.rank, Counter(keys))
 
 
 def _pair_forms(ordering: Ordering, r: int) -> tuple[tuple[Forms, ...], ...]:

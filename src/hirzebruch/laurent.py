@@ -29,7 +29,6 @@ Exponent = tuple[int, int, tuple[int, ...]]
 Forms = tuple[tuple[int, int, int], ...]
 # a chamber of the torus: the forms, in priority order, at each framing vector
 Ordering = Callable[[tuple[int, ...]], Forms]
-Matrix2 = tuple[tuple[int, int], tuple[int, int]]
 
 
 def _integers(values) -> tuple[int, ...]:
@@ -117,20 +116,6 @@ class Character:
     def dimension(self) -> int:
         """Sum of all coefficients, i.e. the dimension of the representation."""
         return sum(self.terms.values())
-
-    def substitute(self, matrix: Matrix2) -> "Character":
-        """Apply the monomial map with integer matrix `matrix` to (t1, t2).
-
-        A term t1^a t2^b is sent to t1^(m11*a + m12*b) t2^(m21*a + m22*b);
-        framing exponents are untouched.  Colliding images are accumulated,
-        so this is a ring homomorphism for any integer matrix.
-        """
-        (m11, m12), (m21, m22) = matrix
-        terms: dict[Exponent, int] = {}
-        for (a, b, es), coeff in self.terms.items():
-            key = (m11 * a + m12 * b, m21 * a + m22 * b, es)
-            terms[key] = terms.get(key, 0) + coeff
-        return Character(self.rank, terms)
 
     def negative_count(self, ordering: Ordering) -> int:
         """Number of terms, with multiplicity, of negative weight under `ordering`."""

@@ -225,27 +225,27 @@ def _patch_exponents(y_alpha: PartitionDiagram, y_beta: PartitionDiagram):
         yield 1 - x, 1 - y
 
 
-def tangent_character(params: ModuliParams, fp: FixedPointDatum) -> Character:
-    """Full torus character of the tangent space at a fixed point.
+def _tangent_keys(params: ModuliParams, datum: _Datum, y1s, y2s) -> list:
+    """The (t1, t2, framing) exponent of every tangent term at `datum`, one key per term.
 
-    Sums, over ordered summand pairs (a, b), e_b/e_a times the boundary
-    block `_l_exponents(p, k_a - k_b)` and the patch terms t1^x t2^y of
-    `_patch_exponents` on the Y1 and on the Y2 diagrams, pushed through the
-    charts (t1^p, t2/t1) and (t1/t2, t2^p), with shift = p(k_b - k_a):
+    `datum` is validated, and its k-string read; y1s and y2s are its Y1 and
+    Y2 diagrams.  Sums, over ordered summand pairs (a, b), e_b/e_a times the
+    boundary block `_l_exponents(p, k_a - k_b)` and the patch terms t1^x t2^y
+    of the pair on the Y1 and on the Y2 diagrams, pushed through the charts
+    (t1^p, t2/t1) and (t1/t2, t2^p), with shift = p(k_b - k_a):
 
         t1^(p*x - y + shift) t2^y   and   t1^x t2^(p*y - x + shift)
 
     Box by box: an exponent of `_box_exponents(Y_c, Y_e)` is a term of pair
     (c, e), and its chart image taken from (p - 1, 1) or (1, p - 1) one of
-    (e, c).  The terms are counted into one Character.  Raises
-    InvariantError unless the dimension equals 2*r*n.
+    (e, c).  Raises InvariantError unless there are 2*r*n keys.
     """
-    dim = fp.validate(params)
-    p, r, ks, framings = params.p, params.r, fp.ks, _framings(params.r)
+    dim = datum.validate(params)
+    p, r, ks, framings = params.p, params.r, datum.ks, _framings(params.r)
     keys: list = []
     add = keys.append
     for c in range(r):
-        y1, y2 = fp.y1[c], fp.y2[c]
+        y1, y2 = y1s[c], y2s[c]
         for e in range(r):
             es = framings[c][e]
             if ks[c] != ks[e]:
@@ -254,11 +254,11 @@ def tangent_character(params: ModuliParams, fp: FixedPointDatum) -> Character:
             if not (y1.rows or y2.rows):
                 continue
             dual, shift = framings[e][c], p * (ks[e] - ks[c])
-            for x, y in _box_exponents(y1, fp.y1[e]) if y1.rows else ():
+            for x, y in _box_exponents(y1, y1s[e]) if y1.rows else ():
                 x = p * x - y + shift
                 add((x, y, es))
                 add((p - 1 - x, 1 - y, dual))
-            for x, y in _box_exponents(y2, fp.y2[e]) if y2.rows else ():
+            for x, y in _box_exponents(y2, y2s[e]) if y2.rows else ():
                 y = p * y - x + shift
                 add((x, y, es))
                 add((1 - x, p - 1 - y, dual))
@@ -267,7 +267,15 @@ def tangent_character(params: ModuliParams, fp: FixedPointDatum) -> Character:
         raise InvariantError(
             f"tangent character has dimension {len(keys)}, expected 2*r*n = {dim}"
         )
-    return Character(r, Counter(keys))
+    return keys
+
+
+def tangent_character(params: ModuliParams, fp: FixedPointDatum) -> Character:
+    """Full torus character of the tangent space at a fixed point: the terms
+    of `_tangent_keys`, counted into one Character.  Raises InvariantError
+    unless the dimension equals 2*r*n.
+    """
+    return Character(params.r, Counter(_tangent_keys(params, fp, fp.y1, fp.y2)))
 
 
 def reduced_tangent_character(
@@ -275,11 +283,11 @@ def reduced_tangent_character(
 ) -> Character:
     """Character of the tangent space under the reduced one-parameter action.
 
-    The merged full character: `tangent_character` at the k-string ks with
-    empty first-patch diagrams and Y2 = Y, with t2 set to t1.  So the
-    boundary blocks are evaluated at t2 = t1 and the patch contributions at
-    (t1, t2) = (1, t1^p), shifted by t1^(p(k_b - k_a)).  Raises
-    InvariantError unless the dimension equals 2*r*n.
+    The merged full character: the keys of `_tangent_keys` at the k-string ks
+    with empty first-patch diagrams and Y2 = Y, counted with t2 set to t1.
+    So the boundary blocks are evaluated at t2 = t1 and the patch
+    contributions at (t1, t2) = (1, t1^p), shifted by t1^(p(k_b - k_a)).
+    Raises InvariantError unless the dimension equals 2*r*n.
     """
-    full = FixedPointDatum(rfp.ks, (EMPTY,) * len(rfp.ys), rfp.ys)
-    return tangent_character(params, full).substitute(((1, 1), (0, 0)))
+    keys = _tangent_keys(params, rfp, (EMPTY,) * params.r, rfp.ys)
+    return Character(params.r, Counter([(x + y, 0, es) for x, y, es in keys]))

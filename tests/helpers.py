@@ -18,7 +18,8 @@ diagram iff r <= column_length(c).  They are the oracles for the closed forms.
 The package builds each Character and TPolynomial in one call from its
 term table and does no arithmetic on them.  `add`, `negate` and `product`
 are that arithmetic, over the term tables, for the identities and series
-oracles written with it.  The Character operations at the end are plain
+oracles written with it; `substitute` applies a monomial map to (t1, t2),
+for the chart maps of the tangent-character oracles.  The Character operations at the end are plain
 functions over `Character.terms`, used to state symmetries of the tangent
 characters.  `key_ordering` writes an ordering as a list of keys, for the
 orderings beside the package's two; `flat_sign` is its sign as a sum over
@@ -84,6 +85,21 @@ def product(x, y):
                 key = k1 + k2
             table[key] = table.get(key, 0) + c1 * c2
     return _like(x, table)
+
+
+def substitute(x, matrix):
+    """The monomial map with integer matrix ((m11, m12), (m21, m22)) on (t1, t2).
+
+    A term t1^a t2^b of a Character goes to t1^(m11*a + m12*b) t2^(m21*a + m22*b),
+    framing exponents untouched.  Colliding images add up, so this is a ring
+    homomorphism for any integer matrix.
+    """
+    (m11, m12), (m21, m22) = matrix
+    table = {}
+    for (a, b, es), coeff in x.terms.items():
+        key = (m11 * a + m12 * b, m21 * a + m22 * b, es)
+        table[key] = table.get(key, 0) + coeff
+    return Character(x.rank, table)
 
 
 def partition_rows(n, cap=None):
@@ -397,7 +413,7 @@ def transpose_colored(d):
 
 def swap_t(x):
     """Exchange t1 and t2."""
-    return x.substitute(((0, 1), (1, 0)))
+    return substitute(x, ((0, 1), (1, 0)))
 
 
 def framing_ratio(rank, beta, alpha):

@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -12,8 +13,10 @@ from helpers import (
     pair_weight,
     product,
     promote,
+    partition_rows,
     relative_arm,
     relative_leg,
+    substitute,
     transpose,
 )
 from hypothesis import given, settings, strategies as st
@@ -325,26 +328,55 @@ def test_reduced_character_is_t2_free():
         assert x.dimension() == params.dim
 
 
-def test_reduced_matches_merged_full():
+def nonempty_params(p, r, k, extra):
+    """The space of `extra` boxes more than at the most balanced k-string of
+    (r, k), so that it has points."""
+    q, rest = divmod(k, r)
+    squares = rest * (q + 1) ** 2 + (r - rest) * q * q
+    return ModuliParams(p, r, k, extra + Fraction(p * (r * squares - k * k), 2 * r))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 3), st.integers(1, 4), st.integers(-3, 3), st.integers(0, 2), st.data())
+def test_reduced_matches_merged_full(p, r, k, extra, data):
     # the reduced character is the full one at an empty first patch,
     # with both torus weights collapsed onto t1
-    merge = ((1, 1), (0, 0))  # t2 -> t1
-    for p, r, k, n in ((1, 2, 0, 2), (2, 2, 1, Fraction(3, 2)), (1, 3, 0, 1)):
-        params = ModuliParams(p, r, k, n)
-        points = enumerate_reduced_fixed_points(params)
-        assert points
-        for rfp in points:
-            empties = (PartitionDiagram([]),) * r
-            full = FixedPointDatum(rfp.ks, empties, rfp.ys)
-            merged = tangent_character(params, full).substitute(merge)
-            assert merged == reduced_tangent_character(params, rfp)
+    params = nonempty_params(p, r, k, extra)
+    rfp = data.draw(st.sampled_from(list(enumerate_reduced_fixed_points(params))))
+    full = FixedPointDatum(rfp.ks, (PartitionDiagram([]),) * r, rfp.ys)
+    merged = substitute(tangent_character(params, full), ((1, 1), (0, 0)))  # t2 -> t1
+    assert reduced_tangent_character(params, rfp) == merged
+
+
+def test_a_reduced_character_is_one_construction(monkeypatch):
+    # one count of the merged key list: one Character, and no full character
+    params = ModuliParams(3, 2, 1, Fraction(7, 4))
+    points = list(enumerate_reduced_fixed_points(params))
+    expected = [reduced_tangent_character(params, rfp) for rfp in points]
+    built = []
+    init = Character.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    def refused(*args):
+        raise AssertionError("the reduced character built a full one")
+
+    monkeypatch.setattr(Character, "__init__", counted_init)
+    monkeypatch.setattr(hirzebruch.localization, "tangent_character", refused)
+    for rfp, x in zip(points, expected):
+        built.clear()
+        assert reduced_tangent_character(params, rfp) == x
+        assert len(built) == 1
+    assert len(points) == 4
 
 
 # Oracles: the pair-by-pair ring-algebra assembly that the single term
 # count in localization replaced.  Each builds its characters through
 # the ring arithmetic of `helpers`, one pair block at a time, takes each patch
 # block from the per-box formula, and writes its own chart maps as exponent
-# matrices for `Character.substitute`.
+# matrices for `helpers.substitute`.
 
 
 def patch_exponents_oracle(y_alpha, y_beta):
@@ -377,8 +409,8 @@ def tangent_character_oracle(params, fp):
             shift = p * (fp.ks[b - 1] - fp.ks[a - 1])
             framing = mono(r, 0, 0, framing_ratio(r, b, a))
             lpart = product(framing, promote(boundary_character(p, d), r))
-            n1 = n_character_oracle(fp.y1[a - 1], fp.y1[b - 1], a, b, r).substitute(m1)
-            n2 = n_character_oracle(fp.y2[a - 1], fp.y2[b - 1], a, b, r).substitute(m2)
+            n1 = substitute(n_character_oracle(fp.y1[a - 1], fp.y1[b - 1], a, b, r), m1)
+            n2 = substitute(n_character_oracle(fp.y2[a - 1], fp.y2[b - 1], a, b, r), m2)
             n1, n2 = product(mono(r, shift, 0), n1), product(mono(r, 0, shift), n2)
             total = add(total, lpart, n1, n2)
     return total
@@ -394,9 +426,9 @@ def reduced_tangent_character_oracle(params, rfp):
             shift = p * (rfp.ks[b - 1] - rfp.ks[a - 1])
             lpart = product(
                 mono(r, 0, 0, framing_ratio(r, b, a)),
-                promote(boundary_character(p, d), r).substitute(((1, 1), (0, 0))),  # t2 -> t1
+                substitute(promote(boundary_character(p, d), r), ((1, 1), (0, 0))),  # t2 -> t1
             )
-            npart = n_character_oracle(rfp.ys[a - 1], rfp.ys[b - 1], a, b, r).substitute(reduced)
+            npart = substitute(n_character_oracle(rfp.ys[a - 1], rfp.ys[b - 1], a, b, r), reduced)
             total = add(total, lpart, product(mono(r, shift, 0), npart))
     assert not any(key[1] for key in total.terms)
     return total
@@ -430,12 +462,9 @@ def test_tangent_character_matches_pairwise_oracle(p, r, k, n):
 @settings(deadline=None, max_examples=60)
 @given(st.integers(1, 3), st.integers(1, 4), st.integers(-3, 3), st.integers(0, 2), st.data())
 def test_tangent_character_matches_pairwise_oracle_anywhere(p, r, k, extra, data):
-    # n is `extra` boxes more than at the most balanced k-string, so the space
-    # has points; one of them is checked, and again rebuilt from its record,
-    # so that no diagram is shared with the partition tables
-    q, rest = divmod(k, r)
-    squares = rest * (q + 1) ** 2 + (r - rest) * q * q
-    params = ModuliParams(p, r, k, extra + Fraction(p * (r * squares - k * k), 2 * r))
+    # one point of a nonempty space is checked, and again rebuilt from its
+    # record, so that no diagram is shared with the partition tables
+    params = nonempty_params(p, r, k, extra)
     fp = data.draw(st.sampled_from(list(enumerate_fixed_points(params))))
     rebuilt = FixedPointDatum._from_record(fp.to_json(), params)
     assert rebuilt == fp and all(y is not z for y, z in zip(rebuilt.y2, fp.y2) if y.rows)
@@ -464,6 +493,35 @@ def test_rank_one_volume_is_that_of_the_hilbert_scheme(p, k, n):
     # two charts give vol(X) = 1/(p*eps1*eps2)
     volume = equivariant_volume(ModuliParams(p, 1, k, n), EPS1, EPS2, A)
     assert volume == Fraction(1, math.factorial(n) * (p * EPS1 * EPS2) ** n)
+
+
+def flat_volume(r, n, eps1, eps2, a):
+    """The C^2 instanton sum: over r-tuples of diagrams with n boxes in all, the
+    product of 1/w over the tangent weights w, which for each ordered pair
+    (Y_a, Y_b) are those of e_b/e_a times t1^-leg_b(s) t2^(arm_a(s) + 1) over s
+    in Y_a and t1^(leg_a(s) + 1) t2^-arm_b(s) over s in Y_b (arms and legs
+    measured in the diagram named), at the weights eps1, eps2 of t1, t2 and a_i
+    of e_i."""
+    diagrams = [PartitionDiagram(rows) for size in range(n + 1) for rows in partition_rows(size)]
+    total = Fraction(0)
+    for ys in itertools.product(diagrams, repeat=r):
+        if sum(y.size for y in ys) != n:
+            continue
+        term = Fraction(1)
+        for (ya, aa), (yb, ab) in itertools.product(zip(ys, a), repeat=2):
+            weights = [(-relative_leg(yb, s), relative_arm(ya, s) + 1) for s in boxes(ya)]
+            weights += [(relative_leg(ya, s) + 1, -relative_arm(yb, s)) for s in boxes(yb)]
+            for x, y in weights:
+                term /= x * eps1 + y * eps2 + ab - aa
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("r, n", [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+def test_volume_on_the_first_hirzebruch_surface_at_k_0_is_that_of_c2(r, n):
+    # the blowup formula: at p = 1 and k = 0 the instanton part is that of C^2
+    volume = equivariant_volume(ModuliParams(1, r, 0, n), EPS1, EPS2, A)
+    assert volume == flat_volume(r, n, EPS1, EPS2, A)
 
 
 @pytest.mark.parametrize(
