@@ -30,7 +30,6 @@ _EXPORTS = {
         "enumerate_colored_fixed_points",
     ),
     "counting": (
-        "IndexedPoint",
         "check_nonempty",
         "enumerate_fixed_points",
         "enumerate_reduced_fixed_points",

@@ -19,7 +19,6 @@ import os
 import re
 import sys
 import time
-from collections import Counter
 
 from . import InvariantError, __version__
 
@@ -133,7 +132,7 @@ class Cache:
         try:
             with open(self._path(request), encoding="utf-8") as handle:
                 entry = json.load(handle)
-        except (FileNotFoundError, ValueError, RecursionError):
+        except (OSError, ValueError, RecursionError):
             return None
         if not isinstance(entry, dict):
             return None
@@ -184,8 +183,12 @@ def _cmd_fixed_points(args, cache):
         "fixed-points", p=args.p, r=args.r, k=args.k, n=args.n, reduced=args.reduced
     )
     params = _params(args)
-    points = _lib.indexed_points(params) if args.reduced else _lib.enumerate_fixed_points(params)
-    return request, [point.to_json() for point in points]
+    if not args.reduced:
+        return request, [fp.to_json() for fp in _lib.enumerate_fixed_points(params)]
+    return request, [
+        {**locus.to_json(), "index": index, "factor": factor.to_pairs()}
+        for locus, index, factor in _lib.indexed_points(params)
+    ]
 
 
 def _records_text(args, records) -> str:
@@ -297,8 +300,7 @@ def _cmd_ale(args, cache):
         _character_record(fp, _lib.ale_tangent_character(fp), ordering)
         for fp in _lib.enumerate_colored_fixed_points(args.r, args.n)
     ]
-    poly = _lib.TPolynomial(Counter(2 * record["index"] for record in points))
-    return request, {"poly": poly.to_pairs(), "points": points}
+    return request, {"poly": compute(), "points": points}
 
 
 def _ale_text(args, payload) -> str:

@@ -30,7 +30,7 @@ import math
 from collections.abc import Iterator
 from functools import lru_cache
 
-from .laurent import QSeries, TPolynomial, _Frozen
+from .laurent import QSeries, TPolynomial
 from .localization import (
     FixedPointDatum,
     ModuliParams,
@@ -217,28 +217,14 @@ def _factor_terms(ys) -> dict[int, int]:
     return terms
 
 
-class IndexedPoint(_Frozen):
-    """A reduced fixed locus with its Morse index and component factor."""
-
-    __slots__ = ("datum", "index", "factor")
-
-    def __init__(self, datum: ReducedFixedPointDatum, index: int, factor: TPolynomial):
-        object.__setattr__(self, "datum", datum)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "factor", factor)
-
-    def to_json(self) -> dict:
-        record = self.datum.to_json()
-        record["index"] = self.index
-        record["factor"] = self.factor.to_pairs()
-        return record
-
-
-def indexed_points(params: ModuliParams) -> Iterator[IndexedPoint]:
-    """Reduced fixed loci decorated with Morse index and component factor."""
+def indexed_points(
+    params: ModuliParams,
+) -> Iterator[tuple[ReducedFixedPointDatum, int, TPolynomial]]:
+    """Each reduced fixed locus, in the order of `enumerate_reduced_fixed_points`,
+    with its Morse index (`morse_index_closed`) and component factor: the sum
+    of t^(2 * index) * factor over these triples is the Poincare polynomial."""
     for rfp in enumerate_reduced_fixed_points(params):
-        factor = TPolynomial(_factor_terms(rfp.ys))
-        yield IndexedPoint(rfp, morse_index_closed(params, rfp), factor)
+        yield rfp, morse_index_closed(params, rfp), TPolynomial(_factor_terms(rfp.ys))
 
 
 @lru_cache(maxsize=None)

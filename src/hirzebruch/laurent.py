@@ -257,9 +257,6 @@ class TPolynomial:
     def __eq__(self, other) -> bool:
         return isinstance(other, TPolynomial) and self.coeffs == other.coeffs
 
-    def __hash__(self) -> int:
-        return hash(frozenset(self.coeffs.items()))
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 

@@ -158,9 +158,9 @@ def poincare_by_loci(params):
     code with `poincare_polynomial`.
     """
     coeffs = {}
-    for point in indexed_points(params):
-        shift = 2 * morse_index_pairwise(params, point.datum)
-        for deg, coeff in point.factor.coeffs.items():
+    for locus, _, factor in indexed_points(params):
+        shift = 2 * morse_index_pairwise(params, locus)
+        for deg, coeff in factor.coeffs.items():
             coeffs[deg + shift] = coeffs.get(deg + shift, 0) + coeff
     return TPolynomial(coeffs)
 

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
@@ -173,6 +174,24 @@ def test_tangent_reduced_includes_index(capsys):
     records = [json.loads(line) for line in out.strip().split("\n")]
     assert [record["index"] for record in records] == [1, 0]
     assert all(record["dimension"] == 4 for record in records)
+
+
+@pytest.mark.parametrize(
+    "p, r, k, n, loci", [(2, 2, 0, "2", 7), (1, 3, 0, "2", 27), (3, 2, 1, "7/4", 4)]
+)
+def test_reduced_listings_agree_on_loci_and_indexes(capsys, p, r, k, n, loci):
+    # the index counted from the reduced character and the closed one
+    def rows(subcommand):
+        code, out, _ = run(
+            capsys, subcommand, "--p", str(p), "--r", str(r), "--k", str(k), "--n", n,
+            "--reduced", "--format", "json",
+        )
+        assert code == 0
+        return json.loads(out)["result"]
+
+    tangent = [(row["fixed_point"], row["index"]) for row in rows("tangent")]
+    listed = [({"k": row["k"], "Y": row["Y"]}, row["index"]) for row in rows("fixed-points")]
+    assert len(listed) == loci and tangent == listed
 
 
 def test_tangent_reduced_computes_no_closed_index_or_factor(capsys, monkeypatch):
@@ -577,6 +596,20 @@ def test_ale_poly_and_points(capsys):
     assert all(record["dimension"] == 4 for record in records)
 
 
+@pytest.mark.parametrize("n", ["0", "1/2", "1", "3/2", "2"])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_ale_points_poly_is_the_ale_result(capsys, r, n):
+    def result(*points):
+        code, out, _ = run(capsys, "ale", "--r", str(r), "--n", n, *points, "--format", "json")
+        assert code == 0
+        return json.loads(out)["result"]
+
+    listing = result("--points")
+    assert listing["poly"] == result()
+    indexes = Counter(2 * record["index"] for record in listing["points"])
+    assert listing["poly"] == [[deg, indexes[deg]] for deg in sorted(indexes)]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -837,9 +870,11 @@ def test_cache_round_trip(capsys, tmp_path, monkeypatch):
     ["truncate", "{}", "[1]", '{"request": {}}', "null",
      pytest.param([[0, 7]], id="result-7"), pytest.param([[0, 7.5]], id="result-7.5"),
      # too deeply nested for the json parser, which raises RecursionError
-     pytest.param("[" * 200_000, id="nested")],
+     pytest.param("[" * 200_000, id="nested"),
+     # refused by open, as a file without read permission is for a user other than root
+     pytest.param(PermissionError, id="permission")],
 )
-def test_unreadable_cache_entry_is_recomputed(capsys, tmp_path, damage):
+def test_unreadable_cache_entry_is_recomputed(capsys, tmp_path, monkeypatch, damage):
     cache = tmp_path / "cache"
     args = ("poincare", "--p", "2", "--r", "2", "--k", "0", "--n", "2",
             "--format", "json", "--cache-dir", str(cache))
@@ -847,7 +882,14 @@ def test_unreadable_cache_entry_is_recomputed(capsys, tmp_path, damage):
     assert code == 0
     [entry] = cache.glob("*.json")
     intact = entry.read_bytes()
-    if damage == "truncate":
+    if damage is PermissionError:
+        def refuse(path, *args, **kwargs):
+            if os.fspath(path) == str(entry):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(hirzebruch.cli, "open", refuse, raising=False)
+    elif damage == "truncate":
         entry.write_bytes(intact[: len(intact) // 2])
     elif isinstance(damage, list):
         entry.write_bytes(_with_result(intact, damage))
@@ -856,6 +898,21 @@ def test_unreadable_cache_entry_is_recomputed(capsys, tmp_path, damage):
     code, again, err = run(capsys, *args)
     assert (code, again, err) == (0, first, "")
     assert entry.read_bytes() == intact
+
+
+def test_a_directory_in_place_of_a_cache_entry_exits_2(capsys, tmp_path):
+    # the read is a miss, and the write cannot replace a directory
+    cache = tmp_path / "cache"
+    args = ("poincare", "--p", "2", "--r", "2", "--k", "0", "--n", "2",
+            "--cache-dir", str(cache))
+    assert run(capsys, *args)[0] == 0
+    [entry] = cache.glob("*.json")
+    entry.unlink()
+    entry.mkdir()
+    code, out, err = run(capsys, *args)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert [path.name for path in cache.iterdir()] == [entry.name] and entry.is_dir()
 
 
 def test_failed_cache_write_leaves_no_temp_file(capsys, tmp_path, monkeypatch):

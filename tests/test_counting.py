@@ -8,7 +8,6 @@ from functools import lru_cache
 import pytest
 from helpers import (
     add,
-    check_record,
     column_heights,
     convolved_slot_tables,
     fraction_k_strings,
@@ -25,7 +24,6 @@ from hypothesis import strategies as st
 import hirzebruch.counting
 import hirzebruch.partitions
 from hirzebruch.counting import (
-    IndexedPoint,
     _grow,
     _k_strings,
     _factor_terms,
@@ -405,8 +403,8 @@ def test_component_factor_matches_the_column_count_oracle():
 def poincare_running_sum(params):
     # the running sum the single term table replaced, kept as its oracle
     total = TPolynomial()
-    for point in indexed_points(params):
-        total = add(total, product(TPolynomial({2 * point.index: 1}), point.factor))
+    for _, index, factor in indexed_points(params):
+        total = add(total, product(TPolynomial({2 * index: 1}), factor))
     return total
 
 
@@ -527,24 +525,12 @@ def test_slots_series_rows_match_the_enumerated_slot_tables(r):
 
 
 def test_indexed_points_frozen():
-    got = [ip.to_json() for ip in indexed_points(ModuliParams(2, 2, 0, 1))]
+    got = list(indexed_points(ModuliParams(2, 2, 0, 1)))
     assert got == [
-        {"k": [0, 0], "Y": [[], [1]], "index": 1, "factor": [[0, 1], [2, 1]]},
-        {"k": [0, 0], "Y": [[1], []], "index": 0, "factor": [[0, 1], [2, 1]]},
+        (ReducedFixedPointDatum((0, 0), ((), (1,))), 1, TPolynomial({0: 1, 2: 1})),
+        (ReducedFixedPointDatum((0, 0), ((1,), ())), 0, TPolynomial({0: 1, 2: 1})),
     ]
-
-
-def test_indexed_point_keeps_the_dataclass_contract():
-    first = next(indexed_points(ModuliParams(1, 2, 0, 1)))
-    check_record(
-        first,
-        "IndexedPoint(datum=ReducedFixedPointDatum(ks=(-1, 1),"
-        " ys=(PartitionDiagram([]), PartitionDiagram([]))), index=2, factor=<TPolynomial 1>)",
-    )
-    made = IndexedPoint(
-        datum=ReducedFixedPointDatum((-1, 1), ((), ())), index=2, factor=TPolynomial({0: 1})
-    )
-    assert made == first
+    assert all(type(index) is int for _, index, _ in got)
 
 
 def test_poincare_polynomial_frozen():

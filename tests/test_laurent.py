@@ -95,6 +95,14 @@ def test_character_is_unhashable():
         hash(x)
 
 
+def test_tpolynomial_is_unhashable():
+    # its public coefficient table can change, as can a series' rows
+    assert TPolynomial({0: 1}) == TPolynomial({0: 1})
+    for value in (TPolynomial({0: 1}), QSeries(1)):
+        with pytest.raises(TypeError):
+            hash(value)
+
+
 # `add` and `product` write the identities below; they refuse to mix ranks
 def test_mixed_rank_arithmetic_is_rejected():
     with pytest.raises(ValueError):
