@@ -24,7 +24,6 @@ class InvariantError(Exception):
 # The public names of each submodule.
 _EXPORTS = {
     "ale": (
-        "ColoredFixedPoint",
         "ale_poincare",
         "ale_tangent_character",
         "enumerate_colored_fixed_points",

@@ -2,9 +2,10 @@
 
 Torus fixed points of the rank-r instanton moduli space on the minimal
 resolution of C^2 / {±1} are r-tuples of checkerboard-colored Young
-diagrams.  Writing N1 for the number of tableaux whose corner color is 1
-and (k0, k1) for the total box counts per color, the tuples that occur
-for instanton number n are cut out by
+diagrams; here a point is just that tuple of r `ColoredDiagram`s.
+Writing N1 for the number of tableaux whose corner color is 1 and
+(k0, k1) for the total box counts per color, the tuples that occur for
+instanton number n are cut out by
 
     N1 + 2*(k0 - k1) = 0        and        n = k0 + N1/4.
 
@@ -44,36 +45,12 @@ from .laurent import (
     Forms,
     Ordering,
     TPolynomial,
-    _Frozen,
     _rational,
     ale_ordering,
     form_sign,
 )
 from .localization import _framings, _patch_exponents
 from .partitions import ColoredDiagram, PartitionDiagram, compositions, enumerate_partitions
-
-
-class ColoredFixedPoint(_Frozen):
-    """A fixed point: one checkerboard-colored diagram per summand."""
-
-    __slots__ = ("tableaux",)
-
-    def __init__(self, tableaux):
-        tableaux = tuple(tableaux)
-        for t in tableaux:
-            if not isinstance(t, ColoredDiagram):
-                raise ValueError(f"expected ColoredDiagram entries, got {t!r}")
-        object.__setattr__(self, "tableaux", tableaux)
-
-    @property
-    def rank(self) -> int:
-        return len(self.tableaux)
-
-    def corner_color_count(self) -> int:
-        return sum(t.eps for t in self.tableaux)
-
-    def to_json(self) -> dict:
-        return {"tableaux": [t.to_json() for t in self.tableaux]}
 
 
 @lru_cache(maxsize=None)
@@ -110,7 +87,7 @@ def _extend(
                 yield prefix + (colored,), total + charge
 
 
-def enumerate_colored_fixed_points(r: int, n) -> Iterator[ColoredFixedPoint]:
+def enumerate_colored_fixed_points(r: int, n) -> Iterator[tuple[ColoredDiagram, ...]]:
     """All rank-r fixed points with instanton number n, deterministic order.
 
     The total box count of a valid tuple is 2n, so a non-integer or
@@ -121,9 +98,10 @@ def enumerate_colored_fixed_points(r: int, n) -> Iterator[ColoredFixedPoint]:
     later slots can reach are computed first; the slots are then filled in
     order from the cached per-size tables, and an entry is taken only if
     the rest of the tuple can still balance its charge.  No tuple is built
-    and then thrown away.  Points come in lexicographic order: by
-    composition, ascending, then slot by slot in `enumerate_partitions`
-    order with eps 0 before eps 1.
+    and then thrown away: each point is the tuple the walk built, its
+    entries the tables' shared diagrams.  Points come in lexicographic
+    order: by composition, ascending, then slot by slot in
+    `enumerate_partitions` order with eps 0 before eps 1.
     """
     if type(r) is not int or r < 1:
         raise ValueError(f"r must be a positive integer, got {r!r}")
@@ -141,8 +119,8 @@ def enumerate_colored_fixed_points(r: int, n) -> Iterator[ColoredFixedPoint]:
         walk = iter((((), 0),))
         for size, sums in zip(sizes, reversed(reachable)):
             walk = _extend(walk, _colored_table(size), sums)
-        for tableaux, _ in walk:
-            yield ColoredFixedPoint(tableaux)
+        for point, _ in walk:
+            yield point
 
 
 @lru_cache(maxsize=None)
@@ -173,41 +151,42 @@ def _pair_tally(
     return len(exponents), sum(1 for x, y in exponents if form_sign(forms, x, y) < 0)
 
 
-def _check_dimension(fp: ColoredFixedPoint, dimension: int) -> None:
-    """InvariantError unless `dimension` is 2rn - (r - N1)*N1/2 at `fp`.
+def _check_dimension(point: tuple[ColoredDiagram, ...], dimension: int) -> None:
+    """InvariantError unless `dimension` is 2rn - (r - N1)*N1/2 at `point`.
 
     The point's boxes number B = 2n, so this is the integer identity
     2*dim = 2r*B - r*N1 + N1^2, read off its diagram sizes and corners.
     """
-    r, n1 = fp.rank, fp.corner_color_count()
-    twice = 2 * r * sum(t.diagram.size for t in fp.tableaux) - r * n1 + n1 * n1
+    r, n1 = len(point), sum(t.eps for t in point)
+    twice = 2 * r * sum(t.diagram.size for t in point) - r * n1 + n1 * n1
     if 2 * dimension != twice:
         raise InvariantError(
             f"ALE tangent character has dimension {dimension}, expected {Fraction(twice, 2)}"
         )
 
 
-def ale_tangent_character(fp: ColoredFixedPoint) -> Character:
+def ale_tangent_character(point: tuple[ColoredDiagram, ...]) -> Character:
     """Torus character of the tangent space at an ALE fixed point.
 
-    Sum over ordered summand pairs of the Z/2-invariant part of the
+    `point` is a tuple of r colored diagrams, as the enumeration yields
+    it.  Sum over ordered summand pairs of the Z/2-invariant part of the
     flat-space pair character: a pair term t1^x t2^y e_b/e_a is kept
     when x + y + eps_b - eps_a is even.  Raises InvariantError unless the
     dimension equals 2*r*n - N0*N1/2, the quiver-variety dimension of
     the point's stratum; the correction vanishes whenever all corner
     labels agree (in particular for every r <= 2 sector).
     """
-    framings = _framings(fp.rank)
+    framings = _framings(len(point))
     keys = [
         (x, y, es)
-        for colored_a, framings_a in zip(fp.tableaux, framings)
-        for colored_b, es in zip(fp.tableaux, framings_a)
+        for colored_a, framings_a in zip(point, framings)
+        for colored_b, es in zip(point, framings_a)
         for x, y in _pair_exponents(
             colored_a.diagram, colored_b.diagram, (colored_b.eps - colored_a.eps) % 2
         )
     ]
-    _check_dimension(fp, len(keys))
-    return Character(fp.rank, Counter(keys))
+    _check_dimension(point, len(keys))
+    return Character(len(point), Counter(keys))
 
 
 def _pair_forms(ordering: Ordering, r: int) -> tuple[tuple[Forms, ...], ...]:
@@ -215,17 +194,19 @@ def _pair_forms(ordering: Ordering, r: int) -> tuple[tuple[Forms, ...], ...]:
     return tuple(tuple(map(ordering, row)) for row in _framings(r))
 
 
-def _counted_index(fp: ColoredFixedPoint, pair_forms: tuple[tuple[Forms, ...], ...]) -> int:
-    """Morse index of `fp` summed from the pair tallies; the dimension is checked."""
+def _counted_index(
+    point: tuple[ColoredDiagram, ...], pair_forms: tuple[tuple[Forms, ...], ...]
+) -> int:
+    """Morse index of `point` summed from the pair tallies; the dimension is checked."""
     dimension = index = 0
-    for colored_a, forms_a in zip(fp.tableaux, pair_forms):
-        for colored_b, forms in zip(fp.tableaux, forms_a):
+    for colored_a, forms_a in zip(point, pair_forms):
+        for colored_b, forms in zip(point, forms_a):
             terms, negative = _pair_tally(
                 colored_a.diagram, colored_b.diagram, (colored_b.eps - colored_a.eps) % 2, forms
             )
             dimension += terms
             index += negative
-    _check_dimension(fp, dimension)
+    _check_dimension(point, dimension)
     return index
 
 
@@ -236,6 +217,5 @@ def ale_poincare(r: int, n) -> TPolynomial:
     under `ale_ordering(r)`.
     """
     pair_forms = _pair_forms(ale_ordering(r), r)
-    return TPolynomial(
-        Counter(2 * _counted_index(fp, pair_forms) for fp in enumerate_colored_fixed_points(r, n))
-    )
+    points = enumerate_colored_fixed_points(r, n)
+    return TPolynomial(Counter(2 * _counted_index(point, pair_forms) for point in points))

@@ -43,7 +43,7 @@ MAX_RANK = 256
 # multiplicity, so `tangent` refuses a larger 2rn before it reads a record.
 MAX_TANGENT_TERMS = 100_000
 
-_RATIONAL = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+_RATIONAL = re.compile(r"^[+-]?\d+(/0*[1-9]\d*)?$")
 _RANGE = re.compile(r"^([+-]?\d+)\.\.([+-]?\d+)$")
 
 
@@ -210,11 +210,11 @@ def _load_fixed_point_records(source: str) -> list:
     return records
 
 
-def _character_record(point, x, ordering=None) -> dict:
-    """A fixed point with its tangent character x, x's dimension and, given an
-    ordering, its index."""
+def _character_record(fixed_point: dict, x, ordering=None) -> dict:
+    """A fixed point's JSON record with its tangent character x, x's dimension
+    and, given an ordering, its index."""
     record = {
-        "fixed_point": point.to_json(),
+        "fixed_point": fixed_point,
         "character": x.to_json(),
         "dimension": x.dimension(),
     }
@@ -247,7 +247,8 @@ def _cmd_tangent(args, cache):
     else:
         points = list(enumerate_points(params))
     return request, [
-        _character_record(point, character(params, point), ordering) for point in points
+        _character_record(point.to_json(), character(params, point), ordering)
+        for point in points
     ]
 
 
@@ -297,8 +298,10 @@ def _cmd_ale(args, cache):
     request["points"] = True
     ordering = _lib.ale_ordering(args.r)
     points = [
-        _character_record(fp, _lib.ale_tangent_character(fp), ordering)
-        for fp in _lib.enumerate_colored_fixed_points(args.r, args.n)
+        _character_record(
+            {"tableaux": [t.to_json() for t in point]}, _lib.ale_tangent_character(point), ordering
+        )
+        for point in _lib.enumerate_colored_fixed_points(args.r, args.n)
     ]
     return request, {"poly": compute(), "points": points}
 

@@ -379,26 +379,31 @@ def color_counts_by_box(d):
     return tuple(counts)
 
 
-def is_valid(fp):
+def corner_color_count(point):
+    """N1: the tableaux of an ALE point whose corner has color 1."""
+    return sum(t.eps for t in point)
+
+
+def is_valid(point):
     """Whether a tuple of colored diagrams is an ALE fixed point: N1 + 2*(k0 - k1) == 0.
 
     With `instanton_number`, the filter that the charge-pruned enumeration
     replaced, kept as its oracle; the colors are counted box by box.
     """
-    counts = [color_counts_by_box(t) for t in fp.tableaux]
+    counts = [color_counts_by_box(t) for t in point]
     k0, k1 = sum(c[0] for c in counts), sum(c[1] for c in counts)
-    return fp.corner_color_count() + 2 * (k0 - k1) == 0
+    return corner_color_count(point) + 2 * (k0 - k1) == 0
 
 
-def instanton_number(fp):
+def instanton_number(point):
     """k0 + N1/4, with k0 the boxes of color 0."""
-    k0 = sum(color_counts_by_box(t)[0] for t in fp.tableaux)
-    return k0 + Fraction(fp.corner_color_count(), 4)
+    k0 = sum(color_counts_by_box(t)[0] for t in point)
+    return k0 + Fraction(corner_color_count(point), 4)
 
 
-def counted_index(fp, ordering):
-    """The ALE Morse index of `fp` under `ordering`, summed from the pair tallies."""
-    return ale._counted_index(fp, ale._pair_forms(ordering, fp.rank))
+def counted_index(point, ordering):
+    """The ALE Morse index of `point` under `ordering`, summed from the pair tallies."""
+    return ale._counted_index(point, ale._pair_forms(ordering, len(point)))
 
 
 def transpose(y):

@@ -9,12 +9,7 @@ from collections import Counter
 from fractions import Fraction
 
 from helpers import counted_index, key_ordering
-from hirzebruch.ale import (
-    ColoredFixedPoint,
-    ale_poincare,
-    ale_tangent_character,
-    enumerate_colored_fixed_points,
-)
+from hirzebruch.ale import ale_poincare, ale_tangent_character, enumerate_colored_fixed_points
 from hirzebruch.counting import (
     check_nonempty,
     enumerate_fixed_points,
@@ -74,10 +69,7 @@ def test_02_oracle_equivalence():
 
 def _printed_points():
     def cfp(a, b):
-        return ColoredFixedPoint((
-            ColoredDiagram(PartitionDiagram(a), 0),
-            ColoredDiagram(PartitionDiagram(b), 0),
-        ))
+        return (ColoredDiagram(PartitionDiagram(a), 0), ColoredDiagram(PartitionDiagram(b), 0))
 
     e = (0, 0)
     up = (1, -1)

@@ -5,8 +5,8 @@ import pytest
 from helpers import (
     add,
     bounded_compositions,
-    check_record,
     color_counts_by_box,
+    corner_color_count,
     counted_index,
     framing_ratio,
     instanton_number,
@@ -22,7 +22,7 @@ from hypothesis import given, strategies as st
 
 from hirzebruch import InvariantError, ale
 from hirzebruch.ale import (
-    ColoredFixedPoint,
+    _colored_table,
     ale_poincare,
     ale_tangent_character,
     enumerate_colored_fixed_points,
@@ -34,9 +34,7 @@ from hirzebruch.partitions import ColoredDiagram, PartitionDiagram, enumerate_pa
 
 
 def cfp(*pairs):
-    return ColoredFixedPoint(
-        tuple(ColoredDiagram(PartitionDiagram(rows), eps) for rows, eps in pairs)
-    )
+    return tuple(ColoredDiagram(PartitionDiagram(rows), eps) for rows, eps in pairs)
 
 
 def mono(a, b, e, coeff=1):
@@ -48,7 +46,7 @@ def points(r, n):
 
 
 def corners(fp):
-    return tuple(t.eps for t in fp.tableaux)
+    return tuple(t.eps for t in fp)
 
 
 def test_point_counts_frozen():
@@ -96,8 +94,7 @@ def recursive_colored_points(r, n):
     """The enumeration as it was before the shared generators, as an order oracle."""
     out = []
     for sizes in bounded_compositions(int(2 * n), r):
-        for tableaux in _colored_tuples(sizes):
-            fp = ColoredFixedPoint(tableaux)
+        for fp in _colored_tuples(sizes):
             if is_valid(fp) and instanton_number(fp) == n:
                 out.append(fp)
     return out
@@ -108,6 +105,16 @@ def test_enumeration_order_matches_recursive_oracle():
         for boxes in range(max_boxes + 1):
             n = Fraction(boxes, 2)
             assert points(r, n) == recursive_colored_points(r, n), (r, n)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_points_are_tuples_of_the_shared_table_diagrams(r):
+    # a point is the tuple the charge walk builds, not a copy or a wrapper
+    for boxes in range(7):
+        for fp in points(r, Fraction(boxes, 2)):
+            assert type(fp) is tuple and len(fp) == r
+            for t in fp:
+                assert any(t is colored for colored, _ in _colored_table(t.diagram.size))
 
 
 def charge(colored):
@@ -128,11 +135,10 @@ def colored_tuples(draw):
 
 
 @given(colored_tuples())
-def test_charges_balance_exactly_on_valid_tuples(tableaux):
+def test_charges_balance_exactly_on_valid_tuples(fp):
     # a tuple of 2n boxes has instanton number n and is valid iff its charges sum to 0
-    fp = ColoredFixedPoint(tableaux)
-    n = Fraction(sum(t.diagram.size for t in tableaux), 2)
-    balanced = sum(charge(t) for t in tableaux) == 0
+    n = Fraction(sum(t.diagram.size for t in fp), 2)
+    balanced = sum(charge(t) for t in fp) == 0
     assert (is_valid(fp) and instanton_number(fp) == n) == balanced
 
 
@@ -161,15 +167,12 @@ def test_integer_sector_has_uniform_corners():
         assert is_valid(fp)
         assert corners(fp) == (0, 0)
         assert instanton_number(fp) == 2
-        assert sum(t.diagram.size for t in fp.tableaux) == 4
+        assert sum(t.diagram.size for t in fp) == 4
 
 
 def test_fractional_sector_frozen():
     got = points(2, Fraction(1, 2))
-    assert [fp.to_json() for fp in got] == [
-        {"tableaux": [{"rows": [], "eps": 1}, {"rows": [1], "eps": 1}]},
-        {"tableaux": [{"rows": [1], "eps": 1}, {"rows": [], "eps": 1}]},
-    ]
+    assert got == [cfp(([], 1), ([1], 1)), cfp(([1], 1), ([], 1))]
     first, second = got
     assert ale_tangent_character(first) == add(mono(0, 0, (-1, 1)), mono(1, 1, (1, -1)))
     assert ale_tangent_character(second) == add(mono(0, 0, (1, -1)), mono(1, 1, (-1, 1)))
@@ -227,12 +230,23 @@ def test_rank_four_sum_still_counts_the_all_one_sector():
     assert ale_poincare(4, 1) != surface
 
 
+@pytest.mark.parametrize("r, n", [(2, Fraction(1, 2)), (3, Fraction(1, 2)), (4, Fraction(3, 2))])
+def test_half_integer_sum_counts_only_corner_one_sectors(r, n):
+    # at half-integer n every point has a corner of color 1, and the surface
+    # space is empty: the crosscheck prints `match false`, an open defect
+    # that restricting ale_poincare to the N1 = 0 sector must turn round
+    found = points(r, n)
+    assert found and all(corner_color_count(fp) > 0 for fp in found)
+    assert ale_poincare(r, n) != TPolynomial()
+    assert poincare_polynomial(ModuliParams(2, r, 0, n)) == TPolynomial()
+
+
 def transpose(fp):
-    return ColoredFixedPoint(map(transpose_colored, fp.tableaux))
+    return tuple(map(transpose_colored, fp))
 
 
 def reverse(fp):
-    return ColoredFixedPoint(fp.tableaux[::-1])
+    return fp[::-1]
 
 
 def test_transpose_matches_t_swap():
@@ -249,9 +263,9 @@ def test_reverse_matches_framing_swap():
 
 
 def test_transpose_and_reverse_permute_the_point_set():
-    originals = {str(fp.to_json()) for fp in points(2, 2)}
-    assert {str(transpose(fp).to_json()) for fp in points(2, 2)} == originals
-    assert {str(reverse(fp).to_json()) for fp in points(2, 2)} == originals
+    originals = set(points(2, 2))
+    assert {transpose(fp) for fp in originals} == originals
+    assert {reverse(fp) for fp in originals} == originals
 
 
 def test_poincare_ordering_invariance():
@@ -282,18 +296,18 @@ def test_tangent_dimension_tracks_corner_split():
         got = points(r, n)
         assert got
         for fp in got:
-            n1 = fp.corner_color_count()
+            n1 = corner_color_count(fp)
             expected = 2 * r * n - Fraction((r - n1) * n1, 2)
             assert ale_tangent_character(fp).dimension() == expected
 
 
 def ale_tangent_character_oracle(fp):
     # the pair-by-pair assembly that the single term count replaced
-    r, eps = fp.rank, corners(fp)
+    r, eps = len(fp), corners(fp)
     total = Character(r)
     for a in range(1, r + 1):
         for b in range(1, r + 1):
-            ya, yb = fp.tableaux[a - 1].diagram, fp.tableaux[b - 1].diagram
+            ya, yb = fp[a - 1].diagram, fp[b - 1].diagram
             es = framing_ratio(r, b, a)
             block = Character(r, Counter((x, y, es) for x, y in _patch_exponents(ya, yb)))
             total = add(total, invariant_part(block, eps))
@@ -313,7 +327,7 @@ def ale_tangent_character_oracle(fp):
 )
 def test_tangent_character_matches_pairwise_oracle(r, n, corner_counts):
     found = points(r, n)
-    assert {fp.corner_color_count() for fp in found} == corner_counts
+    assert {corner_color_count(fp) for fp in found} == corner_counts
     for fp in found:
         assert ale_tangent_character(fp) == ale_tangent_character_oracle(fp)
 
@@ -344,7 +358,7 @@ def test_counted_index_matches_the_character(r, max_boxes):
         count = Counter()
         for fp in points(r, n):
             x = ale_tangent_character(fp)
-            if 0 < fp.corner_color_count() < r:
+            if 0 < corner_color_count(fp) < r:
                 mixed.add(n)
             indexes = [x.negative_count(ordering) for ordering in orderings]
             for i, (ordering, index) in enumerate(zip(orderings, indexes)):
@@ -364,7 +378,7 @@ def test_wrong_rank_ordering_is_rejected_on_a_nonempty_space():
 def test_main_ordering_is_not_admissible_on_the_ale_space():
     # at r = 1, n = 1 the point [2] has the invariant term t1^-1 t2, which
     # main_ordering weighs 0: its negative-term count is no Morse index there
-    [fp] = [fp for fp in points(1, 1) if fp.tableaux[0].diagram == PartitionDiagram((2,))]
+    [fp] = [fp for fp in points(1, 1) if fp[0].diagram == PartitionDiagram((2,))]
     x = ale_tangent_character(fp)
     assert x.terms.get((-1, 1, (0,))) == 1
     assert zero_weight_count(x, main_ordering(1)) == 1
@@ -398,7 +412,7 @@ def drop_one_pair_term(monkeypatch):
 @pytest.mark.parametrize("r, n", [(1, 1), (2, Fraction(1, 2)), (3, Fraction(5, 2))])
 def test_a_dropped_pair_term_fails_the_dimension_check(drop_one_pair_term, r, n):
     fp = points(r, n)[0]
-    n1 = fp.corner_color_count()
+    n1 = corner_color_count(fp)
     expected = 2 * r * n - Fraction((r - n1) * n1, 2)
     message = f"ALE tangent character has dimension {expected - 1}, expected {expected}"
     calls = (
@@ -412,21 +426,3 @@ def test_a_dropped_pair_term_fails_the_dimension_check(drop_one_pair_term, r, n)
             call()
         assert str(caught.value) == message
 
-
-def test_colored_point_json_round_trip():
-    fp = cfp(([2, 1], 1), ([], 0))
-    data = fp.to_json()
-    assert data == {"tableaux": [{"rows": [2, 1], "eps": 1}, {"rows": [], "eps": 0}]}
-    assert cfp(*((t["rows"], t["eps"]) for t in data["tableaux"])) == fp
-
-
-def test_colored_point_keeps_the_dataclass_contract():
-    fp = next(enumerate_colored_fixed_points(2, 1))
-    check_record(
-        fp,
-        "ColoredFixedPoint(tableaux=(ColoredDiagram([], eps=0), ColoredDiagram([2], eps=0)))",
-    )
-    assert ColoredFixedPoint(tableaux=list(fp.tableaux)) == fp
-    with pytest.raises(ValueError) as caught:
-        ColoredFixedPoint((1,))
-    assert str(caught.value) == "expected ColoredDiagram entries, got 1"

@@ -88,6 +88,7 @@ def test_malformed_arguments_exit_2(capsys):
     for argv in (
         ["poincare", "--p", "2", "--r", "2", "--k", "0", "--n", "1.5"],
         ["poincare", "--p", "2", "--r", "2", "--k", "0", "--n", "1/0"],
+        ["poincare", "--p", "2", "--r", "2", "--k", "0", "--n", "3/00"],
         ["poincare", "--p", "2", "--r", "2", "--k", "0"],
         ["no-such-command"],
     ):
@@ -107,6 +108,8 @@ def test_malformed_arguments_exit_2(capsys):
 @example("-6/4")
 @example("10/5")
 @example("+0012/18")
+@example("3/06")
+@example("-4/010")
 def test_rational_option_is_the_text_of_its_fraction(text):
     assert _rational(text) == str(Fraction(text))
 
@@ -594,6 +597,21 @@ def test_ale_poly_and_points(capsys):
     assert len(records) == 4
     assert sorted(record["index"] for record in records) == [0, 1, 1, 2]
     assert all(record["dimension"] == 4 for record in records)
+
+
+def test_ale_points_record_lists_each_tableau(capsys):
+    # a point's record is its tableaux in slot order, each as its own record
+    code, out, _ = run(capsys, "ale", "--r", "2", "--n", "3/2", "--points", "--format", "json")
+    assert code == 0
+    records = json.loads(out)["result"]["points"]
+    points = list(hirzebruch.ale.enumerate_colored_fixed_points(2, "3/2"))
+    assert [record["fixed_point"] for record in records] == [
+        {"tableaux": [{"rows": list(t.diagram.rows), "eps": t.eps} for t in point]}
+        for point in points
+    ]
+    assert records[-1]["fixed_point"] == {
+        "tableaux": [{"rows": [1, 1, 1], "eps": 1}, {"rows": [], "eps": 1}]
+    }
 
 
 @pytest.mark.parametrize("n", ["0", "1/2", "1", "3/2", "2"])
@@ -1319,6 +1337,28 @@ def test_output_digest_is_pinned_to_the_version(capsys):
         assert code == 0
         digest.update(out.encode())
     assert (__version__, digest.hexdigest()) == PINNED_OUTPUT
+
+
+# Two listings of mixed corner sectors (N1 = 2 < r), where the dimension
+# check's correction (r - N1)*N1/2 is not zero: no pinned request reaches one.
+PINNED_MIXED_ALE = (
+    "0.1.0",
+    {
+        ("ale", "--r", "3", "--n", "1/2", "--points"):
+            "1e58badad058c0c6040433b20c131c643e906430dc3c738824a09aad8b5eaea7",
+        ("ale", "--r", "4", "--n", "3/2", "--points"):
+            "6145c0991400621e42191665c64bc364c72396eec71d0f40c4ca43de025425a7",
+    },
+)
+
+
+def test_mixed_sector_ale_listings_are_pinned(capsys):
+    digests = {}
+    for argv in PINNED_MIXED_ALE[1]:
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        digests[argv] = hashlib.sha256(out.encode()).hexdigest()
+    assert (__version__, digests) == PINNED_MIXED_ALE
 
 
 # The text renderers are pinned apart from the JSON: the pinned requests plus

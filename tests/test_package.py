@@ -37,6 +37,16 @@ def test_unknown_name_raises_attribute_error():
     assert not hasattr(hirzebruch, "no_such_name")
 
 
+def test_an_ale_point_has_no_record_class():
+    # enumerate_colored_fixed_points yields plain tuples of ColoredDiagrams
+    from hirzebruch import ale
+
+    assert "ColoredFixedPoint" not in hirzebruch.__all__
+    for module in (hirzebruch, ale):
+        with pytest.raises(AttributeError):
+            module.ColoredFixedPoint
+
+
 def test_import_loads_no_submodule_until_a_name_is_used():
     code = (
         "import json, sys\n"
