@@ -7,6 +7,8 @@ record supplied by the caller).
 
 JSON output is a deterministic envelope {request, result, version}:
 identical requests against the same version produce identical bytes.
+`_indented` writes it: the bytes of `json.dumps` with sorted keys and an
+indent of 2, without the pure-Python encoder that an indent selects.
 Timing is reported on stderr (with --timing) so stdout stays canonical.
 """
 
@@ -103,6 +105,44 @@ def _request(subcommand: str, **fields) -> dict:
 def _compact(obj) -> str:
     import json
     return json.dumps(obj, sort_keys=True)
+
+
+def _indented(value) -> str:
+    """What `json.dumps` writes with sorted keys and an indent of 2, byte for
+    byte, for the values an envelope holds: dicts with str keys, lists, str,
+    int, bool and None.  An indent turns json's C encoder off (CPython 3.13 and
+    before); here a list of ints and every join run in C.  Any other value is a
+    TypeError."""
+    from json.encoder import encode_basestring_ascii as quote
+
+    def encode(value, pad: str) -> str:
+        kind = type(value)
+        if kind is int:
+            return int.__repr__(value)
+        if kind is str:
+            return quote(value)
+        if kind is bool:
+            return "true" if value else "false"
+        if value is None:
+            return "null"
+        inner = pad + "  "
+        if kind is dict:
+            if not value:
+                return "{}"
+            pairs = sorted(value.items())
+            items = (f"{quote(key)}: {encode(child, inner)}" for key, child in pairs)
+            return f"{{{inner}{f',{inner}'.join(items)}{pad}}}"
+        if kind is not list:
+            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+        if not value:
+            return "[]"
+        if set(map(type, value)) == {int}:  # exact: a bool is no int here
+            items = map(int.__repr__, value)
+        else:
+            items = map(encode, value, itertools.repeat(inner))
+        return f"[{inner}{f',{inner}'.join(items)}{pad}]"
+
+    return encode(value, "\n")
 
 
 def _digest(result) -> str:
@@ -518,9 +558,7 @@ def main(argv=None) -> int:
         cache = Cache(cache_dir) if cache_dir else None
         request, payload = handler(args, cache)
         if args.format == "json":
-            import json
-            envelope = {"request": request, "result": payload, "version": __version__}
-            output = json.dumps(envelope, sort_keys=True, indent=2)
+            output = _indented({"request": request, "result": payload, "version": __version__})
         else:
             output = render(args, payload)
         _write_stdout(output)

@@ -29,6 +29,7 @@ from hirzebruch.cli import (
     MAX_TANGENT_TERMS,
     _RATIONAL,
     _common,
+    _indented,
     _rational,
     _top_parser,
     main,
@@ -1391,6 +1392,51 @@ def test_json_output_renders_no_text(capsys, monkeypatch):
         monkeypatch.setitem(commands, name, (summary, handler, no_text, add_arguments))
     for argv in PINNED_REQUESTS:
         assert run(capsys, *argv, "--format", "json")[0] == 0
+
+
+# `cli._indented` writes the envelope; `json.dumps` stays here as its oracle.
+# Strings draw from the characters json escapes or spells out (quote,
+# backslash, controls, non-ASCII, astral, U+2028) and from all of Unicode;
+# int lists take bools and None, which are no ints to the encoder's fast path.
+_JSON_TEXT = st.text(
+    st.sampled_from('"\\\x00\x1f\n\x7f\xe9\u2028\U0001f600a') | st.characters(), max_size=6
+)
+_JSON_INTS = st.integers() | st.sampled_from([2**64, -(2**64) - 1, 3**90, -1, 0])
+_JSON_TREES = st.recursive(
+    _JSON_TEXT | _JSON_INTS | st.booleans() | st.none()
+    | st.lists(_JSON_INTS | st.booleans() | st.none(), max_size=5),
+    lambda trees: st.lists(trees, max_size=4) | st.dictionaries(_JSON_TEXT, trees, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_JSON_TREES)
+@example({})
+@example([])
+@example({"": [[], {}, [[]], {"a": {}}], "\u2028\"\\": [[{}]]})
+@example([[1, True], [0, None], [False, 2**64], [-(2**70), -1]])
+@example({"\U0001f600\x00\xe9": ["\x1f\u2028\U0001f600", 2**65, None, True, []]})
+def test_envelope_encoder_writes_the_bytes_of_json_dumps(value):
+    assert _indented(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, Fraction(1, 2), (1, 2), {1: 2}, [[1], {"a": 0.0}]])
+def test_envelope_encoder_refuses_what_an_envelope_never_holds(value):
+    with pytest.raises(TypeError):
+        _indented(value)
+
+
+def test_json_output_runs_no_pure_python_encoder(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pure-Python json encoder ran")
+
+    monkeypatch.setattr("json.encoder._make_iterencode", refuse)
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    for argv in PINNED_REQUESTS + [list(argv) for argv in PINNED_MIXED_ALE[1]]:
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["version"] == __version__
 
 
 def test_package_version_matches_pyproject():
