@@ -22,7 +22,8 @@ t1^a t2^b e... whose weight a + b + sum_i c_i*eps_i is even.  Morse
 indexes are always counted against the ordering t2 >> e1 > .. > er >> t1.
 A point's index and dimension are sums over its ordered summand pairs of
 two cached tallies, the pair's term count and its negative terms
-(`_pair_tally`), so `ale_poincare` builds no character;
+(`_pair_tally`, keyed by the two diagrams' `rows` and `cols` tuples, so a
+lookup hashes no diagram), so `ale_poincare` builds no character;
 `ale_tangent_character`, which `ale --points` prints, assembles the same
 pair terms (`_pair_exponents`) into one.
 
@@ -50,7 +51,7 @@ from .laurent import (
     form_sign,
 )
 from .localization import _framings, _patch_exponents
-from .partitions import ColoredDiagram, PartitionDiagram, compositions, enumerate_partitions
+from .partitions import ColoredDiagram, compositions, enumerate_partitions
 
 
 @lru_cache(maxsize=None)
@@ -125,29 +126,45 @@ def enumerate_colored_fixed_points(r: int, n) -> Iterator[tuple[ColoredDiagram, 
 
 @lru_cache(maxsize=None)
 def _pair_exponents(
-    y_a: PartitionDiagram, y_b: PartitionDiagram, parity: int
+    rows_a: tuple[int, ...],
+    cols_a: tuple[int, ...],
+    rows_b: tuple[int, ...],
+    cols_b: tuple[int, ...],
+    parity: int,
 ) -> tuple[tuple[int, int], ...]:
     """(t1, t2) exponents of the Z/2-invariant terms of a summand pair.
 
-    The flat pair terms t1^x t2^y e_b/e_a of `_patch_exponents(y_a, y_b)`
-    whose weight x + y + eps_b - eps_a is even; `parity` is
-    (eps_b - eps_a) mod 2.  Cached: every caller shares the same tuple.
+    The pair's diagrams Y_a and Y_b are given by their `rows` and `cols`.
+    Keeps the flat pair terms t1^x t2^y e_b/e_a of `_patch_exponents` whose
+    weight x + y + eps_b - eps_a is even; `parity` is (eps_b - eps_a) mod 2.
+    Cached on tuples of ints, so a lookup hashes no diagram: every caller
+    shares the same tuple.
     """
-    return tuple((x, y) for x, y in _patch_exponents(y_a, y_b) if (x + y + parity) % 2 == 0)
+    return tuple(
+        (x, y)
+        for x, y in _patch_exponents(rows_a, cols_a, rows_b, cols_b)
+        if (x + y + parity) % 2 == 0
+    )
 
 
 @lru_cache(maxsize=None)
 def _pair_tally(
-    y_a: PartitionDiagram, y_b: PartitionDiagram, parity: int, forms: Forms
+    rows_a: tuple[int, ...],
+    cols_a: tuple[int, ...],
+    rows_b: tuple[int, ...],
+    cols_b: tuple[int, ...],
+    parity: int,
+    forms: Forms,
 ) -> tuple[int, int]:
     """(terms, negative terms) of a pair's invariant character under `forms`.
 
+    The pair is given as to `_pair_exponents`, and keyed the same way.
     `forms` are what the ordering maps the pair's framing vector e_b/e_a
     to (`laurent.ale_ordering`).  Every coefficient is +1 and merging equal
     monomials keeps their sign, so both numbers add up over the pairs of a
     point to its dimension and its Morse index.
     """
-    exponents = _pair_exponents(y_a, y_b, parity)
+    exponents = _pair_exponents(rows_a, cols_a, rows_b, cols_b, parity)
     return len(exponents), sum(1 for x, y in exponents if form_sign(forms, x, y) < 0)
 
 
@@ -182,7 +199,11 @@ def ale_tangent_character(point: tuple[ColoredDiagram, ...]) -> Character:
         for colored_a, framings_a in zip(point, framings)
         for colored_b, es in zip(point, framings_a)
         for x, y in _pair_exponents(
-            colored_a.diagram, colored_b.diagram, (colored_b.eps - colored_a.eps) % 2
+            colored_a.diagram.rows,
+            colored_a.diagram.cols,
+            colored_b.diagram.rows,
+            colored_b.diagram.cols,
+            (colored_b.eps - colored_a.eps) % 2,
         )
     ]
     _check_dimension(point, len(keys))
@@ -200,9 +221,11 @@ def _counted_index(
     """Morse index of `point` summed from the pair tallies; the dimension is checked."""
     dimension = index = 0
     for colored_a, forms_a in zip(point, pair_forms):
+        rows_a, cols_a, eps_a = colored_a.diagram.rows, colored_a.diagram.cols, colored_a.eps
         for colored_b, forms in zip(point, forms_a):
+            y_b = colored_b.diagram
             terms, negative = _pair_tally(
-                colored_a.diagram, colored_b.diagram, (colored_b.eps - colored_a.eps) % 2, forms
+                rows_a, cols_a, y_b.rows, y_b.cols, (colored_b.eps - eps_a) % 2, forms
             )
             dimension += terms
             index += negative

@@ -102,9 +102,17 @@ def _request(subcommand: str, **fields) -> dict:
     return {"subcommand": subcommand, **fields}
 
 
+_ENCODER = None  # the JSONEncoder(sort_keys=True) of `_compact`, built on its first call
+
+
 def _compact(obj) -> str:
-    import json
-    return json.dumps(obj, sort_keys=True)
+    """`json.dumps(obj, sort_keys=True)` from one kept encoder: `json.dumps`
+    builds a new one on every call with a keyword other than its defaults."""
+    global _ENCODER
+    if _ENCODER is None:
+        from json import JSONEncoder
+        _ENCODER = JSONEncoder(sort_keys=True)
+    return _ENCODER.encode(obj)
 
 
 def _indented(value) -> str:

@@ -30,7 +30,11 @@ variables only (`reduced_tangent_character`): the merged full character,
 taken at empty first-patch diagrams and Y2 = Y, with t2 set to t1.
 
 Every patch term comes from one per-box arm/leg formula, `_box_exponents`
-(Nakajima-Yoshioka, "Instanton counting on blowup. I", math/0306198).
+(Nakajima-Yoshioka, "Instanton counting on blowup. I", math/0306198).  The
+patch terms of a diagram measured against another in one chart, with their
+duals, are cached per summand pair (`_chart_keys`) under a key of ints and
+tuples of ints, so the fixed points that share a pair of diagrams share
+them; the boundary terms are counted on every call.
 """
 
 from __future__ import annotations
@@ -205,24 +209,70 @@ def _framings(rank: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(table)
 
 
-def _box_exponents(y_c: PartitionDiagram, y_e: PartitionDiagram):
-    """(t1, t2) exponents (-leg, 1 + arm) of the boxes of y_c, the leg measured in y_e.
+def _box_exponents(rows_c: tuple[int, ...], cols_c: tuple[int, ...], rows_e: tuple[int, ...]):
+    """(t1, t2) exponents (-leg, 1 + arm) of the boxes of a diagram Y_c, the leg
+    measured in Y_e: rows_c and cols_c are Y_c's `rows` and `cols`, rows_e Y_e's `rows`.
 
-    Box (i, j) gives (j + 1 - y_e.rows[i], y_c.cols[j] - i), row by row from the corner.
+    Box (i, j) gives (j + 1 - rows_e[i], cols_c[j] - i), row by row from the corner.
     """
-    rows_e, cols_c = y_e.rows, y_c.cols
-    for i, length in enumerate(y_c.rows):
+    for i, length in enumerate(rows_c):
         other = rows_e[i] if i < len(rows_e) else 0
         for j in range(length):
             yield j + 1 - other, cols_c[j] - i
 
 
-def _patch_exponents(y_alpha: PartitionDiagram, y_beta: PartitionDiagram):
-    """Patch-term (t1, t2) exponents of a summand pair: `_box_exponents(y_alpha, y_beta)`,
-    then (1, 1) minus those of `_box_exponents(y_beta, y_alpha)`."""
-    yield from _box_exponents(y_alpha, y_beta)
-    for x, y in _box_exponents(y_beta, y_alpha):
+def _patch_exponents(
+    rows_a: tuple[int, ...],
+    cols_a: tuple[int, ...],
+    rows_b: tuple[int, ...],
+    cols_b: tuple[int, ...],
+):
+    """Patch-term (t1, t2) exponents of a summand pair with diagrams Y_a and Y_b,
+    given by their `rows` and `cols`: the `_box_exponents` of Y_a's boxes
+    measured in Y_b, then (1, 1) minus those of Y_b's boxes measured in Y_a."""
+    yield from _box_exponents(rows_a, cols_a, rows_b)
+    for x, y in _box_exponents(rows_b, cols_b, rows_a):
         yield 1 - x, 1 - y
+
+
+@lru_cache(maxsize=None)
+def _chart_keys(
+    p: int,
+    d: int,
+    chart: int,
+    rows_c: tuple[int, ...],
+    cols_c: tuple[int, ...],
+    rows_e: tuple[int, ...],
+    es: tuple[int, ...],
+    dual: tuple[int, ...],
+) -> tuple:
+    """The tangent keys that the boxes of Y_c, measured in Y_e, give in one chart.
+
+    Y_c is the diagram of summand c and Y_e that of summand e on the patch
+    of `chart` (1 or 2); rows_c and cols_c are Y_c's `rows` and `cols`, rows_e
+    Y_e's `rows`, d = k_c - k_e, and es and dual are the framing vectors of
+    e_e/e_c and e_c/e_e.  Each exponent (x, y) of `_box_exponents`, pushed
+    through the chart (t1^p, t2/t1) or (t1/t2, t2^p) and shifted by
+    p(k_e - k_c), gives a key (x', y', es) of pair (c, e), followed by its
+    dual key of pair (e, c), taken from (p - 1, 1) or (1, p - 1) with `dual`.
+    Cached on ints and tuples of ints alone, so a lookup hashes no diagram;
+    every fixed point with the same two diagrams at the same pair and d
+    shares the tuple.
+    """
+    shift = -p * d
+    keys = []
+    add = keys.append
+    if chart == 1:
+        for x, y in _box_exponents(rows_c, cols_c, rows_e):
+            x = p * x - y + shift
+            add((x, y, es))
+            add((p - 1 - x, 1 - y, dual))
+    else:
+        for x, y in _box_exponents(rows_c, cols_c, rows_e):
+            y = p * y - x + shift
+            add((x, y, es))
+            add((1 - x, p - 1 - y, dual))
+    return tuple(keys)
 
 
 def _tangent_keys(params: ModuliParams, datum: _Datum, y1s, y2s) -> list:
@@ -236,32 +286,26 @@ def _tangent_keys(params: ModuliParams, datum: _Datum, y1s, y2s) -> list:
 
         t1^(p*x - y + shift) t2^y   and   t1^x t2^(p*y - x + shift)
 
-    Box by box: an exponent of `_box_exponents(Y_c, Y_e)` is a term of pair
-    (c, e), and its chart image taken from (p - 1, 1) or (1, p - 1) one of
-    (e, c).  Raises InvariantError unless there are 2*r*n keys.
+    The boundary terms are counted here; the patch terms come from the
+    cached `_chart_keys` of each nonempty diagram Y_c and each Y_e of its
+    patch, which hold the terms of pair (c, e) and their duals of (e, c).
+    Raises InvariantError unless there are 2*r*n keys.
     """
     dim = datum.validate(params)
     p, r, ks, framings = params.p, params.r, datum.ks, _framings(params.r)
     keys: list = []
     add = keys.append
     for c in range(r):
-        y1, y2 = y1s[c], y2s[c]
+        y1, y2, framings_c = y1s[c], y2s[c], framings[c]
         for e in range(r):
-            es = framings[c][e]
-            if ks[c] != ks[e]:
-                for x, y in _l_exponents(p, ks[c] - ks[e]):
+            d, es = ks[c] - ks[e], framings_c[e]
+            if d:
+                for x, y in _l_exponents(p, d):
                     add((x, y, es))
-            if not (y1.rows or y2.rows):
-                continue
-            dual, shift = framings[e][c], p * (ks[e] - ks[c])
-            for x, y in _box_exponents(y1, y1s[e]) if y1.rows else ():
-                x = p * x - y + shift
-                add((x, y, es))
-                add((p - 1 - x, 1 - y, dual))
-            for x, y in _box_exponents(y2, y2s[e]) if y2.rows else ():
-                y = p * y - x + shift
-                add((x, y, es))
-                add((1 - x, p - 1 - y, dual))
+            if y1.rows:
+                keys += _chart_keys(p, d, 1, y1.rows, y1.cols, y1s[e].rows, es, framings[e][c])
+            if y2.rows:
+                keys += _chart_keys(p, d, 2, y2.rows, y2.cols, y2s[e].rows, es, framings[e][c])
     # every key counts once, so the character's dimension is the number of keys
     if len(keys) != dim:
         raise InvariantError(

@@ -58,8 +58,9 @@ class PartitionDiagram(_Frozen):
         return PartitionDiagram, (self.rows,)
 
     def __hash__(self) -> int:
-        # the field-tuple hash of `_Frozen`, without its getattr loop: diagrams
-        # are cache keys of the ALE pair tallies
+        # the field-tuple hash of `_Frozen`, without its getattr loop, for the
+        # records that hold diagrams; no package cache is keyed by a diagram:
+        # the chart keys and the ALE pair tallies take its `rows` and `cols`
         return hash((self.rows, self.cols))
 
     def to_json(self) -> list[int]:

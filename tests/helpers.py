@@ -26,12 +26,15 @@ orderings beside the package's two; `flat_sign` is its sign as a sum over
 the flat exponent vector.  `check_record` states what the package's immutable
 records promise.  `equivariant_volume` integrates 1 over a moduli space by
 localization, to be compared with values known from outside it.
+`clear_every_cache` empties the package's caches, as a fresh process has
+them, and `patch_exponents` runs the library's pair formula on two diagrams.
 """
 
 import copy
 import itertools
 import math
 import pickle
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -40,7 +43,7 @@ import pytest
 from hirzebruch import ale
 from hirzebruch.counting import _factor_terms, enumerate_fixed_points, indexed_points, l_prime
 from hirzebruch.laurent import Character, QSeries, TPolynomial, form_sign
-from hirzebruch.localization import tangent_character
+from hirzebruch.localization import _patch_exponents, tangent_character
 from hirzebruch.partitions import ColoredDiagram, PartitionDiagram, enumerate_partitions
 
 
@@ -100,6 +103,21 @@ def substitute(x, matrix):
         key = (m11 * a + m12 * b, m21 * a + m22 * b, es)
         table[key] = table.get(key, 0) + coeff
     return Character(x.rank, table)
+
+
+def clear_every_cache():
+    """Empty every lru cache of the loaded package modules, as a fresh process has them."""
+    for name, module in list(sys.modules.items()):
+        if name == "hirzebruch" or name.startswith("hirzebruch."):
+            for obj in vars(module).values():
+                if callable(getattr(obj, "cache_clear", None)):
+                    obj.cache_clear()
+
+
+def patch_exponents(y_alpha, y_beta):
+    """The library's patch-term exponents of a pair of diagrams, as a list: its
+    `_patch_exponents` takes their `rows` and `cols` tuples, which the caches key on."""
+    return list(_patch_exponents(y_alpha.rows, y_alpha.cols, y_beta.rows, y_beta.cols))
 
 
 def partition_rows(n, cap=None):

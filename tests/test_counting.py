@@ -1,5 +1,4 @@
 import itertools
-import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -8,6 +7,7 @@ from functools import lru_cache
 import pytest
 from helpers import (
     add,
+    clear_every_cache,
     column_heights,
     convolved_slot_tables,
     fraction_k_strings,
@@ -45,9 +45,12 @@ from hirzebruch.localization import (
     FixedPointDatum,
     ModuliParams,
     ReducedFixedPointDatum,
+    _chart_keys,
     reduced_tangent_character,
+    tangent_character,
 )
 from hirzebruch.partitions import PartitionDiagram, enumerate_partitions
+from test_localization import reduced_tangent_character_oracle, tangent_character_oracle
 
 
 @lru_cache(maxsize=None)
@@ -459,14 +462,6 @@ def test_warm_poincare_polynomial_builds_no_diagram(monkeypatch):
     assert built == []
 
 
-def clear_every_cache():
-    for name, module in list(sys.modules.items()):
-        if name == "hirzebruch" or name.startswith("hirzebruch."):
-            for obj in vars(module).values():
-                if callable(getattr(obj, "cache_clear", None)):
-                    obj.cache_clear()
-
-
 def test_cold_results_equal_warm_ones():
     grid = [ModuliParams(p, r, k, Fraction(j, 2 * r))
             for p, r, k in [(1, 3, 0), (2, 4, 1), (1, 2, 1), (3, 5, -1)]
@@ -479,6 +474,51 @@ def test_cold_results_equal_warm_ones():
         assert _pair_terms.cache_info().currsize == 0
         assert enumerate_partitions.cache_info().currsize == 0
         assert poincare_polynomial(params) == expected, params
+
+
+def test_cold_characters_equal_warm_ones_and_the_oracle():
+    # every cache emptied before each point, so that its chart keys are built
+    # afresh: the characters are those of a warm cache and of the pairwise
+    # oracles of test_localization.  It sits here, before the next test empties
+    # the caches again, so that the tests after it find them as warm as before
+    spaces = [(2, 2, 0, 5), (1, 3, 0, 3), (3, 2, 1, Fraction(15, 4))]
+    points = [
+        (params, fp)
+        for params in (ModuliParams(*space) for space in spaces)
+        for fp in enumerate_fixed_points(params)
+    ]
+    reduced = ModuliParams(1, 4, 0, 2)
+    loci = list(enumerate_reduced_fixed_points(reduced))
+    assert (len(points), len(loci)) == (678, 68)
+
+    def characters():
+        return (
+            [tangent_character(params, fp) for params, fp in points],
+            [reduced_tangent_character(reduced, rfp) for rfp in loci],
+        )
+
+    first = characters()
+    warm, warm_reduced = characters()
+    assert (warm, warm_reduced) == first
+    for (params, fp), expected in zip(points, warm):
+        clear_every_cache()
+        assert _chart_keys.cache_info().currsize == 0
+        cold = tangent_character(params, fp)
+        assert cold == expected == tangent_character_oracle(params, fp)
+    for rfp, expected in zip(loci, warm_reduced):
+        clear_every_cache()
+        cold = reduced_tangent_character(reduced, rfp)
+        assert cold == expected == reduced_tangent_character_oracle(reduced, rfp)
+    # a point rebuilt from its record holds new diagrams of the same values,
+    # and finds the chart keys that the enumerated point left in the cache
+    params, fp = next((params, fp) for params, fp in points if any(y.rows for y in fp.y1))
+    expected = tangent_character(params, fp)
+    rebuilt = FixedPointDatum._from_record(fp.to_json(), params)
+    assert all(y is not z for y, z in zip(rebuilt.y1 + rebuilt.y2, fp.y1 + fp.y2) if y.rows)
+    before = _chart_keys.cache_info()
+    assert tangent_character(params, rebuilt) == expected
+    after = _chart_keys.cache_info()
+    assert after.hits > before.hits and after.misses == before.misses
 
 
 def test_cold_poincare_polynomial_enumerates_no_diagram(monkeypatch):

@@ -11,6 +11,7 @@ from helpers import (
     equivariant_volume,
     framing_ratio,
     pair_weight,
+    patch_exponents,
     product,
     promote,
     partition_rows,
@@ -33,9 +34,9 @@ from hirzebruch.localization import (
     InvariantError,
     ModuliParams,
     ReducedFixedPointDatum,
+    _chart_keys,
     _framings,
     _l_exponents,
-    _patch_exponents,
     reduced_tangent_character,
     tangent_character,
 )
@@ -226,31 +227,31 @@ def test_l_character_rejects_bad_p():
 def test_n_character_frozen_values():
     box = PartitionDiagram([1])
     empty = PartitionDiagram([])
-    assert sorted(_patch_exponents(box, box)) == [(0, 1), (1, 0)]
-    assert list(_patch_exponents(empty, box)) == [(0, 0)]
-    assert list(_patch_exponents(box, empty)) == [(1, 1)]
+    assert sorted(patch_exponents(box, box)) == [(0, 1), (1, 0)]
+    assert patch_exponents(empty, box) == [(0, 0)]
+    assert patch_exponents(box, empty) == [(1, 1)]
     assert _framings(2) == (((0, 0), (-1, 1)), ((1, -1), (0, 0)))
-    assert sorted(_patch_exponents(PartitionDiagram([2]), box)) == [(0, 1), (1, 1), (2, 0)]
+    assert sorted(patch_exponents(PartitionDiagram([2]), box)) == [(0, 1), (1, 1), (2, 0)]
 
 
 @given(diagrams(), diagrams())
 def test_n_character_dimension_is_box_count(ya, yb):
-    assert len(list(_patch_exponents(ya, yb))) == ya.size + yb.size
+    assert len(patch_exponents(ya, yb)) == ya.size + yb.size
 
 
 @given(diagrams(), diagrams())
 def test_n_character_duality(ya, yb):
     # swapping the pair dualizes the block up to a t1*t2 twist
-    lhs = Counter(_patch_exponents(ya, yb))
-    assert lhs == Counter((1 - x, 1 - y) for x, y in _patch_exponents(yb, ya))
+    lhs = Counter(patch_exponents(ya, yb))
+    assert lhs == Counter((1 - x, 1 - y) for x, y in patch_exponents(yb, ya))
     assert _framings(2)[1][0] == tuple(-e for e in _framings(2)[0][1])
 
 
 @given(diagrams(), diagrams())
 def test_n_character_transpose_symmetry(ya, yb):
     # transposing both diagrams swaps the roles of t1 and t2
-    lhs = Counter(_patch_exponents(transpose(ya), transpose(yb)))
-    assert lhs == Counter((y, x) for x, y in _patch_exponents(ya, yb))
+    lhs = Counter(patch_exponents(transpose(ya), transpose(yb)))
+    assert lhs == Counter((y, x) for x, y in patch_exponents(ya, yb))
 
 
 def test_tangent_character_rank_one_frozen():
@@ -436,14 +437,14 @@ def reduced_tangent_character_oracle(params, rfp):
 
 @given(diagrams(), diagrams())
 def test_patch_exponents_match_the_per_box_formula_in_order(ya, yb):
-    assert list(_patch_exponents(ya, yb)) == patch_exponents_oracle(ya, yb)
+    assert patch_exponents(ya, yb) == patch_exponents_oracle(ya, yb)
 
 
 @given(diagrams(), diagrams(), st.integers(1, 3), st.integers(1, 3))
 def test_n_character_matches_per_box_oracle(ya, yb, alpha, beta):
     # the library's pair framing and patch terms, as one block
     es = _framings(3)[alpha - 1][beta - 1]
-    block = Character(3, Counter((x, y, es) for x, y in _patch_exponents(ya, yb)))
+    block = Character(3, Counter((x, y, es) for x, y in patch_exponents(ya, yb)))
     assert block == n_character_oracle(ya, yb, alpha, beta, 3)
 
 
@@ -566,6 +567,47 @@ def test_a_dropped_term_fails_the_tangent_dimension_check(monkeypatch):
     with pytest.raises(InvariantError) as caught:
         tangent_character(params, fp)
     assert str(caught.value) == "tangent character has dimension 2, expected 2*r*n = 4"
+
+@pytest.fixture
+def drop_one_box(monkeypatch):
+    """Make `localization._box_exponents` lose one box, the first one it is asked
+    for after each reset; `_chart_keys` is emptied at each reset and at the end."""
+    original = hirzebruch.localization._box_exponents
+    dropped = []
+
+    def drop_one(*diagrams):
+        exponents = original(*diagrams)
+        if not dropped and next(exponents, None) is not None:
+            dropped.append(diagrams)
+        return exponents
+
+    def reset():
+        dropped.clear()
+        _chart_keys.cache_clear()
+
+    monkeypatch.setattr(hirzebruch.localization, "_box_exponents", drop_one)
+    reset()
+    yield reset
+    # the cached chart keys were built from the broken boxes
+    _chart_keys.cache_clear()
+
+
+def test_a_dropped_patch_term_fails_the_dimension_check_behind_the_cache(drop_one_box):
+    # a lost box loses a term of pair (c, e) and its dual of pair (e, c)
+    full = ModuliParams(2, 2, 0, 5)
+    fp = next(fp for fp in enumerate_fixed_points(full) if fp.box_count())
+    reduced = ModuliParams(1, 4, 0, 2)
+    rfp = next(rfp for rfp in enumerate_reduced_fixed_points(reduced) if rfp.box_count())
+    calls = (
+        (lambda: tangent_character(full, fp), "dimension 18, expected 2*r*n = 20"),
+        (lambda: reduced_tangent_character(reduced, rfp), "dimension 14, expected 2*r*n = 16"),
+    )
+    for call, message in calls:
+        drop_one_box()
+        with pytest.raises(InvariantError) as caught:
+            call()
+        assert str(caught.value) == f"tangent character has {message}"
+
 
 def test_fixed_point_json_round_trip():
     fp = FixedPointDatum((1, -1), ([2, 1], []), ([], [1]))
